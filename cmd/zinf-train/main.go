@@ -98,14 +98,8 @@ func main() {
 func printStats(engine string, ecfg zeroinf.EngineConfig, mcfg zeroinf.ModelConfig, res zeroinf.TrainResult) {
 	if engine == "infinity" || engine == "zero3" {
 		s := res.Stats
-		// The two engines report different max-live semantics: zero3 a
-		// static largest-single-parameter bound, infinity a measured peak.
-		label := "peak live gathered params"
-		if engine == "zero3" {
-			label = "largest gathered param (static bound)"
-		}
-		fmt.Printf("\n%s engine: %d gathers (%d on-demand), %s %s (tiling %d)\n",
-			engine, s.Gathers, s.OnDemandGathers, label, mem.FormatBytes(s.MaxLiveParamBytes), mcfg.Tiling)
+		fmt.Printf("\n%s engine: %d gathers (%d on-demand), peak live gathered params %s (tiling %d)\n",
+			engine, s.Gathers, s.OnDemandGathers, mem.FormatBytes(s.MaxLiveParamBytes), mcfg.Tiling)
 		fmt.Printf("overlap: allgather prefetch %d issued / %d hits, %d async reduce-scatters\n",
 			s.CommPrefetchIssued, s.CommPrefetchHits, s.AsyncReduces)
 		if ecfg.Topology != nil && len(s.CommTraffic) > 0 {

@@ -8,6 +8,10 @@ import (
 	"repro/internal/module"
 )
 
+// errGPUOOM wraps allocator failures so RunUnderBudget can convert the panic
+// that aborts a forward pass into an error (the CUDA-OOM analogue).
+type errGPUOOM struct{ err error }
+
 // AllocHooks is a minimal single-process engine used by the memory-centric
 // tiling experiment (Fig. 6b protocol): parameters are "gathered" by
 // allocating their fp16 footprint from a budgeted contiguous allocator and

@@ -3,19 +3,19 @@ package core
 import (
 	"repro/internal/mem"
 	"repro/internal/tensor"
+	"repro/internal/zero"
 )
 
 // cpuCheckpointStore offloads activation checkpoints to CPU memory (paper
-// Sec. 5.1.2): tensors are serialized to byte buffers accounted against the
-// CPU tier and deserialized exactly on retrieval, so offloading never
+// Sec. 5.1.2): tensors are serialized to byte buffers and deserialized
+// exactly on retrieval, so offloading never
 // changes numerics. Blob bytes and staging scratch cycle through the
 // engine's arenas, handles through a free list, and shape slices are reused
 // across occupancies of a slot, so steady-state Put is allocation-free (Get
 // still allocates the returned tensor, which the caller owns).
 type cpuCheckpointStore struct {
-	tracker *mem.Tracker
-	bytes   *mem.Arena[byte]
-	f32     *mem.Arena[float32]
+	bytes *mem.Arena[byte]
+	f32   *mem.Arena[float32]
 
 	blobs []ckptBlob
 	free  []int // vacant slots in blobs
@@ -29,8 +29,8 @@ type ckptBlob struct {
 	live  bool
 }
 
-func newCPUCheckpointStore(t *mem.Tracker, bytes *mem.Arena[byte], f32 *mem.Arena[float32]) *cpuCheckpointStore {
-	return &cpuCheckpointStore{tracker: t, bytes: bytes, f32: f32}
+func newCPUCheckpointStore(sc zero.Scratch) *cpuCheckpointStore {
+	return &cpuCheckpointStore{bytes: sc.Bytes, f32: sc.F32}
 }
 
 // Put implements module.CheckpointStore.
@@ -53,7 +53,6 @@ func (s *cpuCheckpointStore) Put(t *tensor.Tensor) int {
 	blob.data = b
 	blob.shape = append(blob.shape[:0], t.Shape()...)
 	blob.live = true
-	s.tracker.Add(mem.CatActCkpt, int64(len(b)))
 	s.bytesOffloaded += int64(len(b))
 	return h
 }
@@ -64,7 +63,6 @@ func (s *cpuCheckpointStore) Get(h int) *tensor.Tensor {
 		panic("core: unknown checkpoint handle")
 	}
 	blob := &s.blobs[h]
-	s.tracker.Add(mem.CatActCkpt, -int64(len(blob.data)))
 	out := tensor.New(tensor.FP32, blob.shape...)
 	tmp := s.f32.Get(out.Len())
 	tensor.F32FromBytes(tmp, blob.data)

@@ -1,11 +1,19 @@
-// Package core implements ZeRO-Infinity (paper Sec. 5-7): a ZeRO-3 engine
-// whose partitioned model states can live on GPU, CPU or NVMe through the
-// infinity offload engine, with bandwidth-centric partitioning, an
-// overlap-centric prefetcher driven by the traced operator sequence,
-// CPU offload of activation checkpoints, streamed NVMe optimizer steps
-// through reusable pinned buffers, and a budgeted (optionally
-// pre-fragmented) GPU allocator. Memory-centric tiling for operators too
-// large to materialize whole is a model-layer feature
+// Package core turns the sharded engine of internal/zero into ZeRO-Infinity
+// (paper Sec. 5-7). Infinity is ZeRO-3 with a different answer to one
+// question — where do a rank's fp16 parameter shards and fp32 optimizer
+// shards live — so this package holds no engine body of its own: it maps a
+// Config onto zero.NewZ3EngineOn and supplies what only Infinity has:
+//
+//   - the NVMe tier (tier.go): the infinity offload engine — shard regions on
+//     a per-rank store, reusable pinned staging buffers, shard read-ahead
+//     along the traced operator sequence, and the streamed optimizer step;
+//   - a budgeted (optionally pre-fragmented) GPU allocator accounting the
+//     gathered working set, whose exhaustion fails the step with an error;
+//   - CPU offload of activation checkpoints (ckptstore.go).
+//
+// GPU and CPU placements run on zero's resident tier: Infinity with both
+// states on GPU is ZeRO-3, collective for collective. Memory-centric tiling
+// for operators too large to materialize whole is a model-layer feature
 // (model.Config.Tiling); the engine sees tiles as ordinary parameters and
 // gathers, prefetches and releases them with no special-casing.
 //
@@ -108,46 +116,5 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// needsNVMe reports whether any state lives on NVMe.
-func (c *Config) needsNVMe() bool {
-	return c.Params == zero.OnNVMe || c.Optimizer == zero.OnNVMe
-}
-
 // Stats summarizes one engine's activity for the experiment harness.
-type Stats struct {
-	Gathers         int
-	OnDemandGathers int
-	// PrefetchIssued/PrefetchHits count the NVMe read stage; the CommPrefetch
-	// pair counts the allgather stage; AsyncReduces counts gradient
-	// reduce-scatters launched asynchronously from the backward hooks.
-	PrefetchHits       int
-	PrefetchIssued     int
-	CommPrefetchIssued int
-	CommPrefetchHits   int
-	AsyncReduces       int
-	NVMeBytesRead      int64
-	NVMeBytesWritten   int64
-	// MaxLiveParamBytes is the peak fp16 footprint of simultaneously
-	// materialized (gathered) parameters — the working-set contribution
-	// memory-centric tiling divides by the tile factor.
-	MaxLiveParamBytes int64
-	PinnedBytes       int64
-	PinnedAcquires    int64
-	CkptBytesOffload  int64
-	GPUPeakBytes      int64
-	// AllocsPerStep is the number of heap allocations performed during the
-	// last StepAccum (/gc/heap/allocs:objects runtime-metrics delta). The counter is
-	// process-global, so with several rank goroutines stepping in lockstep
-	// it reflects the whole world's step; after the scratch arenas warm up
-	// the engine+comm+tensor contribution is zero.
-	AllocsPerStep uint64
-	// CommTraffic is the collective fabric's cumulative modeled traffic per
-	// collective kind — ops, intra/inter-node bytes, simulated transfer
-	// seconds and achieved aggregate bandwidth (TrafficStats.AggGBps). The
-	// counters are world-wide (all ranks' collectives), which is what the
-	// Fig. 6c aggregate-bandwidth comparison wants.
-	CommTraffic map[string]comm.TrafficStats
-	// CommGBps is the achieved aggregate bandwidth across every collective
-	// kind (0 without a topology: the flat fabric has no link timing).
-	CommGBps float64
-}
+type Stats = zero.Stats

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/module"
 	"repro/internal/tensor"
 	"repro/internal/zero"
 )
@@ -148,6 +150,23 @@ func TestInfinityPlacementsBitIdenticalToDDP(t *testing.T) {
 			assertSame(t, tc.name, ddp, got)
 		})
 	}
+	// Infinity with both states on GPU *is* ZeRO-3: not only the same
+	// values, but the same gathers, speculation and reductions.
+	t.Run("gpu-gpu≡zero3", func(t *testing.T) {
+		mcfg := testModelCfg(false)
+		z3 := runZero(t, mcfg, zero.Config{Stage: zero.Stage3, PrefetchDepth: 2, Overlap: true})
+		inf := runInfinity(t, mcfg, Config{Params: zero.OnGPU, Optimizer: zero.OnGPU, PrefetchDepth: 2, Overlap: true})
+		assertSame(t, "gpu-gpu≡zero3", z3, inf)
+		a, b := z3.stats, inf.stats
+		if a.Gathers == 0 || a.CommPrefetchHits == 0 || a.AsyncReduces == 0 {
+			t.Fatalf("zero3 counters idle: %+v", a)
+		}
+		if a.Gathers != b.Gathers || a.OnDemandGathers != b.OnDemandGathers || a.AsyncReduces != b.AsyncReduces ||
+			a.CommPrefetchIssued != b.CommPrefetchIssued || a.CommPrefetchHits != b.CommPrefetchHits ||
+			a.MaxLiveParamBytes != b.MaxLiveParamBytes {
+			t.Fatalf("infinity gpu/gpu did different work than zero3:\nzero3    %+v\ninfinity %+v", a, b)
+		}
+	})
 }
 
 // Regression test: a prefetch depth at or above the pinned-buffer count
@@ -234,30 +253,77 @@ func TestExternalParamHandledAcrossPlacements(t *testing.T) {
 	}
 }
 
+// A working set over the GPU budget fails the step with an OOM error — at
+// the first gather (64 B is below the largest parameter), or deeper into the
+// forward pass with scopes open and parameters held (600..2100 B) — and the
+// failed step leaves nothing behind: scope stack empty, every parameter
+// re-partitioned, no budget block or pinned buffer held, nothing in flight.
+// The engine stays usable: the next step fails the same way instead of
+// tripping over stale state.
 func TestGPUBudgetEnforced(t *testing.T) {
 	mcfg := testModelCfg(false)
-	tokens, targets := makeBatches(mcfg, 1, 1, testBatch)
-	comm.Run(1, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		// Budget below the largest parameter: the first gather must fail.
-		e, err := NewInfinityEngine(Config{
-			Params: zero.OnCPU, Optimizer: zero.OnCPU,
-			GPUMemory: 64, LossScale: 1, Seed: 1,
-		}, c, g)
-		if err != nil {
-			t.Error(err)
+	tokens, targets := makeBatches(mcfg, 1, 2, testBatch)
+	placements := []struct {
+		name string
+		cfg  Config
+	}{
+		{"resident", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU}},
+		{"nvme+prefetch+overlap", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 3, Overlap: true}},
+	}
+	for _, pl := range placements {
+		for _, budget := range []int64{64, 600, 1200, 2100} {
+			t.Run(fmt.Sprintf("%s/%d", pl.name, budget), func(t *testing.T) {
+				comm.Run(2, func(c *comm.Comm) {
+					cfg := pl.cfg
+					cfg.GPUMemory, cfg.LossScale, cfg.Seed = budget, 1, 1
+					e, err := NewInfinityEngine(cfg, c, model.MustGPT(mcfg))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer e.Close()
+					var first error
+					for attempt := 0; attempt < 2; attempt++ {
+						_, serr := e.Step(tokens[0][c.Rank()], targets[0][c.Rank()], testBatch)
+						if !ErrIsOOM(serr) {
+							t.Errorf("attempt %d: step under a %d B budget returned %v, want OOM", attempt, budget, serr)
+							return
+						}
+						if attempt == 0 {
+							first = serr
+						} else if serr.Error() != first.Error() {
+							t.Errorf("second step failed differently: %v, first %v", serr, first)
+						}
+						if err := e.CheckIdle(); err != nil {
+							t.Errorf("attempt %d: engine left dirty: %v", attempt, err)
+						}
+						if used := e.gpu.Used(); used != 0 {
+							t.Errorf("attempt %d: %d B of the GPU budget still held", attempt, used)
+						}
+						if e.nvme != nil {
+							assertPinnedPoolFull(t, e)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// assertPinnedPoolFull checks every pinned staging buffer is back in the
+// pool by acquiring them all.
+func assertPinnedPoolFull(t *testing.T, e *InfinityEngine) {
+	t.Helper()
+	pool := e.nvme.pinned
+	n := int(pool.TotalBytes()) / pool.BufSize()
+	for i := 0; i < n; i++ {
+		buf, ok := pool.TryAcquire()
+		if !ok {
+			t.Errorf("pinned buffer %d/%d leaked", i+1, n)
 			return
 		}
-		defer e.Close()
-		_, serr := e.Step(tokens[0][0], targets[0][0], testBatch)
-		if serr == nil {
-			t.Error("step under impossible budget succeeded")
-			return
-		}
-		if !ErrIsOOM(serr) {
-			t.Errorf("unexpected error type: %v", serr)
-		}
-	})
+		defer pool.Release(buf)
+	}
 }
 
 func TestGPUBudgetPeakTracked(t *testing.T) {
@@ -284,7 +350,7 @@ func TestGPUBudgetPeakTracked(t *testing.T) {
 		}
 		// Fetch-and-release keeps the peak far below the full fp16 model.
 		full := int64(0)
-		for _, p := range e.params {
+		for _, p := range module.AllParams(g) {
 			full += p.FP16Bytes()
 		}
 		if st.GPUPeakBytes >= full {

@@ -53,10 +53,9 @@ func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 		// the pipeline then has a processed parameter (async write in
 		// flight), a failed current read, and a failing prefetched read all
 		// outstanding at once.
-		e.io.Close()
-		fs := &failingStore{Store: e.store, allow: 1}
-		e.io = nvme.NewEngine(fs, nvme.Options{Workers: 2})
-		defer e.io.Close()
+		e.nvme.io.Close()
+		fs := &failingStore{Store: e.nvme.store, allow: 1}
+		e.nvme.io = nvme.NewEngine(fs, nvme.Options{Workers: 2})
 
 		_, serr := e.Step(tokens[0][0], targets[0][0], testBatch)
 		if serr == nil {
@@ -68,13 +67,6 @@ func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 		}
 		// Every pinned buffer must be back: the failed current slot, the
 		// abandoned prefetch slot, and the write slots via their reapers.
-		for i := 0; i < e.cfg.PinnedBuffers; i++ {
-			buf, ok := e.pinned.TryAcquire()
-			if !ok {
-				t.Errorf("pinned buffer %d/%d leaked on the error path", i+1, e.cfg.PinnedBuffers)
-				return
-			}
-			defer e.pinned.Release(buf)
-		}
+		assertPinnedPoolFull(t, e)
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/module"
 	"repro/internal/zero"
 )
 
@@ -71,14 +72,15 @@ func TestStatsReportCommTrafficAndSlicingWins(t *testing.T) {
 func TestInfinityFullParamsGatherScratchPooled(t *testing.T) {
 	mcfg := testModelCfg(false)
 	comm.Run(1, func(c *comm.Comm) {
-		e, err := NewInfinityEngine(Config{LossScale: 64, Seed: 3}, c, model.MustGPT(mcfg))
+		g := model.MustGPT(mcfg)
+		e, err := NewInfinityEngine(Config{LossScale: 64, Seed: 3}, c, g)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		defer e.Close()
 		e.FullParams() // warm the arena size classes
-		nparams := len(e.params)
+		nparams := len(module.AllParams(g))
 		allocs := testing.AllocsPerRun(10, func() {
 			e.FullParams()
 		})

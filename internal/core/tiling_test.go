@@ -88,6 +88,7 @@ func runZero(t *testing.T, mcfg model.Config, zcfg zero.Config) trajectory {
 		g := model.MustGPT(mcfg)
 		var step func(tok, tgt []int) zero.StepResult
 		var full func() map[string][]float32
+		stats := func() Stats { return Stats{} }
 		if zcfg.Stage == zero.Stage3 {
 			e, err := zero.NewZ3Engine(zcfg, c, g)
 			if err != nil {
@@ -95,7 +96,7 @@ func runZero(t *testing.T, mcfg model.Config, zcfg zero.Config) trajectory {
 				return
 			}
 			step = func(tok, tgt []int) zero.StepResult { return e.Step(tok, tgt, testBatch) }
-			full = e.FullParams
+			full, stats = e.FullParams, e.Stats
 		} else {
 			e, err := zero.NewDPEngine(zcfg, c, g)
 			if err != nil {
@@ -112,7 +113,7 @@ func runZero(t *testing.T, mcfg model.Config, zcfg zero.Config) trajectory {
 		p := full()
 		if c.Rank() == 0 {
 			mu.Lock()
-			out = trajectory{losses: losses, params: p}
+			out = trajectory{losses: losses, params: p, stats: stats()}
 			mu.Unlock()
 		}
 	})

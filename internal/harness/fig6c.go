@@ -67,12 +67,12 @@ func runFig6cVariant(part zero.Partitioning, topo *comm.Topology, ranks, steps i
 			losses = append(losses, e.Step(tok, tgt, 2).Loss)
 		}
 		if c.Rank() == 0 {
-			tr := e.CommTraffic()
+			tr := c.Traffic()
 			mu.Lock()
 			out = fig6cRun{
 				losses: losses,
 				gather: tr[gatherK], reduce: tr[reduceK],
-				total:   e.CommTrafficTotal(),
+				total:   c.TrafficTotal(),
 				gatherK: gatherK, reduceK: reduceK,
 			}
 			mu.Unlock()

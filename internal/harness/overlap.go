@@ -60,11 +60,7 @@ func runOverlapVariant(engine string, depth int, async bool, ranks, steps int) (
 				return
 			}
 			step = func(tok, tgt []int) (zero.StepResult, error) { return e.Step(tok, tgt, 2), nil }
-			stats = func() core.Stats {
-				return core.Stats{Gathers: e.Gathers, CommPrefetchIssued: e.PrefetchIssued,
-					CommPrefetchHits: e.PrefetchHits, AsyncReduces: e.AsyncReduces,
-					AllocsPerStep: e.AllocsPerStep}
-			}
+			stats = e.Stats
 		default: // infinity-nvme
 			e, err := core.NewInfinityEngine(core.Config{LossScale: 256, Seed: 42, Backend: backend,
 				Params: zero.OnNVMe, Optimizer: zero.OnNVMe,

@@ -56,6 +56,8 @@ func NewParam(name string, initStd float64, shape ...int) *Param {
 func (p *Param) Len() int { return p.n }
 
 // FP16Bytes returns the fp16 storage footprint of the parameter.
+//
+//zinf:hotpath
 func (p *Param) FP16Bytes() int64 { return int64(p.n) * tensor.HalfBytes }
 
 // Data returns the gathered full view of the parameter. If the parameter is

@@ -21,8 +21,7 @@ type Pending[K comparable] struct {
 // fp32 shard (plus its retired gradient source buffer) to fold. Issue order
 // is exactly the synchronous engines' accumulation sequence, which is what
 // keeps overlapped trajectories bit-identical — this is the single canonical
-// implementation of that ordering, shared by the stage-3 and infinity
-// engines. fold decides each buffer's fate (accumulate-and-recycle or keep
+// implementation of that ordering. fold decides each buffer's fate (accumulate-and-recycle or keep
 // as the gradient shard); entries are zeroed as they are folded and the
 // emptied, reusable slice is returned.
 //

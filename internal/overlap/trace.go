@@ -9,9 +9,10 @@
 // stale sequence, which would corrupt speculation with a stale prefix plus a
 // duplicate suffix.
 //
-// Both prefetchers in the codebase share this state machine: the NVMe read
-// prefetcher in internal/core and the allgather prefetcher in internal/zero.
-// Crucially for the comm prefetcher, every transition is a pure function of
+// Both speculation stages share this state machine: the sharded engine's
+// gather prefetcher (internal/zero) and the shard read-ahead it drives on
+// the NVMe tier (internal/core).
+// Crucially for the gather prefetcher, every transition is a pure function of
 // the observed key sequence — no wall-clock or scheduling input — so SPMD
 // ranks observing identical gather sequences make identical speculation
 // decisions, which is what keeps speculatively issued collectives matched

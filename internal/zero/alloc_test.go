@@ -1,56 +1,108 @@
-package zero
+package zero_test
 
 import (
 	"runtime"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/zero"
 )
 
-// The zero-allocation regression test drives the real Z3 engine (overlap +
-// prefetch on) with the allocation-free stub model (stub.go), so every heap
-// allocation observed during a step is attributable to the engine+comm+
-// tensor hot path: gathers, async collectives, gradient reduction, the
-// optimizer phase and loss-scale bookkeeping. After a warm-up step fills
-// the scratch arenas, the op pool and the learned gather trace, a
-// steady-state step must perform zero heap allocations.
+// The zero-allocation regression tests drive the real sharded engine
+// (overlap + prefetch on) through both of its constructors — ZeRO-3, and
+// ZeRO-Infinity with both states placed on CPU, which is the same
+// //zinf:hotpath body over the same resident tier. With the allocation-free
+// stub model (stub.go) every heap allocation observed during a step is
+// attributable to the engine+comm+tensor hot path: gathers, async
+// collectives, gradient reduction, the optimizer phase and loss-scale
+// bookkeeping. After warm-up steps fill the scratch arenas, the op pool and
+// the learned gather trace, a steady-state step must perform zero heap
+// allocations.
 
-// TestSteadyStateZeroAllocs asserts that after warm-up, a Z3 training step
-// with overlap and gather prefetch enabled performs zero heap allocations in
-// the engine+comm+tensor hot path. Each measured window spans one full
-// world-wide step (all ranks inside, fenced by barriers) and records the
-// process-global mallocs delta. Hot-path allocations are deterministic — an
-// arena or op-pool miss would recur in every window — so the assertion takes
-// the minimum over several windows, which filters the Go runtime's own
-// sporadic, scheduling-dependent bookkeeping allocations (unprofiled ~48-byte
-// park/GC internals) without masking a real engine leak.
+// allocEngine is one row of the zero-allocation tables: how to build the
+// engine under test, returning its step function and its own per-step
+// allocation counter.
+type allocEngine struct {
+	name string
+	new  func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (step func(tok, tgt []int, batch int), perStep func() uint64, err error)
+}
+
+var allocEngines = []allocEngine{
+	{"zero3", func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+		e, err := zero.NewZ3Engine(zero.Config{LossScale: lossScale, Seed: seed, Overlap: true, PrefetchDepth: 2}, c, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func(tok, tgt []int, batch int) { e.Step(tok, tgt, batch) }, func() uint64 { return e.AllocsPerStep }, nil
+	}},
+	{"infinity-cpu", func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+		e, err := core.NewInfinityEngine(core.Config{Params: zero.OnCPU, Optimizer: zero.OnCPU,
+			LossScale: lossScale, Seed: seed, Overlap: true, PrefetchDepth: 2}, c, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		step := func(tok, tgt []int, batch int) {
+			if _, err := e.Step(tok, tgt, batch); err != nil {
+				panic(err)
+			}
+		}
+		return step, func() uint64 { return e.Stats().AllocsPerStep }, nil
+	}},
+}
+
+// TestSteadyStateZeroAllocs asserts that after warm-up, a training step with
+// overlap and gather prefetch enabled performs zero heap allocations in the
+// engine+comm+tensor hot path, and that the engine's own per-step counter
+// agrees. The stub's parameter length is not divisible by the rank count,
+// which exercises padded-tail zeroing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
+	for _, row := range allocEngines {
+		t.Run(row.name, func(t *testing.T) {
+			minAllocs, minPerStep := allocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
+				step, perStep, err := row.new(c, zero.NewAllocFreeStub(4, 51), 1, 11)
+				tok := make([]int, 1)
+				tgt := make([]int, 1)
+				return func() { step(tok, tgt, 1) }, perStep, err
+			})
+			if minAllocs != 0 {
+				t.Fatalf("every steady-state step performed heap allocations (min %d over windows), want 0", minAllocs)
+			}
+			if minPerStep != 0 {
+				t.Fatalf("engine AllocsPerStep min = %d after steady state, want 0", minPerStep)
+			}
+		})
+	}
+}
+
+// allocFloor runs newStep's engine on 2 ranks, warms it up, then measures
+// the process-global mallocs delta of whole-world steps (all ranks inside,
+// fenced by barriers), returning the minimum delta and the minimum
+// engine-reported AllocsPerStep over the windows (rank 0's view). Hot-path
+// allocations are deterministic — an arena or op-pool miss would recur in
+// every window — so taking the minimum filters the Go runtime's own
+// sporadic, scheduling-dependent bookkeeping allocations (unprofiled
+// ~48-byte park/GC internals) without masking a real engine leak.
+func allocFloor(t *testing.T, newStep func(c *comm.Comm) (step func(), perStep func() uint64, err error)) (uint64, uint64) {
+	t.Helper()
 	const (
-		ranks    = 2
-		paramLen = 51 // not divisible by ranks: exercises padded-tail zeroing
-		layers   = 4
-		warmup   = 3
-		windows  = 4
+		ranks   = 2
+		warmup  = 3
+		windows = 4
 	)
 	minAllocs := ^uint64(0)
 	minPerStep := ^uint64(0)
 	comm.Run(ranks, func(c *comm.Comm) {
-		m := NewAllocFreeStub(layers, paramLen)
-		e, err := NewZ3Engine(Config{LossScale: 1, Seed: 11, Overlap: true, PrefetchDepth: 2}, c, m)
+		step, perStep, err := newStep(c)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		tok := make([]int, 1)
-		tgt := make([]int, 1)
 		for i := 0; i < warmup; i++ {
-			if res := e.Step(tok, tgt, 1); res.Skipped {
-				t.Error("warm-up step skipped (unexpected overflow)")
-				return
-			}
+			step()
 		}
 		// Settle the heap once; the barrier keeps every rank's warm-up tail
 		// out of the first window.
@@ -65,7 +117,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			}
 			// Nobody enters the window before ms0 is read.
 			c.Barrier()
-			e.Step(tok, tgt, 1)
+			step()
 			// Every rank's step lands before ms1 is read.
 			c.Barrier()
 			if c.Rank() == 0 {
@@ -73,35 +125,29 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				if d := ms1.Mallocs - ms0.Mallocs; d < minAllocs {
 					minAllocs = d
 				}
-				if e.AllocsPerStep < minPerStep {
-					minPerStep = e.AllocsPerStep
+				if p := perStep(); p < minPerStep {
+					minPerStep = p
 				}
 			}
 		}
 	})
-	if minAllocs != 0 {
-		t.Fatalf("every steady-state Z3 step performed heap allocations (min %d over %d windows), want 0", minAllocs, windows)
-	}
-	// The engine's own per-step counter must agree.
-	if minPerStep != 0 {
-		t.Fatalf("Z3Engine.AllocsPerStep min = %d after steady state, want 0", minPerStep)
-	}
+	return minAllocs, minPerStep
 }
 
-// TestAFModelTrainsBitIdenticallyAcrossOverlap sanity-checks the stub model:
-// the allocation-free path must produce the same trajectory with and without
+// TestAFModelLossMatchesAcrossOverlap sanity-checks the stub model: the
+// allocation-free path must produce the same trajectory with and without
 // overlap, so the zero-alloc test is exercising the real engine semantics.
 func TestAFModelLossMatchesAcrossOverlap(t *testing.T) {
 	losses := func(overlapOn bool) []float64 {
 		var out []float64
 		comm.Run(2, func(c *comm.Comm) {
-			m := NewAllocFreeStub(3, 40)
-			cfg := Config{LossScale: 1, Seed: 5}
+			m := zero.NewAllocFreeStub(3, 40)
+			cfg := zero.Config{LossScale: 1, Seed: 5}
 			if overlapOn {
 				cfg.Overlap = true
 				cfg.PrefetchDepth = 2
 			}
-			e, err := NewZ3Engine(cfg, c, m)
+			e, err := zero.NewZ3Engine(cfg, c, m)
 			if err != nil {
 				t.Error(err)
 				return

@@ -50,8 +50,8 @@ type DPEngine struct {
 	meter              AllocMeter
 
 	// AllocsPerStep is the heap-allocation count of the last step
-	// (process-global; see Stats.AllocsPerStep in internal/core for the
-	// same counter on the infinity engine).
+	// (process-global; see Stats.AllocsPerStep for the same counter on the
+	// sharded engine).
 	AllocsPerStep uint64
 
 	// CPU-offload traffic accounting (ZeRO-Offload): bytes moved over the

@@ -1,12 +1,12 @@
-package zero
+package zero_test
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/tensor"
+	"repro/internal/zero"
 )
 
 // TestFullStepZeroAllocs extends TestSteadyStateZeroAllocs from the engine
@@ -14,93 +14,38 @@ import (
 // installed, a steady-state step of the real GPT model — forward activations,
 // backward grad temporaries, softmax/attention scratch, loss head — performs
 // zero heap allocations, not just the engine+comm+tensor slice of it. The
-// stub subtest keeps the engine-only contract pinned alongside. Same
-// measurement discipline as the engine test: world-wide windows fenced by
-// barriers, min over windows to filter the Go runtime's sporadic bookkeeping
-// allocations, and the engine's own per-step counter must agree.
+// stub subtest keeps the engine-only contract pinned alongside. Same rows
+// and measurement discipline as the engine test (allocFloor), and the
+// engine's own per-step counter must agree.
 func TestFullStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
-	t.Run("stub", func(t *testing.T) {
-		minAllocs, minPerStep := fullStepAllocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
-			m := NewAllocFreeStub(4, 51)
-			e, err := NewZ3Engine(Config{LossScale: 1, Seed: 11, Overlap: true, PrefetchDepth: 2}, c, m)
-			if err != nil {
-				return nil, nil, err
+	mcfg := model.Config{Vocab: 16, Hidden: 16, Heads: 2, Seq: 6, Layers: 2}
+	for _, row := range allocEngines {
+		t.Run(row.name+"/stub", func(t *testing.T) {
+			minAllocs, minPerStep := allocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
+				step, perStep, err := row.new(c, zero.NewAllocFreeStub(4, 51), 1, 11)
+				tok := make([]int, 1)
+				tgt := make([]int, 1)
+				return func() { step(tok, tgt, 1) }, perStep, err
+			})
+			if minAllocs != 0 || minPerStep != 0 {
+				t.Fatalf("stub full step: min mallocs %d, min AllocsPerStep %d, want 0/0", minAllocs, minPerStep)
 			}
-			tok := make([]int, 1)
-			tgt := make([]int, 1)
-			return func() { e.Step(tok, tgt, 1) }, func() uint64 { return e.AllocsPerStep }, nil
 		})
-		if minAllocs != 0 || minPerStep != 0 {
-			t.Fatalf("stub full step: min mallocs %d, min AllocsPerStep %d, want 0/0", minAllocs, minPerStep)
-		}
-	})
-	t.Run("gpt", func(t *testing.T) {
-		mcfg := model.Config{Vocab: 16, Hidden: 16, Heads: 2, Seq: 6, Layers: 2}
-		minAllocs, minPerStep := fullStepAllocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
-			g := model.MustGPT(mcfg)
-			e, err := NewZ3Engine(Config{LossScale: 256, Seed: 42, Overlap: true, PrefetchDepth: 2}, c, g)
-			if err != nil {
-				return nil, nil, err
+		t.Run(row.name+"/gpt", func(t *testing.T) {
+			minAllocs, minPerStep := allocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
+				step, perStep, err := row.new(c, model.MustGPT(mcfg), 256, 42)
+				tok, tgt := model.SyntheticBatch(tensor.NewRNG(uint64(700+c.Rank())), mcfg, 2)
+				return func() { step(tok, tgt, 2) }, perStep, err
+			})
+			if minAllocs != 0 {
+				t.Fatalf("steady-state GPT step performed heap allocations (min %d over windows), want 0", minAllocs)
 			}
-			tok, tgt := model.SyntheticBatch(tensor.NewRNG(uint64(700+c.Rank())), mcfg, 2)
-			return func() { e.Step(tok, tgt, 2) }, func() uint64 { return e.AllocsPerStep }, nil
+			if minPerStep != 0 {
+				t.Fatalf("engine AllocsPerStep min = %d on the GPT model, want 0", minPerStep)
+			}
 		})
-		if minAllocs != 0 {
-			t.Fatalf("steady-state GPT step performed heap allocations (min %d over windows), want 0", minAllocs)
-		}
-		if minPerStep != 0 {
-			t.Fatalf("Z3Engine.AllocsPerStep min = %d on the GPT model, want 0", minPerStep)
-		}
-	})
-}
-
-// fullStepAllocFloor runs newStep's engine on 2 ranks, warms it up, then
-// measures the process-global mallocs delta of whole-world steps, returning
-// the minimum delta and the minimum engine-reported AllocsPerStep over the
-// windows (rank 0's view).
-func fullStepAllocFloor(t *testing.T, newStep func(c *comm.Comm) (step func(), perStep func() uint64, err error)) (uint64, uint64) {
-	t.Helper()
-	const (
-		ranks   = 2
-		warmup  = 3
-		windows = 4
-	)
-	minAllocs := ^uint64(0)
-	minPerStep := ^uint64(0)
-	comm.Run(ranks, func(c *comm.Comm) {
-		step, perStep, err := newStep(c)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < warmup; i++ {
-			step()
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.GC()
-		}
-		var ms0, ms1 runtime.MemStats
-		for w := 0; w < windows; w++ {
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&ms0)
-			}
-			c.Barrier()
-			step()
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&ms1)
-				if d := ms1.Mallocs - ms0.Mallocs; d < minAllocs {
-					minAllocs = d
-				}
-				if p := perStep(); p < minPerStep {
-					minPerStep = p
-				}
-			}
-		}
-	})
-	return minAllocs, minPerStep
+	}
 }

@@ -5,8 +5,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Shared gradient-inspection sequences used by every engine (DP family,
-// ZeRO-3 and, via internal/core, ZeRO-Infinity). Both are collectives —
+// Shared gradient-inspection sequences used by both engine bodies (the DP
+// family and the sharded engine). Both are collectives —
 // every rank must call them at the same point in the step — and both follow
 // the engine-invariant accumulation order the bit-identity contract depends
 // on: local scan in parameter order, folded in rank order by the collective.

@@ -2,137 +2,110 @@ package zero
 
 import (
 	"repro/internal/comm"
-	"repro/internal/module"
 	"repro/internal/overlap"
 	"repro/internal/tensor"
 )
 
-// This file is the stage-3 half of the overlap-centric design (paper Sec.
-// 6.2): a gather-trace-driven parameter prefetcher that issues the next k
-// parameters' allgathers during the current module's compute, and
-// asynchronous gradient reduce-scatters drained before the overflow check.
-// internal/core composes the same mechanism with its NVMe prefetcher.
+// This file is the communication half of the overlap-centric design (paper
+// Sec. 6.2): a gather-trace-driven prefetcher that issues the next k
+// parameters' gathers during the current module's compute, and the drain of
+// the asynchronously launched gradient reductions. Both are bit-identical to
+// the synchronous paths — the async collectives keep rank-order accumulation
+// — so overlap is purely a wall-clock knob.
 
-// inflightGather is one speculatively issued allgather. The source shard is
-// the engine's own (stable until the optimizer phase, which runs after the
-// drain), so only the destination needs to be carried: the fused
-// allgather+decode's float32 buffer under 1/dp slicing (full), or the fp16
-// view under owner-rank broadcast (fullH) — exactly one is non-nil. It is
-// stored by value so tracking in-flight gathers allocates nothing.
+// inflightGather is one speculatively issued gather. shard is the tier's
+// source buffer, kept alive (and untouched) until the ticket completes. The
+// destination is the fused allgather+decode's float32 buffer under 1/dp
+// slicing (full) or the fp16 view under owner-rank broadcast (fullH) — at
+// most one is non-nil. It is stored by value in the pstate so tracking it
+// allocates nothing; both destinations nil means no gather is in flight.
 type inflightGather struct {
 	ticket comm.Ticket
 	full   []float32
 	fullH  []tensor.Half
+	shard  []tensor.Half
 }
 
-// gatherPrefetcher speculates parameter allgathers along the learned gather
-// trace. All decisions are pure functions of the observed gather sequence —
+// inFlight reports whether a gather is speculatively running.
+//
+//zinf:hotpath
+func (f *inflightGather) inFlight() bool { return f.full != nil || f.fullH != nil }
+
+// gatherPrefetcher speculates parameter gathers along the learned gather
+// trace. On a tier that reads shards ahead it composes with those reads: it
+// takes a shard whose read has matured (Tier.Ready) and chains the gather
+// onto it, so the device and interconnect stages of the same parameter
+// pipeline back to back.
+//
+// Every issue decision is a pure function of the observed gather sequence —
 // identical on every SPMD rank — so the asynchronously issued collectives
 // stay matched rank to rank (the property that makes speculation safe on
 // the sequence-numbered rendezvous substrate).
 type gatherPrefetcher struct {
 	e     *Z3Engine
 	depth int
-	trace *overlap.Trace[*module.Param]
 
 	outstanding int
-	inflight    map[*module.Param]inflightGather
+	inflight    []*pstate // pstates whose spec may be set, for the drain
 }
 
-func newGatherPrefetcher(e *Z3Engine, depth int) *gatherPrefetcher {
-	return &gatherPrefetcher{
-		e:        e,
-		depth:    depth,
-		trace:    overlap.New[*module.Param](depth),
-		inflight: make(map[*module.Param]inflightGather),
-	}
-}
-
-// claim hands back the speculative gather for p, if one is in flight:
-// the already-decoded float32 buffer (fused allgather+decode, slicing) or
-// the fp16 view (broadcast). The float32 buffer becomes the parameter's
-// data; the fp16 buffer belongs to the engine's arena and the caller Puts
-// it back after decoding.
-//
-//zinf:hotpath
-func (pf *gatherPrefetcher) claim(p *module.Param) ([]float32, []tensor.Half) {
-	f, ok := pf.inflight[p]
-	if !ok {
-		return nil, nil
-	}
-	f.ticket.Wait()
-	delete(pf.inflight, p)
-	pf.outstanding--
-	pf.e.PrefetchHits++
-	return f.full, f.fullH
-}
-
-// issue launches gathers for the next depth upcoming parameters:
-// allgathers of the 1/dp slices, or asynchronous broadcasts from the owning
-// rank under PartitionBroadcast.
+// issue launches gathers for upcoming trace entries within the depth
+// budget: allgathers of the 1/dp slices, or broadcasts from the owning rank
+// under PartitionBroadcast (issued unconditionally on every rank).
 //
 //zinf:hotpath
 func (pf *gatherPrefetcher) issue() {
 	e := pf.e
-	dp := e.c.Size()
-	pf.trace.Each(func(p *module.Param) bool {
+	e.trace.Each(func(ps *pstate) bool {
 		if pf.outstanding >= pf.depth {
 			return false
 		}
-		if p.Materialized() {
+		if ps.spec.inFlight() || ps.p.Materialized() || !e.tier.Ready(ps.idx, e.Gathers) {
 			return true
 		}
-		if _, ok := pf.inflight[p]; ok {
-			return true
-		}
-		var g inflightGather
-		if e.cfg.Partition == PartitionBroadcast {
-			fullH, owner := e.bcastFullH(p)
-			g = inflightGather{ticket: e.c.BroadcastHalfAsync(fullH, owner), fullH: fullH}
+		if ps.bcastRoot >= 0 {
+			fullH := e.bcastFullH(ps)
+			ps.spec = inflightGather{ticket: e.c.BroadcastHalfAsync(fullH, ps.bcastRoot), fullH: fullH}
 		} else {
-			s := comm.ShardLen(p.Len(), dp)
-			full := e.f32.Get(s * dp)
-			g = inflightGather{ticket: e.c.AllGatherHalfDecodeAsync(full, e.shard[p]), full: full}
+			shard := e.shard(ps)
+			full := e.sc.F32.Get(ps.shardLen * e.c.Size())
+			ps.spec = inflightGather{ticket: e.c.AllGatherHalfDecodeAsync(full, shard), full: full, shard: shard}
 		}
-		pf.inflight[p] = g //zinf:allow hotpathalloc keys recycle the same params every step, so buckets are warm after step one
+		pf.inflight = append(pf.inflight, ps)
 		pf.outstanding++
 		e.PrefetchIssued++
 		return true
 	})
 }
 
-// endStep drains unconsumed speculative gathers (every rank issued the same
-// collectives, so the tickets always complete), recycles their buffers, and
-// finishes the trace step.
+// drain waits out the speculative gathers the micro-batch never consumed
+// and recycles their buffers.
 //
 //zinf:hotpath
-func (pf *gatherPrefetcher) endStep() {
-	for p, f := range pf.inflight {
-		f.ticket.Wait()
-		if f.full != nil {
-			pf.e.f32.Put(f.full)
-		} else {
-			pf.e.f16.Put(f.fullH)
+func (pf *gatherPrefetcher) drain() {
+	e := pf.e
+	for _, ps := range pf.inflight {
+		if f := &ps.spec; f.inFlight() {
+			f.ticket.Wait()
+			e.sc.F32.Put(f.full)
+			e.sc.F16.Put(f.fullH)
+			e.tier.Done(f.shard)
+			*f = inflightGather{}
 		}
-		delete(pf.inflight, p)
 	}
+	pf.inflight = pf.inflight[:0]
 	pf.outstanding = 0
-	pf.trace.EndStep()
 }
 
-// drainReduces waits out the asynchronous fused reduce-scatter+decodes via
-// the shared issue-order fold (internal/overlap.Drain), accumulating into
-// the fp32 gradient shards exactly as the synchronous path would and
-// recycling the retired buffers. Called at every micro-batch boundary —
-// bounding retained gradient buffers to one micro-batch — and again as the
-// barrier before the overflow check.
+// drainReduces waits out the asynchronous gradient reductions via the shared
+// issue-order fold (internal/overlap.Drain), accumulating into the fp32
+// gradient shards exactly as the synchronous path would. Called at every
+// micro-batch boundary — bounding retained gradient buffers to one
+// micro-batch — and again as the barrier before the overflow check.
 //
 //zinf:hotpath
 func (e *Z3Engine) drainReduces() {
-	e.pendingReduces = overlap.Drain(e.pendingReduces, func(p *module.Param, gs []float32, gh []tensor.Half) {
-		e.f16.Put(gh)
-		if gs != nil { // nil on non-owner ranks under PartitionBroadcast
-			e.foldGradShard(p, gs)
-		}
+	e.pendingReduces = overlap.Drain(e.pendingReduces, func(ps *pstate, gs []float32, gh []tensor.Half) {
+		e.foldGradShard(ps, gs, gh)
 	})
 }

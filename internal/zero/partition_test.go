@@ -78,17 +78,19 @@ func TestBroadcastPartitionShardsByOwner(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		res := e.tier.(*Resident)
 		for i, p := range e.params {
+			ps := e.states[p]
 			wantOwner := i % c.Size()
-			if e.bcastOwner[p] != wantOwner {
-				t.Errorf("param %s owner %d, want %d", p.Name, e.bcastOwner[p], wantOwner)
+			if ps.bcastRoot != wantOwner {
+				t.Errorf("param %s owner %d, want %d", p.Name, ps.bcastRoot, wantOwner)
 			}
-			_, hasShard := e.shard[p]
+			hasShard := len(res.Half[i]) > 0
 			if hasShard != (wantOwner == c.Rank()) {
 				t.Errorf("rank %d param %s: shard presence %v", c.Rank(), p.Name, hasShard)
 			}
-			if hasShard && len(e.shard[p]) != p.Len() {
-				t.Errorf("param %s shard len %d, want full %d", p.Name, len(e.shard[p]), p.Len())
+			if hasShard && len(res.Half[i]) != p.Len() {
+				t.Errorf("param %s shard len %d, want full %d", p.Name, len(res.Half[i]), p.Len())
 			}
 		}
 		if len(e.owned) >= len(e.params) && c.Size() > 1 {

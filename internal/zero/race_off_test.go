@@ -1,6 +1,6 @@
 //go:build !race
 
-package zero
+package zero_test
 
 // raceEnabled reports whether the race detector is instrumenting this build.
 const raceEnabled = false

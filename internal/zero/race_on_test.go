@@ -1,6 +1,6 @@
 //go:build race
 
-package zero
+package zero_test
 
 // raceEnabled reports that the race detector is instrumenting this build;
 // its shadow-memory bookkeeping allocates, so the zero-allocation assertion

@@ -11,8 +11,8 @@ import (
 )
 
 // Shared rank-state wire codec, used by every engine's
-// SaveRankState/LoadRankState (Z3Engine and DPEngine here, InfinityEngine in
-// internal/core). Two versions exist:
+// SaveRankState/LoadRankState (Z3Engine — on any tier — and DPEngine). Two
+// versions exist:
 //
 //	v1 "ZST1": magic | u32 rank | u32 world | u64 step | f64 scale |
 //	           u32 skipped | u32 count | records

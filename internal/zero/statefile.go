@@ -10,18 +10,22 @@ import (
 // DeepSpeed's per-rank ZeRO checkpoints: each rank serializes its own fp32
 // master shards, Adam moments, step counter and full loss-scaler state.
 // Loading the same files into fresh engines continues training
-// bit-identically (asserted in tests and by the kill/resume replay harness).
-// The wire layout lives in statecodec.go; v1 files remain readable.
+// bit-identically (asserted in tests and by the kill/resume replay harness),
+// whichever tier wrote them and whichever loads them: the record is the f32
+// bytes of master||m||v, which resident tiers serialize and the NVMe tier
+// streams raw. The wire layout lives in statecodec.go; v1 files remain
+// readable.
 
 // SaveRankState writes this rank's full training state to w in the v2
-// layout. Only owned parameters are written, so the format is valid under
-// both partitioning strategies (under owner-rank broadcast a rank holds
-// state for its round-robin subset only).
+// layout. Per-rank only (no collectives), which is what lets the async
+// checkpoint writer pipeline serialization with training. Only owned
+// parameters are written, so the format is valid under both partitioning
+// strategies.
 func (e *Z3Engine) SaveRankState(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	scale, goodSteps, skipped := e.scaler.State()
 	err := WriteStateHeader(bw, StateHeader{
-		Rank: e.c.Rank(), World: e.c.Size(), Step: e.adamStep(),
+		Rank: e.c.Rank(), World: e.c.Size(), Step: e.stepCount,
 		Scale: scale, GoodSteps: goodSteps, Skipped: skipped,
 		Count: len(e.owned),
 	})
@@ -29,33 +33,21 @@ func (e *Z3Engine) SaveRankState(w io.Writer) error {
 		return err
 	}
 	var codec VecCodec
-	for _, p := range e.owned {
-		master := e.master[p]
-		if err := WriteParamHeader(bw, p.Name, len(master)); err != nil {
+	for _, ps := range e.owned {
+		if err := WriteParamHeader(bw, ps.p.Name, ps.shardLen); err != nil {
 			return err
 		}
-		m, v := e.adam[p].State()
-		for _, vec := range [][]float32{master, m, v} {
-			if err := codec.WriteVec(bw, vec); err != nil {
-				return err
-			}
+		if err := e.tier.SaveOpt(ps.idx, bw, &codec); err != nil {
+			return fmt.Errorf("zero: save state shard %q: %w", ps.p.Name, err)
 		}
 	}
 	return bw.Flush()
 }
 
-// adamStep returns the shared optimizer step counter (identical across
-// params by construction).
-func (e *Z3Engine) adamStep() int {
-	for _, p := range e.owned {
-		return e.adam[p].StepCount()
-	}
-	return 0
-}
-
-// LoadRankState restores state saved by SaveRankState (v1 or v2). The world
-// size and rank must match. On error the engine state may be partially
-// overwritten; load into fresh engines.
+// LoadRankState restores state saved by SaveRankState (v1 or v2) and
+// rebuilds each fp16 parameter shard on its tier from the restored master.
+// The world size and rank must match. On error the engine state may be
+// partially overwritten; load into fresh engines.
 func (e *Z3Engine) LoadRankState(r io.Reader) error {
 	br := bufio.NewReader(r)
 	h, err := ReadStateHeader(br)
@@ -76,10 +68,11 @@ func (e *Z3Engine) LoadRankState(r io.Reader) error {
 		return fmt.Errorf("zero: state has %d params, engine owns %d", h.Count, want)
 	}
 	e.scaler.Restore(h.Scale, h.GoodSteps, h.Skipped)
+	e.stepCount = h.Step
 
-	byName := make(map[string]int, len(e.params))
-	for i, p := range e.params {
-		byName[p.Name] = i
+	byName := make(map[string]*pstate, len(e.params))
+	for _, ps := range e.states {
+		byName[ps.p.Name] = ps
 	}
 	var codec VecCodec
 	for i := 0; i < h.Count; i++ {
@@ -87,27 +80,19 @@ func (e *Z3Engine) LoadRankState(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		idx, ok := byName[name]
+		ps, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("zero: state parameter %q not in model", name)
 		}
-		p := e.params[idx]
-		if e.adam[p] == nil {
+		if ps.shardLen == 0 {
 			return fmt.Errorf("zero: state parameter %q is not owned by rank %d", name, e.c.Rank())
 		}
-		if int(shardLen) != len(e.master[p]) {
-			return fmt.Errorf("zero: state shard %q has %d elems, want %d",
-				name, shardLen, len(e.master[p]))
+		if int(shardLen) != ps.shardLen {
+			return fmt.Errorf("zero: state shard %q has %d elems, want %d", name, shardLen, ps.shardLen)
 		}
-		m, v := e.adam[p].State()
-		for _, dst := range [][]float32{e.master[p], m, v} {
-			if err := codec.ReadVec(br, dst); err != nil {
-				return fmt.Errorf("zero: read state shard %q: %w", name, err)
-			}
+		if err := e.tier.LoadOpt(ps.idx, br, &codec); err != nil {
+			return fmt.Errorf("zero: read state shard %q: %w", name, err)
 		}
-		e.adam[p].LoadState(m, v, h.Step)
-		// The fp16 shard is a pure function of the master shard.
-		e.rt.Backend().EncodeHalf(e.shard[p], e.master[p])
 	}
 	return nil
 }

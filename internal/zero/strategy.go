@@ -1,14 +1,23 @@
 // Package zero implements the ZeRO family of data-parallel training engines
-// from the paper's Table 2 taxonomy:
+// from the paper's Table 2 taxonomy, as two engine bodies:
 //
-//	Data parallel (DDP)  — everything replicated on GPU
-//	ZeRO-1               — optimizer states partitioned
-//	ZeRO-2               — optimizer states + gradients partitioned
-//	ZeRO-Offload         — ZeRO-2 placement with optimizer states on CPU
-//	ZeRO-3               — all three model states partitioned
+//	DPEngine — parameters replicated on every rank:
+//	  Data parallel (DDP)  — everything replicated on GPU
+//	  ZeRO-1               — optimizer states partitioned
+//	  ZeRO-2               — optimizer states + gradients partitioned
+//	  ZeRO-Offload         — ZeRO-2 placement with optimizer states on CPU
+//	Z3Engine — all three model states partitioned (the one sharded engine):
+//	  ZeRO-3               — shards resident in process memory
+//	  ZeRO-Infinity        — the same body over the tier, GPU budget and
+//	                         checkpoint store internal/core attaches
 //
-// ZeRO-Infinity itself (ZeRO-3 + infinity offload engine + tiling +
-// prefetcher) lives in internal/core and composes the pieces defined here.
+// The sharded engine (z3.go, overlap.go, statefile.go) owns everything that
+// does not depend on where shards live: hook-driven gather/release, the
+// external-parameter registry, gradient reduce and fold, the gather
+// prefetcher, the overflow/unscale/clip/optimizer tail, LoadParams,
+// FullParams and rank-state checkpoints. Placement is the Tier interface
+// (tier.go) with two implementations: Resident here, the NVMe tier in
+// internal/core.
 //
 // All engines share one gradient/update recipe so their training
 // trajectories are *bit-identical* given the same ranks, seeds and batches:

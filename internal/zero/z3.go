@@ -12,105 +12,143 @@ import (
 	"repro/internal/tensor"
 )
 
-// Z3Engine implements ZeRO stage 3: every model state — parameters included
-// — is partitioned across the data-parallel ranks (bandwidth-centric
-// partitioning, paper Sec. 6.1: each individual parameter is sliced 1/dp per
-// rank rather than owned by a single rank). Hooks injected through the
-// module runtime gather a submodule's parameters right before its
-// forward/backward and re-partition them right after (paper Sec. 7.1);
-// parameters accessed across module boundaries are auto-registered as
-// external parameters through the on-demand Data() interception.
+// Z3Engine is the one sharded engine: ZeRO stage 3, and — with a different
+// Tier behind it — ZeRO-Infinity (paper Secs. 5-7, which build Infinity on
+// ZeRO-3). Every model state is partitioned across the data-parallel ranks:
+// bandwidth-centric 1/dp slicing of each parameter (Sec. 6.1) or the
+// owner-rank baseline. Hooks injected through the module runtime gather a
+// submodule's parameters right before its forward/backward and re-partition
+// them right after (Sec. 7.1); parameters accessed across module boundaries
+// are auto-registered as external through the on-demand Data() interception.
+// With Overlap the gathers are speculated along the learned gather trace and
+// the gradient reductions run asynchronously (Sec. 6.2, overlap.go).
 //
-// The engine is deliberately synchronous; internal/core adds the infinity
-// offload engine, prefetch/overlap and NVMe placement on top of the same
-// hook skeleton.
-//
-// All transient step buffers — gathered fp16/fp32 parameter views, padded
-// fp16 gradient buffers, reduced fp32 shards, gradient accumulators — cycle
-// through per-engine scratch arenas, so a steady-state step performs zero
-// heap allocations in the engine+comm+tensor hot path (asserted by
-// TestSteadyStateZeroAllocs).
+// Where the fp16 parameter shards and fp32 optimizer shards live is the
+// Tier's business (tier.go); the engine body holds only transient state. All
+// transient buffers cycle through the Scratch arenas, so a steady-state step
+// performs zero heap allocations in the engine+comm+tensor hot path
+// (asserted by TestSteadyStateZeroAllocs).
 type Z3Engine struct {
 	cfg    Config
 	c      *comm.Comm
 	g      Model
 	rt     *module.Runtime
 	params []*module.Param
+	states map[*module.Param]*pstate
 
 	// owned lists the parameters whose reduced gradient and optimizer shard
-	// this rank holds: all of them under 1/dp slicing, the round-robin
-	// subset under owner-rank broadcast partitioning.
-	owned []*module.Param
-	// bcastOwner maps each parameter to its owning rank under
-	// PartitionBroadcast (unused for slicing).
-	bcastOwner map[*module.Param]int
+	// this rank holds — all of them under 1/dp slicing, the round-robin
+	// subset under owner-rank broadcast partitioning — and ownedIdx their
+	// tier indices.
+	owned    []*pstate
+	ownedIdx []int
 
-	// shard is the authoritative fp16 parameter shard held by this rank:
-	// the padded 1/dp slice under PartitionSlice, the whole parameter on
-	// its owner (absent elsewhere) under PartitionBroadcast.
-	shard map[*module.Param][]tensor.Half
-	// master/adam are this rank's fp32 optimizer shard.
-	master map[*module.Param][]float32
-	adam   map[*module.Param]*optim.Adam
-	// gradShard holds the reduced (still loss-scaled) fp32 gradient shard
-	// between backward and the optimizer phase.
-	gradShard map[*module.Param][]float32
+	tier   Tier
+	budget Budget // nil: unlimited
+	sc     Scratch
 
-	scaler *optim.LossScaler
+	scaler    *optim.LossScaler
+	stepCount int // optimizer steps applied (shared by every shard's Adam)
 
-	// f32/f16 are the engine's scratch arenas; every hot-path buffer is
-	// drawn from and returned to them.
-	f32 *mem.Arena[float32]
-	f16 *mem.Arena[tensor.Half]
-
-	// owner maps a param to its owning module, and external records params
-	// auto-registered against modules that access them across boundaries.
-	owner    map[*module.Param]module.Module
+	// external records params auto-registered against modules that access
+	// them across boundaries; active is the current hook scope stack.
 	external map[module.Module][]*module.Param
-	active   []module.Module // current hook scope stack
+	active   []module.Module
 
-	// Overlap-centric pieces (paper Sec. 6.2), active when the config sets
-	// Overlap (+ PrefetchDepth for the gather prefetcher).
+	// Overlap-centric pieces (paper Sec. 6.2): trace is the learned gather
+	// sequence shared by the gather prefetcher and the tier's read-ahead;
+	// pendingReduces holds asynchronously launched gradient reductions until
+	// the drain barrier.
+	trace          *overlap.Trace[*pstate]
 	prefetch       *gatherPrefetcher
-	pendingReduces []overlap.Pending[*module.Param]
+	pendingReduces []overlap.Pending[*pstate]
 
-	// Reused step scratch (gradient-shard list, micro-batch wrappers,
-	// allocation meter).
+	// Reused step scratch.
 	shardsBuf          [][]float32
 	microTok, microTgt [][]int
 	meter              AllocMeter
 
-	// Observability.
-	Gathers         int      // allgather operations issued
-	OnDemandGathers int      // gathers triggered by external-parameter access
-	PrefetchIssued  int      // speculative allgathers issued
-	PrefetchHits    int      // gathers served by a speculative allgather
-	AsyncReduces    int      // reduce-scatters launched asynchronously
-	AllocsPerStep   uint64   // heap allocations during the last step (process-global mallocs delta)
-	GatherTrace     []string // module names in first-iteration gather order
-	traceDone       bool
+	// live/peakLive track the fp16 footprint of simultaneously materialized
+	// parameters; firstGathers is the first step's gather order.
+	live, peakLive int64
+	firstGathers   []*pstate
+	traceDone      bool
+
+	// Observability (cumulative, except AllocsPerStep).
+	Gathers         int    // gather collectives consumed
+	OnDemandGathers int    // gathers triggered by external-parameter access
+	PrefetchIssued  int    // speculative gathers issued
+	PrefetchHits    int    // gathers served by a speculative gather
+	AsyncReduces    int    // gradient reductions launched asynchronously
+	AllocsPerStep   uint64 // heap allocations during the last step (process-global mallocs delta)
 }
 
-// NewZ3Engine builds the stage-3 engine for one rank and performs
-// partitioned initialization: each parameter's full init values exist only
-// transiently before being sharded (paper Sec. 7.2).
+// pstate is the engine's transient per-parameter state.
+type pstate struct {
+	p     *module.Param
+	idx   int // index in module.AllParams order; the Tier's handle
+	owner module.Module
+	// shardLen is this rank's shard length: the padded 1/dp slice, or under
+	// owner-rank partitioning the whole parameter on rank bcastRoot and 0
+	// elsewhere (bcastRoot is -1 under slicing).
+	shardLen  int
+	bcastRoot int
+	// gradShard holds the reduced (still loss-scaled) fp32 gradient shard
+	// between backward and the optimizer phase.
+	gradShard []float32
+	block     mem.Block      // Budget allocation while materialized
+	spec      inflightGather // speculative gather, by value
+}
+
+// Attachments are what internal/core hangs on the engine body to make it
+// ZeRO-Infinity. The zero value is plain ZeRO-3.
+type Attachments struct {
+	// Scratch is the arena set Tier was built over (zero: fresh arenas).
+	Scratch Scratch
+	// Tier places the shards (nil: Resident).
+	Tier Tier
+	// Budget bounds the gathered working set (nil: unlimited).
+	Budget Budget
+}
+
+// stepAbort is the panic a hook raises to abandon the running step with an
+// error (budget exhausted, shard I/O failed); TryStepAccum recovers it.
+type stepAbort struct{ err error }
+
+func (a stepAbort) Error() string { return a.err.Error() }
+
+// NewZ3Engine builds the stage-3 engine for one rank over resident shards.
 func NewZ3Engine(cfg Config, c *comm.Comm, g Model) (*Z3Engine, error) {
+	return NewZ3EngineOn(cfg, c, g, Attachments{})
+}
+
+// NewZ3EngineOn builds the engine over the given attachments and performs
+// partitioned initialization: each parameter's full init values exist only
+// transiently before being sharded onto the tier (paper Sec. 7.2).
+func NewZ3EngineOn(cfg Config, c *comm.Comm, g Model, at Attachments) (*Z3Engine, error) {
 	cfg.setDefaults()
 	cfg.Stage = Stage3
 	e := &Z3Engine{
-		cfg:        cfg,
-		c:          c,
-		g:          g,
-		params:     module.AllParams(g),
-		bcastOwner: make(map[*module.Param]int),
-		shard:      make(map[*module.Param][]tensor.Half),
-		master:     make(map[*module.Param][]float32),
-		adam:       make(map[*module.Param]*optim.Adam),
-		gradShard:  make(map[*module.Param][]float32),
-		f32:        mem.NewArena[float32](),
-		f16:        mem.NewArena[tensor.Half](),
-		owner:      make(map[*module.Param]module.Module),
-		external:   make(map[module.Module][]*module.Param),
+		cfg:      cfg,
+		c:        c,
+		g:        g,
+		params:   module.AllParams(g),
+		states:   make(map[*module.Param]*pstate),
+		tier:     at.Tier,
+		budget:   at.Budget,
+		sc:       at.Scratch,
+		external: make(map[module.Module][]*module.Param),
+	}
+	if e.sc.F32 == nil {
+		e.sc = NewScratch()
+	}
+	if e.tier == nil {
+		e.tier = NewResident(len(e.params), cfg.Backend, cfg.Adam, e.sc)
+	}
+	if cfg.DynamicLossScale {
+		e.scaler = optim.NewLossScaler(cfg.LossScale)
+	} else {
+		e.scaler = optim.StaticLossScaler(cfg.LossScale)
 	}
 	e.rt = module.NewRuntime(e)
 	e.rt.SetBackend(cfg.Backend)
@@ -121,57 +159,65 @@ func NewZ3Engine(cfg Config, c *comm.Comm, g Model) (*Z3Engine, error) {
 			return nil, err
 		}
 	}
-	if cfg.DynamicLossScale {
-		e.scaler = optim.NewLossScaler(cfg.LossScale)
-	} else {
-		e.scaler = optim.StaticLossScaler(cfg.LossScale)
-	}
-	dp := c.Size()
+	owners := make(map[*module.Param]module.Module)
 	module.Walk(g, func(m module.Module) {
 		for _, p := range m.Params() {
-			e.owner[p] = m
+			owners[p] = m
 		}
 	})
 	for i, p := range e.params {
-		p.SetOnDemand(e.onDemand)
-		p.SetGradScratch(e.f32.Get, e.f32.Put)
+		ps := &pstate{p: p, idx: i, owner: owners[p], bcastRoot: -1,
+			shardLen: ShardLen(cfg.Partition, i, p.Len(), c.Rank(), c.Size())}
 		if cfg.Partition == PartitionBroadcast {
-			// Owner-rank partitioning: the whole parameter — fp16 weights,
-			// fp32 master and optimizer state — lives on one rank.
-			owner := i % dp
-			e.bcastOwner[p] = owner
-			if owner != c.Rank() {
-				continue
-			}
-			full := model.InitValues(p, cfg.Seed)
-			shard := make([]tensor.Half, p.Len())
-			tensor.EncodeHalf(shard, full)
-			e.shard[p] = shard
-			e.master[p] = full
-			e.adam[p] = optim.NewAdam(p.Len(), cfg.Adam).WithBackend(e.rt.Backend())
-			e.owned = append(e.owned, p)
-			continue
+			ps.bcastRoot = i % c.Size()
 		}
-		full := model.InitValues(p, cfg.Seed) // transient full copy
-		s := comm.ShardLen(p.Len(), dp)
-		lo := c.Rank() * s
-		shard := make([]tensor.Half, s)
-		fs := make([]float32, s)
-		for j := 0; j < s; j++ {
-			if lo+j < len(full) {
-				fs[j] = full[lo+j]
-			}
+		e.states[p] = ps
+		var full []float32
+		if ps.shardLen > 0 {
+			full = model.InitValues(p, cfg.Seed) // transient full copy
+			e.owned = append(e.owned, ps)
+			e.ownedIdx = append(e.ownedIdx, i)
 		}
-		tensor.EncodeHalf(shard, fs)
-		e.shard[p] = shard
-		e.master[p] = fs
-		e.adam[p] = optim.NewAdam(s, cfg.Adam).WithBackend(e.rt.Backend())
-		e.owned = append(e.owned, p)
+		if err := e.place(ps, full); err != nil {
+			return nil, err
+		}
+		p.SetOnDemand(e.onDemand)
+		p.SetGradScratch(e.sc.F32.Get, e.sc.F32.Put)
 	}
-	if cfg.Overlap && cfg.PrefetchDepth > 0 {
-		e.prefetch = newGatherPrefetcher(e, cfg.PrefetchDepth)
+	if cfg.PrefetchDepth > 0 {
+		e.trace = overlap.New[*pstate](cfg.PrefetchDepth)
+		if cfg.Overlap {
+			e.prefetch = &gatherPrefetcher{e: e, depth: cfg.PrefetchDepth}
+		}
 	}
 	return e, nil
+}
+
+// ShardLen returns rank's fp16 shard length for the i-th parameter (n
+// elements) under the partitioning strategy: the padded 1/dp slice, or the
+// whole parameter on its round-robin owner and 0 elsewhere.
+func ShardLen(part Partitioning, i, n, rank, dp int) int {
+	if part == PartitionBroadcast {
+		if i%dp == rank {
+			return n
+		}
+		return 0
+	}
+	return comm.ShardLen(n, dp)
+}
+
+// place cuts this rank's shard out of a parameter's full fp16-representable
+// values and hands it to the tier with fresh optimizer state.
+func (e *Z3Engine) place(ps *pstate, full []float32) error {
+	fs := make([]float32, ps.shardLen)
+	if ps.bcastRoot >= 0 {
+		copy(fs, full)
+	} else if ps.shardLen > 0 {
+		comm.Shard(fs, full, e.c.Rank(), e.c.Size())
+	}
+	half := make([]tensor.Half, ps.shardLen)
+	tensor.EncodeHalf(half, fs)
+	return e.tier.Place(ps.idx, half, fs)
 }
 
 // Model returns the wrapped model.
@@ -184,16 +230,17 @@ func (e *Z3Engine) Runtime() *module.Runtime { return e.rt }
 // LossScale returns the current loss scale.
 func (e *Z3Engine) LossScale() float64 { return e.scaler.Scale }
 
-// ShardFor exposes this rank's fp16 shard of p (read-only; used by tests
-// and by internal/core).
-func (e *Z3Engine) ShardFor(p *module.Param) []tensor.Half { return e.shard[p] }
-
-// CommTraffic returns the collective fabric's cumulative modeled traffic
-// per collective kind (world-wide; see comm.TrafficStats).
-func (e *Z3Engine) CommTraffic() map[string]comm.TrafficStats { return e.c.Traffic() }
-
-// CommTrafficTotal returns the all-kinds traffic total.
-func (e *Z3Engine) CommTrafficTotal() comm.TrafficStats { return e.c.TrafficTotal() }
+// shard fetches ps's fp16 shard from the tier, abandoning the step if the
+// tier cannot produce it.
+//
+//zinf:hotpath
+func (e *Z3Engine) shard(ps *pstate) []tensor.Half {
+	s, err := e.tier.Shard(ps.idx)
+	if err != nil {
+		panic(stepAbort{err})
+	}
+	return s
+}
 
 // gather materializes p's full fp16-rounded values: a fused
 // allgather+decode of the 1/dp slices under PartitionSlice (the collective
@@ -201,79 +248,105 @@ func (e *Z3Engine) CommTrafficTotal() comm.TrafficStats { return e.c.TrafficTota
 // a broadcast from the owning rank under PartitionBroadcast (fp16 on the
 // wire, decoded here). With prefetch enabled, a speculatively issued
 // collective is claimed instead of stalling on a fresh one, and collectives
-// for the next trace entries are issued before returning to compute. All
-// transient buffers cycle through the engine arenas.
+// and tier reads for the next trace entries are issued before returning to
+// compute.
 //
 //zinf:hotpath
 func (e *Z3Engine) gather(p *module.Param) {
 	if p.Materialized() {
 		return
 	}
-	if e.prefetch != nil {
-		e.prefetch.trace.Observe(p)
+	ps := e.states[p]
+	if e.trace != nil {
+		e.trace.Observe(ps)
 	}
-	dp := e.c.Size()
 	var full []float32
 	var fullH []tensor.Half
-	if e.prefetch != nil {
-		full, fullH = e.prefetch.claim(p)
-	}
-	if full == nil && fullH == nil {
-		if e.cfg.Partition == PartitionBroadcast {
-			fullH, _ = e.bcastFullH(p)
-			e.c.BroadcastHalf(fullH, e.bcastOwner[p])
-		} else {
-			s := comm.ShardLen(p.Len(), dp)
-			full = e.f32.Get(s * dp)
-			e.c.AllGatherHalfDecode(full, e.shard[p])
-		}
+	if f := &ps.spec; f.inFlight() {
+		f.ticket.Wait()
+		full, fullH = f.full, f.fullH
+		e.tier.Done(f.shard)
+		*f = inflightGather{}
+		e.prefetch.outstanding--
+		e.PrefetchHits++
+	} else if ps.bcastRoot >= 0 {
+		fullH = e.bcastFullH(ps)
+		e.c.BroadcastHalf(fullH, ps.bcastRoot)
+	} else {
+		shard := e.shard(ps)
+		full = e.sc.F32.Get(ps.shardLen * e.c.Size())
+		e.c.AllGatherHalfDecode(full, shard)
+		e.tier.Done(shard)
 	}
 	if full == nil {
-		full = e.f32.Get(p.Len())
+		full = e.sc.F32.Get(p.Len())
 		e.rt.Backend().DecodeHalf(full, fullH[:p.Len()])
-		e.f16.Put(fullH)
-	} else {
-		full = full[:p.Len()]
+		e.sc.F16.Put(fullH)
 	}
-	p.SetData(full)
+	if e.budget != nil {
+		b, err := e.budget.Alloc(p.FP16Bytes())
+		if err != nil {
+			e.sc.F32.Put(full)
+			panic(stepAbort{fmt.Errorf("gathering %s: %w", p.Name, err)})
+		}
+		ps.block = b
+	}
+	p.SetData(full[:p.Len()])
+	if e.live += p.FP16Bytes(); e.live > e.peakLive {
+		e.peakLive = e.live
+	}
 	e.Gathers++
 	if !e.traceDone {
-		name := "?"
-		if m := e.owner[p]; m != nil {
-			name = m.Name()
+		e.firstGathers = append(e.firstGathers, ps)
+	}
+	if e.trace != nil {
+		if e.prefetch != nil {
+			e.prefetch.issue() // chain gathers onto completed tier reads first
 		}
-		//zinf:allow hotpathalloc trace strings are recorded on the first step only (guarded by !e.traceDone)
-		e.GatherTrace = append(e.GatherTrace, name+"/"+p.Name)
+		e.readAhead() // then replenish the tier's read-ahead window
 	}
-	if e.prefetch != nil {
-		e.prefetch.issue()
-	}
+}
+
+// readAhead offers the tier the upcoming trace entries, in order, until its
+// read-ahead budget is spent.
+//
+//zinf:hotpath
+func (e *Z3Engine) readAhead() {
+	e.trace.Each(func(next *pstate) bool {
+		return next.p.Materialized() || e.tier.ReadAhead(next.idx, e.Gathers)
+	})
 }
 
 // bcastFullH draws a full-length fp16 view buffer from the arena and fills
-// it with this rank's contribution to p's owner broadcast — the owner's
+// it with this rank's contribution to ps's owner broadcast — the owner's
 // whole shard; stale arena contents elsewhere, which the broadcast
-// overwrites. Shared by the sync gather, the prefetcher and FullParams so
-// the owner-copy sequence exists once.
+// overwrites. Shared by the sync gather, the prefetcher and FullParams.
 //
 //zinf:hotpath
-func (e *Z3Engine) bcastFullH(p *module.Param) ([]tensor.Half, int) {
-	owner := e.bcastOwner[p]
-	fullH := e.f16.Get(p.Len())
-	if e.c.Rank() == owner {
-		copy(fullH, e.shard[p])
+func (e *Z3Engine) bcastFullH(ps *pstate) []tensor.Half {
+	fullH := e.sc.F16.Get(ps.p.Len())
+	if e.c.Rank() == ps.bcastRoot {
+		shard := e.shard(ps)
+		copy(fullH, shard)
+		e.tier.Done(shard)
 	}
-	return fullH, owner
+	return fullH
 }
 
-// releaseParam re-partitions p, recycling the gathered fp32 view.
+// release re-partitions p, recycling the gathered fp32 view.
 //
 //zinf:hotpath
-func (e *Z3Engine) releaseParam(p *module.Param) {
+func (e *Z3Engine) release(p *module.Param) {
 	if !p.Materialized() {
 		return
 	}
-	e.f32.Put(p.Data())
+	if e.budget != nil {
+		ps := e.states[p]
+		e.budget.Release(ps.block)
+		ps.block = mem.Block{}
+	}
+	e.live -= p.FP16Bytes()
+	e.sc.F32.Put(p.Data())
 	p.ReleaseData()
 }
 
@@ -288,7 +361,7 @@ func (e *Z3Engine) onDemand(p *module.Param) {
 		return
 	}
 	m := e.active[len(e.active)-1]
-	if e.owner[p] == m {
+	if e.states[p].owner == m {
 		return
 	}
 	for _, q := range e.external[m] {
@@ -299,10 +372,10 @@ func (e *Z3Engine) onDemand(p *module.Param) {
 	e.external[m] = append(e.external[m], p) //zinf:allow hotpathalloc appends once per newly-discovered external param; steady state returns from the scan above
 }
 
-// PreForward implements module.Hooks: gather own and known-external params.
+// enter opens m's hook scope and gathers its own and known-external params.
 //
 //zinf:hotpath
-func (e *Z3Engine) PreForward(m module.Module) {
+func (e *Z3Engine) enter(m module.Module) {
 	e.active = append(e.active, m)
 	for _, p := range m.Params() {
 		e.gather(p)
@@ -312,118 +385,109 @@ func (e *Z3Engine) PreForward(m module.Module) {
 	}
 }
 
-// PostForward implements module.Hooks: re-partition params used here.
+// leave closes m's hook scope and re-partitions the params used there,
+// except externals an enclosing scope still needs.
 //
 //zinf:hotpath
-func (e *Z3Engine) PostForward(m module.Module) {
+func (e *Z3Engine) leave(m module.Module) {
 	e.active = e.active[:len(e.active)-1]
 	for _, p := range m.Params() {
-		e.releaseParam(p)
+		e.release(p)
 	}
 	for _, p := range e.external[m] {
 		if !e.inScope(p) {
-			e.releaseParam(p)
+			e.release(p)
 		}
 	}
 }
 
+// PreForward implements module.Hooks.
+//
+//zinf:hotpath
+func (e *Z3Engine) PreForward(m module.Module) { e.enter(m) }
+
+// PostForward implements module.Hooks.
+//
+//zinf:hotpath
+func (e *Z3Engine) PostForward(m module.Module) { e.leave(m) }
+
 // PreBackward implements module.Hooks.
 //
 //zinf:hotpath
-func (e *Z3Engine) PreBackward(m module.Module) {
-	e.active = append(e.active, m)
-	for _, p := range m.Params() {
-		e.gather(p)
-	}
-	for _, p := range e.external[m] {
-		e.gather(p)
-	}
-}
+func (e *Z3Engine) PreBackward(m module.Module) { e.enter(m) }
 
-// PostBackward implements module.Hooks: reduce each parameter's gradient —
-// a fused reduce-scatter+decode of the 1/dp slices, or a fused
-// reduce+decode to the owning rank under PartitionBroadcast — then
-// re-partition.
+// PostBackward implements module.Hooks: reduce each parameter's gradient,
+// then re-partition.
 //
 //zinf:hotpath
 func (e *Z3Engine) PostBackward(m module.Module) {
-	e.active = e.active[:len(e.active)-1]
 	for _, p := range m.Params() {
 		if p.HasGrad() {
 			e.reduceGrad(p)
 			p.ReleaseGrad()
 		}
-		e.releaseParam(p)
 	}
-	for _, p := range e.external[m] {
-		if !e.inScope(p) {
-			e.releaseParam(p)
-		}
-	}
+	e.leave(m)
 }
 
-// reduceGrad launches (or performs) the strategy's gradient reduction for
-// p. Both strategies accumulate per element in rank order with fp32
-// arithmetic and round through binary16, so their reduced values are
-// bit-identical; they differ only in where the result lands (every rank's
-// slice vs the owner's full vector) and which links carry the bytes.
+// reduceGrad launches (or performs) the strategy's gradient reduction for p:
+// a fused reduce-scatter+decode of the 1/dp slices, or a fused reduce+decode
+// to the owning rank under PartitionBroadcast. Both accumulate per element
+// in rank order with fp32 arithmetic and round through binary16, so their
+// reduced values are bit-identical; they differ only in where the result
+// lands (every rank's slice vs the owner's full vector, nil elsewhere) and
+// which links carry the bytes. With Overlap the collective is launched
+// asynchronously and drained before the overflow check.
 //
 //zinf:hotpath
 func (e *Z3Engine) reduceGrad(p *module.Param) {
-	dp := e.c.Size()
+	ps := e.states[p]
 	n := p.Len()
-	if e.cfg.Partition == PartitionBroadcast {
-		owner := e.bcastOwner[p]
-		gh := e.f16.Get(n)
-		e.rt.Backend().EncodeHalf(gh, p.Grad())
-		var gs []float32
-		if e.c.Rank() == owner {
-			gs = e.f32.Get(n)
-		}
-		if e.cfg.Overlap {
-			tk := e.c.ReduceHalfDecodeAsync(gs, gh, owner)
-			e.pendingReduces = append(e.pendingReduces,
-				overlap.Pending[*module.Param]{Key: p, Ticket: tk, Shard: gs, GH: gh})
-			e.AsyncReduces++
-		} else {
-			e.c.ReduceHalfDecode(gs, gh, owner)
-			e.f16.Put(gh)
-			if gs != nil {
-				e.foldGradShard(p, gs)
-			}
-		}
-		return
+	// The fp16 source is the whole gradient for an owner reduce, zero-padded
+	// to dp equal slices for a reduce-scatter.
+	padded := n
+	if ps.bcastRoot < 0 {
+		padded = ps.shardLen * e.c.Size()
 	}
-	padded := comm.PaddedLen(n, dp)
-	gh := e.f16.Get(padded)
+	gh := e.sc.F16.Get(padded)
 	e.rt.Backend().EncodeHalf(gh[:n], p.Grad())
 	clear(gh[n:])
-	gs := e.f32.Get(padded / dp)
+	gs := e.sc.F32.Get(ps.shardLen) // nil on non-owner ranks under PartitionBroadcast
 	if e.cfg.Overlap {
-		// Launch asynchronously and keep computing the rest of the
-		// backward pass; drained before the overflow check.
-		tk := e.c.ReduceScatterHalfDecodeAsync(gs, gh)
+		var tk comm.Ticket
+		if ps.bcastRoot >= 0 {
+			tk = e.c.ReduceHalfDecodeAsync(gs, gh, ps.bcastRoot)
+		} else {
+			tk = e.c.ReduceScatterHalfDecodeAsync(gs, gh)
+		}
 		e.pendingReduces = append(e.pendingReduces,
-			overlap.Pending[*module.Param]{Key: p, Ticket: tk, Shard: gs, GH: gh})
+			overlap.Pending[*pstate]{Key: ps, Ticket: tk, Shard: gs, GH: gh})
 		e.AsyncReduces++
+		return
+	}
+	if ps.bcastRoot >= 0 {
+		e.c.ReduceHalfDecode(gs, gh, ps.bcastRoot)
 	} else {
 		e.c.ReduceScatterHalfDecode(gs, gh)
-		e.f16.Put(gh)
-		e.foldGradShard(p, gs)
 	}
+	e.foldGradShard(ps, gs, gh)
 }
 
-// foldGradShard accumulates a freshly reduced fp32 shard into the
-// per-parameter gradient shard (micro-batch accumulation), recycling the
-// buffer when an accumulator already exists.
+// foldGradShard retires one completed reduction: the fp16 source buffer is
+// recycled and the reduced fp32 shard (nil on non-owner ranks under
+// PartitionBroadcast) becomes, or is accumulated into, ps's gradient shard
+// (micro-batch accumulation).
 //
 //zinf:hotpath
-func (e *Z3Engine) foldGradShard(p *module.Param, gs []float32) {
-	if acc := e.gradShard[p]; acc != nil {
-		e.rt.Backend().Axpy(1, gs, acc)
-		e.f32.Put(gs)
-	} else {
-		e.gradShard[p] = gs //zinf:allow hotpathalloc keyset fixed after the first micro-batch; steady state folds into the existing shard
+func (e *Z3Engine) foldGradShard(ps *pstate, gs []float32, gh []tensor.Half) {
+	e.sc.F16.Put(gh)
+	switch {
+	case gs == nil:
+	case ps.gradShard == nil:
+		ps.gradShard = gs
+	default:
+		e.rt.Backend().Axpy(1, gs, ps.gradShard)
+		e.sc.F32.Put(gs)
 	}
 }
 
@@ -432,8 +496,9 @@ func (e *Z3Engine) foldGradShard(p *module.Param, gs []float32) {
 //
 //zinf:hotpath
 func (e *Z3Engine) inScope(p *module.Param) bool {
+	owner := e.states[p].owner
 	for _, m := range e.active {
-		if e.owner[p] == m {
+		if owner == m {
 			return true
 		}
 		for _, q := range e.external[m] {
@@ -445,115 +510,201 @@ func (e *Z3Engine) inScope(p *module.Param) bool {
 	return false
 }
 
-// Step runs one training step.
+// Step runs one training step on this rank's batch.
 //
 //zinf:hotpath
 func (e *Z3Engine) Step(tokens, targets []int, batch int) StepResult {
-	tok, tgt := MicroBatch(&e.microTok, &e.microTgt, tokens, targets)
-	return e.StepAccum(tok, tgt, batch)
+	return mustStep(e.TryStep(tokens, targets, batch))
 }
 
-// StepAccum runs one training step with gradient accumulation over
-// micro-batches (reduce per micro-batch, accumulate fp32 shards).
+// StepAccum runs one training step over micro-batches.
 //
 //zinf:hotpath
 func (e *Z3Engine) StepAccum(microTokens, microTargets [][]int, batchPerMicro int) StepResult {
+	return mustStep(e.TryStepAccum(microTokens, microTargets, batchPerMicro))
+}
+
+// mustStep serves engines that cannot fail a step — resident shards, no
+// budget; an error there is a bug.
+//
+//zinf:hotpath
+func mustStep(res StepResult, err error) StepResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// TryStep is TryStepAccum over a single micro-batch.
+//
+//zinf:hotpath
+func (e *Z3Engine) TryStep(tokens, targets []int, batch int) (StepResult, error) {
+	tok, tgt := MicroBatch(&e.microTok, &e.microTgt, tokens, targets)
+	return e.TryStepAccum(tok, tgt, batch)
+}
+
+// TryStepAccum runs one training step with gradient accumulation over
+// micro-batches (reduce per micro-batch, accumulate fp32 shards). A step a
+// hook abandons — Budget exhausted, shard fetch failed — unwinds the engine
+// to its between-steps state and returns the cause, parameters and optimizer
+// state untouched. A failed Tier.Update is returned as is.
+//
+//zinf:hotpath
+func (e *Z3Engine) TryStepAccum(microTokens, microTargets [][]int, batchPerMicro int) (res StepResult, err error) {
 	if len(microTokens) == 0 || len(microTokens) != len(microTargets) {
 		panic("zero: StepAccum needs matching non-empty micro-batches")
 	}
 	e.meter.Begin()
+	defer e.endStep(&err)
 	dp := e.c.Size()
 	micros := len(microTokens)
 	scaleUsed := e.scaler.Scale
 
 	var lossSum float64
 	for m := 0; m < micros; m++ {
-		if e.prefetch != nil {
-			e.prefetch.trace.BeginStep()
+		if e.trace != nil {
+			e.trace.BeginStep()
 		}
-		// The arena step brackets the micro-batch. EndStep waits for the
-		// in-loop drain: the async reduce-scatters hold engine-arena fp16
-		// buffers, never step-arena activations, but draining first keeps
-		// the invariant simple — nothing launched in this micro-batch is in
-		// flight when the activations are reclaimed.
+		// The arena step brackets the micro-batch. EndStep runs after the
+		// drains, so nothing launched in this micro-batch is in flight when
+		// the activations are reclaimed (the async reductions only hold
+		// Scratch fp16 buffers anyway).
 		e.rt.BeginStep()
 		lossSum += e.g.ForwardLoss(e.rt, microTokens[m], microTargets[m], batchPerMicro)
 		e.g.BackwardLoss(e.rt, float32(scaleUsed))
-		if e.prefetch != nil {
-			e.prefetch.endStep()
-		}
-		// Fold this micro-batch's async reduce-scatters now (issue order),
-		// so retained gradient buffers never exceed one micro-batch.
-		e.drainReduces()
+		e.endMicroBatch()
 		e.rt.EndStep()
 	}
 	globalLoss := e.c.AllReduceScalar(lossSum/float64(micros)) / float64(dp)
-	e.traceDone = true
 
-	// Drain barrier: every asynchronously launched reduce-scatter must land
+	// Drain barrier: every asynchronously launched reduction must land
 	// before gradients are inspected for overflow.
 	e.drainReduces()
 
 	shards := e.shardsBuf[:0]
-	for _, p := range e.owned {
-		shards = append(shards, e.gradShard[p])
+	for _, ps := range e.owned {
+		shards = append(shards, ps.gradShard)
 	}
 	e.shardsBuf = shards
 	if GlobalOverflow(e.c, e.rt.Backend(), shards) {
 		e.scaler.Update(true)
 		e.dropGradShards()
-		return e.finishStep(StepResult{Loss: globalLoss, Skipped: true, LossScale: e.scaler.Scale})
+		return StepResult{Loss: globalLoss, Skipped: true, LossScale: e.scaler.Scale}, nil
 	}
 
+	// Unscale (and clip) before the optimizer phase so a streamed update
+	// consumes finished gradients.
 	inv := float32(1 / (scaleUsed * float64(dp) * float64(micros)))
-	for _, p := range e.owned {
-		gs := e.gradShard[p]
-		if gs == nil {
-			panic("zero: missing gradient shard for " + p.Name)
+	for _, ps := range e.owned {
+		if ps.gradShard == nil {
+			panic("zero: missing gradient shard for " + ps.p.Name)
 		}
-		e.rt.Backend().Scale(inv, gs)
+		e.rt.Backend().Scale(inv, ps.gradShard)
 	}
 	if f := GlobalClipFactor(e.c, e.cfg.ClipNorm, shards); f != 1 {
-		for _, p := range e.owned {
-			e.rt.Backend().Scale(float32(f), e.gradShard[p])
+		for _, gs := range shards {
+			e.rt.Backend().Scale(float32(f), gs)
 		}
 	}
-	for _, p := range e.owned {
-		gs := e.gradShard[p]
-		e.adam[p].Step(e.master[p], gs)
-		e.rt.Backend().EncodeHalf(e.shard[p], e.master[p])
-		e.f32.Put(gs)
-		delete(e.gradShard, p)
+	e.stepCount++
+	err = e.tier.Update(e.stepCount, e.ownedIdx, shards)
+	for _, ps := range e.owned {
+		ps.gradShard = nil // the tier took the buffers over
+	}
+	if err != nil {
+		return StepResult{}, err
 	}
 	e.scaler.Update(false)
-	return e.finishStep(StepResult{Loss: globalLoss, LossScale: e.scaler.Scale})
+	return StepResult{Loss: globalLoss, LossScale: e.scaler.Scale}, nil
+}
+
+// endMicroBatch drains the speculation the micro-batch never consumed —
+// gathers (issued on every rank, so their tickets always complete), then
+// tier reads — finishes the trace step (arming speculation, or scheduling a
+// relearn after divergence), and folds the micro-batch's async reductions,
+// bounding retained gradient buffers to one micro-batch.
+//
+//zinf:hotpath
+func (e *Z3Engine) endMicroBatch() {
+	if e.prefetch != nil {
+		e.prefetch.drain()
+	}
+	e.tier.DrainReads()
+	if e.trace != nil {
+		e.trace.EndStep()
+	}
+	e.drainReduces()
+}
+
+// endStep is TryStepAccum's deferred tail: it records the step's
+// process-global allocation count and turns a stepAbort into the step's
+// error after unwinding — the single recover site.
+//
+//zinf:hotpath
+func (e *Z3Engine) endStep(err *error) {
+	if r := recover(); r != nil {
+		a, ok := r.(stepAbort)
+		if !ok {
+			panic(r)
+		}
+		e.unwind()
+		*err = a.err
+	}
+	e.traceDone = true
+	e.AllocsPerStep = e.meter.End()
+}
+
+// unwind returns the engine to its between-steps state after a step was
+// abandoned inside a hook: scopes popped, every materialized parameter (and
+// its Budget block) released, speculative gathers, tier reads and pending
+// reductions drained, partial gradients dropped. The abort is deterministic
+// — every rank hits it at the same gather — so the drained collectives are
+// matched.
+//
+//zinf:hotpath
+func (e *Z3Engine) unwind() {
+	clear(e.active)
+	e.active = e.active[:0]
+	for _, p := range e.params {
+		e.release(p)
+		p.ReleaseGrad()
+	}
+	e.endMicroBatch()
+	e.dropGradShards()
+	e.rt.SetSaveActivations(true)
+	e.rt.EndStep()
+}
+
+// CheckIdle reports what, if anything, the engine still holds between
+// steps; nil means every scope is closed, every parameter re-partitioned and
+// no collective or gradient is pending.
+func (e *Z3Engine) CheckIdle() error {
+	if len(e.active) != 0 || len(e.pendingReduces) != 0 {
+		return fmt.Errorf("zero: %d module scopes open, %d reductions pending", len(e.active), len(e.pendingReduces))
+	}
+	for _, p := range e.params {
+		ps := e.states[p]
+		if p.Materialized() || p.HasGrad() || ps.spec.inFlight() || ps.gradShard != nil {
+			return fmt.Errorf("zero: parameter %s still holds step state", p.Name)
+		}
+	}
+	return nil
 }
 
 // dropGradShards recycles and forgets every gradient shard (overflow skip).
 //
 //zinf:hotpath
 func (e *Z3Engine) dropGradShards() {
-	for _, p := range e.owned {
-		if gs := e.gradShard[p]; gs != nil {
-			e.f32.Put(gs)
-			delete(e.gradShard, p)
-		}
+	for _, ps := range e.owned {
+		e.sc.F32.Put(ps.gradShard)
+		ps.gradShard = nil
 	}
 }
 
-// finishStep records the step's process-global allocation count.
-//
-//zinf:hotpath
-func (e *Z3Engine) finishStep(res StepResult) StepResult {
-	e.AllocsPerStep = e.meter.End()
-	return res
-}
-
-// LoadParams replaces the model weights (sharding each full vector to this
-// rank's slice) and resets the optimizer state. Every rank must call it with
+// LoadParams replaces the model weights (sharding each full vector onto the
+// tier) and resets the optimizer state. Every rank must call it with
 // identical values.
 func (e *Z3Engine) LoadParams(values map[string][]float32) error {
-	dp := e.c.Size()
 	for _, p := range e.params {
 		v, ok := values[p.Name]
 		if !ok {
@@ -562,60 +713,113 @@ func (e *Z3Engine) LoadParams(values map[string][]float32) error {
 		if len(v) != p.Len() {
 			return fmt.Errorf("zero: checkpoint parameter %q has %d elems, want %d", p.Name, len(v), p.Len())
 		}
-		if e.cfg.Partition == PartitionBroadcast {
-			if e.bcastOwner[p] != e.c.Rank() {
-				continue
-			}
-			rounded := tensor.RoundTripHalf(append([]float32(nil), v...))
-			copy(e.master[p], rounded)
-			tensor.EncodeHalf(e.shard[p], e.master[p])
-			e.adam[p] = optim.NewAdam(len(e.master[p]), e.cfg.Adam).WithBackend(e.rt.Backend())
-			continue
+		ps := e.states[p]
+		if ps.shardLen == 0 {
+			continue // no state on this rank
 		}
-		rounded := tensor.RoundTripHalf(append([]float32(nil), v...))
-		comm.Shard(e.master[p], rounded, e.c.Rank(), dp)
-		tensor.EncodeHalf(e.shard[p], e.master[p])
-		e.adam[p] = optim.NewAdam(len(e.master[p]), e.cfg.Adam).WithBackend(e.rt.Backend())
+		if err := e.place(ps, tensor.RoundTripHalf(append([]float32(nil), v...))); err != nil {
+			return err
+		}
 	}
+	e.stepCount = 0
 	return nil
 }
 
 // FullParams gathers every parameter's current fp16 values (collective:
-// all ranks must call it together). The transient gathered fp16 view cycles
-// through the engine's scratch arena — only the returned float32 vectors
-// are fresh allocations (asserted by TestFullParamsGatherScratchPooled).
+// all ranks must call it together). The transient gathered view cycles
+// through the Scratch — only the returned float32 vectors are fresh
+// allocations (asserted by TestFullParamsGatherScratchPooled).
 func (e *Z3Engine) FullParams() map[string][]float32 {
-	dp := e.c.Size()
 	out := make(map[string][]float32, len(e.params))
 	for _, p := range e.params {
+		ps := e.states[p]
 		v := make([]float32, p.Len())
-		if e.cfg.Partition == PartitionBroadcast {
-			fullH, owner := e.bcastFullH(p)
-			e.c.BroadcastHalf(fullH, owner)
+		if ps.bcastRoot >= 0 {
+			fullH := e.bcastFullH(ps)
+			e.c.BroadcastHalf(fullH, ps.bcastRoot)
 			tensor.DecodeHalf(v, fullH[:p.Len()])
-			e.f16.Put(fullH)
+			e.sc.F16.Put(fullH)
 		} else {
-			s := comm.ShardLen(p.Len(), dp)
-			full := e.f32.Get(s * dp)
-			e.c.AllGatherHalfDecode(full, e.shard[p])
-			copy(v, full[:p.Len()])
-			e.f32.Put(full)
+			full := e.sc.F32.Get(ps.shardLen * e.c.Size())
+			shard := e.shard(ps)
+			e.c.AllGatherHalfDecode(full, shard)
+			e.tier.Done(shard)
+			copy(v, full)
+			e.sc.F32.Put(full)
 		}
 		out[p.Name] = v
 	}
 	return out
 }
 
-// MaxLiveParamBytes returns the largest fp16 footprint any single gathered
-// parameter would occupy — the stage-3 working-set contribution.
-func (e *Z3Engine) MaxLiveParamBytes() int64 {
-	var m int64
-	for _, p := range e.params {
-		if b := p.FP16Bytes(); b > m {
-			m = b
-		}
+// MaxLiveParamBytes returns the measured peak fp16 footprint of
+// simultaneously materialized (gathered) parameters — the working-set
+// contribution memory-centric tiling divides by the tile factor.
+func (e *Z3Engine) MaxLiveParamBytes() int64 { return e.peakLive }
+
+// GatherTrace returns "module/param" for each gather of the first step, in
+// order.
+func (e *Z3Engine) GatherTrace() []string {
+	out := make([]string, len(e.firstGathers))
+	for i, ps := range e.firstGathers {
+		out[i] = ps.owner.Name() + "/" + ps.p.Name
 	}
-	return m
+	return out
+}
+
+// Stats summarizes one engine's activity for the experiment harness. The
+// engine body fills the gather, overlap, working-set, allocation and comm
+// fields; internal/core adds its tier's and attachments' on top.
+type Stats struct {
+	Gathers         int
+	OnDemandGathers int
+	// PrefetchIssued/PrefetchHits count the tier's read-ahead stage; the
+	// CommPrefetch pair counts the gather stage; AsyncReduces counts
+	// gradient reductions launched asynchronously from the backward hooks.
+	PrefetchHits       int
+	PrefetchIssued     int
+	CommPrefetchIssued int
+	CommPrefetchHits   int
+	AsyncReduces       int
+	NVMeBytesRead      int64
+	NVMeBytesWritten   int64
+	// MaxLiveParamBytes is the peak fp16 footprint of simultaneously
+	// materialized (gathered) parameters.
+	MaxLiveParamBytes int64
+	PinnedBytes       int64
+	PinnedAcquires    int64
+	CkptBytesOffload  int64
+	GPUPeakBytes      int64
+	// AllocsPerStep is the number of heap allocations performed during the
+	// last step (/gc/heap/allocs:objects runtime-metrics delta). The counter
+	// is process-global, so with several rank goroutines stepping in
+	// lockstep it reflects the whole world's step; after the scratch arenas
+	// warm up the engine+comm+tensor contribution is zero.
+	AllocsPerStep uint64
+	// CommTraffic is the collective fabric's cumulative modeled traffic per
+	// collective kind — ops, intra/inter-node bytes, simulated transfer
+	// seconds and achieved aggregate bandwidth (TrafficStats.AggGBps). The
+	// counters are world-wide (all ranks' collectives), which is what the
+	// Fig. 6c aggregate-bandwidth comparison wants.
+	CommTraffic map[string]comm.TrafficStats
+	// CommGBps is the achieved aggregate bandwidth across every collective
+	// kind (0 without a topology: the flat fabric has no link timing).
+	CommGBps float64
+}
+
+// Stats returns cumulative engine statistics.
+func (e *Z3Engine) Stats() Stats {
+	return Stats{
+		Gathers:            e.Gathers,
+		OnDemandGathers:    e.OnDemandGathers,
+		CommPrefetchIssued: e.PrefetchIssued,
+		CommPrefetchHits:   e.PrefetchHits,
+		AsyncReduces:       e.AsyncReduces,
+		MaxLiveParamBytes:  e.peakLive,
+		AllocsPerStep:      e.AllocsPerStep,
+		CommTraffic:        e.c.Traffic(),
+		CommGBps:           e.c.TrafficTotal().AggGBps(),
+	}
 }
 
 var _ module.Hooks = (*Z3Engine)(nil)

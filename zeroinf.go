@@ -263,7 +263,7 @@ func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return infinityEngine{e}, nil
+		return e, nil
 	}
 	zc := zero.Config{
 		Stage:            cfg.Stage,
@@ -307,36 +307,13 @@ func (e dpEngine) Close() {}
 type z3Engine struct{ *zero.Z3Engine }
 
 func (e z3Engine) Step(tok, tgt []int, batch int) (StepResult, error) {
-	return e.Z3Engine.Step(tok, tgt, batch), nil
+	return e.TryStep(tok, tgt, batch)
 }
 
 func (e z3Engine) StepAccum(mt, mg [][]int, batch int) (StepResult, error) {
-	return e.Z3Engine.StepAccum(mt, mg, batch), nil
+	return e.TryStepAccum(mt, mg, batch)
 }
 func (e z3Engine) Close() {}
-
-// Stats maps the stage-3 engine's overlap counters into the shared stats
-// shape: the comm-stage fields are populated, NVMe fields stay zero.
-// MaxLiveParamBytes carries the engine's static bound (the largest single
-// gathered parameter); the Infinity engine reports the measured peak.
-func (e z3Engine) Stats() InfinityStats {
-	return InfinityStats{
-		Gathers:            e.Gathers,
-		OnDemandGathers:    e.OnDemandGathers,
-		CommPrefetchIssued: e.PrefetchIssued,
-		CommPrefetchHits:   e.PrefetchHits,
-		AsyncReduces:       e.AsyncReduces,
-		MaxLiveParamBytes:  e.MaxLiveParamBytes(),
-		CommTraffic:        e.CommTraffic(),
-		CommGBps:           e.CommTrafficTotal().AggGBps(),
-	}
-}
-
-type infinityEngine struct{ *core.InfinityEngine }
-
-// Stats exposes ZeRO-Infinity engine statistics. Callers holding an Engine
-// can type-assert to interface{ Stats() InfinityStats }.
-func (e infinityEngine) Stats() InfinityStats { return e.InfinityEngine.Stats() }
 
 // TrainOptions configures the convenience training loop.
 type TrainOptions struct {
