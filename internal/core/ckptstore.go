@@ -14,8 +14,9 @@ import (
 // across occupancies of a slot, so steady-state Put is allocation-free (Get
 // still allocates the returned tensor, which the caller owns).
 type cpuCheckpointStore struct {
-	bytes *mem.Arena[byte]
-	f32   *mem.Arena[float32]
+	tracker *mem.Tracker
+	bytes   *mem.Arena[byte]
+	f32     *mem.Arena[float32]
 
 	blobs []ckptBlob
 	free  []int // vacant slots in blobs
@@ -29,8 +30,8 @@ type ckptBlob struct {
 	live  bool
 }
 
-func newCPUCheckpointStore(sc zero.Scratch) *cpuCheckpointStore {
-	return &cpuCheckpointStore{bytes: sc.Bytes, f32: sc.F32}
+func newCPUCheckpointStore(t *mem.Tracker, sc zero.Scratch) *cpuCheckpointStore {
+	return &cpuCheckpointStore{tracker: t, bytes: sc.Bytes, f32: sc.F32}
 }
 
 // Put implements module.CheckpointStore.
@@ -54,6 +55,7 @@ func (s *cpuCheckpointStore) Put(t *tensor.Tensor) int {
 	blob.shape = append(blob.shape[:0], t.Shape()...)
 	blob.live = true
 	s.bytesOffloaded += int64(len(b))
+	s.tracker.Add(mem.CatActCkpt, int64(len(b)))
 	return h
 }
 
@@ -68,9 +70,25 @@ func (s *cpuCheckpointStore) Get(h int) *tensor.Tensor {
 	tensor.F32FromBytes(tmp, blob.data)
 	out.Write(tmp)
 	s.f32.Put(tmp)
+	s.drop(h)
+	return out
+}
+
+// drop vacates slot h, recycling its bytes.
+func (s *cpuCheckpointStore) drop(h int) {
+	blob := &s.blobs[h]
+	s.tracker.Add(mem.CatActCkpt, -int64(len(blob.data)))
 	s.bytes.Put(blob.data)
 	blob.data = nil
 	blob.live = false
 	s.free = append(s.free, h)
-	return out
+}
+
+// Reset implements module.CheckpointStore.
+func (s *cpuCheckpointStore) Reset() {
+	for h := range s.blobs {
+		if s.blobs[h].live {
+			s.drop(h)
+		}
+	}
 }

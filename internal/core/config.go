@@ -2,14 +2,16 @@
 // (paper Sec. 5-7). Infinity is ZeRO-3 with a different answer to one
 // question — where do a rank's fp16 parameter shards and fp32 optimizer
 // shards live — so this package holds no engine body of its own: it maps a
-// Config onto zero.NewZ3EngineOn and supplies what only Infinity has:
+// Config onto zero.NewShardedEngine and supplies what only Infinity has:
 //
 //   - the NVMe tier (tier.go): the infinity offload engine — shard regions on
 //     a per-rank store, reusable pinned staging buffers, shard read-ahead
 //     along the traced operator sequence, and the streamed optimizer step;
 //   - a budgeted (optionally pre-fragmented) GPU allocator accounting the
 //     gathered working set, whose exhaustion fails the step with an error;
-//   - CPU offload of activation checkpoints (ckptstore.go).
+//   - CPU offload of activation checkpoints (ckptstore.go);
+//   - per-device memory trackers (GPUTracker/CPUTracker): the placements
+//     decide which device a shard's bytes count against.
 //
 // GPU and CPU placements run on zero's resident tier: Infinity with both
 // states on GPU is ZeRO-3, collective for collective. Memory-centric tiling

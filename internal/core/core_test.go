@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/module"
 	"repro/internal/tensor"
@@ -257,20 +258,21 @@ func TestExternalParamHandledAcrossPlacements(t *testing.T) {
 // the first gather (64 B is below the largest parameter), or deeper into the
 // forward pass with scopes open and parameters held (600..2100 B) — and the
 // failed step leaves nothing behind: scope stack empty, every parameter
-// re-partitioned, no budget block or pinned buffer held, nothing in flight.
-// The engine stays usable: the next step fails the same way instead of
+// re-partitioned, no budget block, pinned buffer or offloaded activation
+// checkpoint held, nothing in flight. The engine stays usable: the next step fails the same way instead of
 // tripping over stale state.
 func TestGPUBudgetEnforced(t *testing.T) {
-	mcfg := testModelCfg(false)
-	tokens, targets := makeBatches(mcfg, 1, 2, testBatch)
+	tokens, targets := makeBatches(testModelCfg(false), 1, 2, testBatch)
 	placements := []struct {
 		name string
 		cfg  Config
 	}{
 		{"resident", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU}},
 		{"nvme+prefetch+overlap", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 3, Overlap: true}},
+		{"resident+ckpt-offload", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU, OffloadActivations: true}},
 	}
 	for _, pl := range placements {
+		mcfg := testModelCfg(pl.cfg.OffloadActivations)
 		for _, budget := range []int64{64, 600, 1200, 2100} {
 			t.Run(fmt.Sprintf("%s/%d", pl.name, budget), func(t *testing.T) {
 				comm.Run(2, func(c *comm.Comm) {
@@ -300,6 +302,9 @@ func TestGPUBudgetEnforced(t *testing.T) {
 						if used := e.gpu.Used(); used != 0 {
 							t.Errorf("attempt %d: %d B of the GPU budget still held", attempt, used)
 						}
+						if ws, ck := e.GPUTracker().Live(mem.CatWorkingSet), e.CPUTracker().Live(mem.CatActCkpt); ws != 0 || ck != 0 {
+							t.Errorf("attempt %d: %d B working set, %d B offloaded checkpoints still accounted", attempt, ws, ck)
+						}
 						if e.nvme != nil {
 							assertPinnedPoolFull(t, e)
 						}
@@ -308,6 +313,40 @@ func TestGPUBudgetEnforced(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ckptThenGPT offloads one activation checkpoint before the wrapped model's
+// first gather, so a step the budget aborts there has a checkpoint in the
+// store (the real blocks offload only after their forward has fit).
+type ckptThenGPT struct{ *model.GPT }
+
+func (m ckptThenGPT) ForwardLoss(rt *module.Runtime, tokens, targets []int, batch int) float64 {
+	rt.PutCheckpoint(tensor.New(tensor.FP32, 8))
+	return m.GPT.ForwardLoss(rt, tokens, targets, batch)
+}
+
+// A step the budget aborts drops the activation checkpoints its forward pass
+// had already offloaded, returning their bytes to the arena.
+func TestGPUBudgetAbortDropsOffloadedCheckpoints(t *testing.T) {
+	mcfg := testModelCfg(true)
+	tokens, targets := makeBatches(mcfg, 1, 1, testBatch)
+	comm.Run(1, func(c *comm.Comm) {
+		e, err := NewInfinityEngine(Config{Params: zero.OnCPU, Optimizer: zero.OnCPU,
+			OffloadActivations: true, GPUMemory: 64, LossScale: 1, Seed: 1}, c, ckptThenGPT{model.MustGPT(mcfg)})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer e.Close()
+		if _, serr := e.Step(tokens[0][0], targets[0][0], testBatch); !ErrIsOOM(serr) {
+			t.Errorf("step returned %v, want OOM", serr)
+		}
+		ck := e.CPUTracker()
+		if ck.Peak(mem.CatActCkpt) != 32 || ck.Live(mem.CatActCkpt) != 0 {
+			t.Errorf("offloaded checkpoints: peak %d B (want 32), %d B still live after the abort",
+				ck.Peak(mem.CatActCkpt), ck.Live(mem.CatActCkpt))
+		}
+	})
 }
 
 // assertPinnedPoolFull checks every pinned staging buffer is back in the
@@ -323,6 +362,57 @@ func assertPinnedPoolFull(t *testing.T, e *InfinityEngine) {
 			return
 		}
 		defer pool.Release(buf)
+	}
+}
+
+// The per-device trackers are where the placements show: the same shards
+// count against the GPU or the CPU tracker, or neither on NVMe (which pins
+// staging memory on the CPU instead); the gathered working set is always GPU
+// and matches Stats.MaxLiveParamBytes.
+func TestTrackersAttributePlacements(t *testing.T) {
+	mcfg := testModelCfg(false)
+	tokens, targets := makeBatches(mcfg, 1, 2, testBatch)
+	for _, tc := range []struct {
+		params, opt zero.Placement
+	}{
+		{zero.OnGPU, zero.OnGPU}, {zero.OnCPU, zero.OnCPU}, {zero.OnGPU, zero.OnCPU}, {zero.OnNVMe, zero.OnCPU}, {zero.OnNVMe, zero.OnNVMe},
+	} {
+		t.Run(fmt.Sprintf("%v-%v", tc.params, tc.opt), func(t *testing.T) {
+			comm.Run(2, func(c *comm.Comm) {
+				g := model.MustGPT(mcfg)
+				e, err := NewInfinityEngine(Config{Params: tc.params, Optimizer: tc.opt, LossScale: 1, Seed: 1}, c, g)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer e.Close()
+				if _, err := e.Step(tokens[0][c.Rank()], targets[0][c.Rank()], testBatch); err != nil {
+					t.Error(err)
+				}
+				var elems int64
+				for _, p := range module.AllParams(g) {
+					elems += int64(comm.ShardLen(p.Len(), 2))
+				}
+				gpu, cpu, st := e.GPUTracker(), e.CPUTracker(), e.Stats()
+				want := func(tr *mem.Tracker, cat mem.Category, on bool, bytes int64) {
+					if !on {
+						bytes = 0
+					}
+					if got := tr.Live(cat); got != bytes {
+						t.Errorf("%v: %d B live, want %d", tr, got, bytes)
+					}
+				}
+				want(gpu, mem.CatParamsFP16, tc.params == zero.OnGPU, 2*elems)
+				want(cpu, mem.CatParamsFP16, tc.params == zero.OnCPU, 2*elems)
+				want(gpu, mem.CatOptimState, tc.opt == zero.OnGPU, 12*elems)
+				want(cpu, mem.CatOptimState, tc.opt == zero.OnCPU, 12*elems)
+				want(cpu, mem.CatPinnedStage, true, st.PinnedBytes)
+				want(gpu, mem.CatWorkingSet, true, 0)
+				if peak := gpu.Peak(mem.CatWorkingSet); peak == 0 || peak != st.MaxLiveParamBytes {
+					t.Errorf("working-set peak %d B, Stats.MaxLiveParamBytes %d", peak, st.MaxLiveParamBytes)
+				}
+			})
+		})
 	}
 }
 

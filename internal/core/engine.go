@@ -2,22 +2,59 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/comm"
 	"repro/internal/mem"
+	"repro/internal/module"
+	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
 // InfinityEngine is the ZeRO-Infinity training engine for one rank: the
-// sharded engine body of internal/zero (embedded — gather/release hooks,
-// overlap, optimizer tail, checkpointing are its methods) over the tier the
-// placements select, plus the Infinity-only attachments.
+// sharded engine body of internal/zero (embedded — Step/StepAccum, the
+// gather/release hooks, overlap, optimizer tail, checkpointing and Close are
+// its methods) over the tier the placements select, plus the Infinity-only
+// attachments. A GPU-memory budget violation (working set exceeds
+// Config.GPUMemory) fails the step with an error ErrIsOOM recognizes.
 type InfinityEngine struct {
-	*zero.Z3Engine
+	*zero.ShardedEngine
 
 	nvme *nvmeTier           // nil when both placements are resident
 	gpu  *mem.Allocator      // nil without a GPUMemory budget
 	ckpt *cpuCheckpointStore // nil without OffloadActivations
+
+	// gpuT/cpuT attribute this rank's live bytes per device: the placements
+	// decide which one holds the parameter and optimizer shards, the gathered
+	// working set is always GPU, pinned staging and offloaded checkpoints CPU.
+	gpuT, cpuT *mem.Tracker
+}
+
+// gpuBudget is the zero.Budget of every Infinity engine: it attributes the
+// gathered working set to the GPU tracker and, under Config.GPUMemory,
+// charges it to the contiguous allocator.
+type gpuBudget struct {
+	alloc *mem.Allocator // nil: unlimited
+	t     *mem.Tracker
+}
+
+func (b gpuBudget) Alloc(size int64) (mem.Block, error) {
+	blk := mem.Block{Size: size}
+	if b.alloc != nil {
+		var err error
+		if blk, err = b.alloc.Alloc(size); err != nil {
+			return blk, err
+		}
+	}
+	b.t.Add(mem.CatWorkingSet, size)
+	return blk, nil
+}
+
+func (b gpuBudget) Release(blk mem.Block) {
+	if b.alloc != nil {
+		b.alloc.Release(blk)
+	}
+	b.t.Add(mem.CatWorkingSet, -blk.Size)
 }
 
 // NewInfinityEngine builds the engine for one rank, performing partitioned
@@ -25,7 +62,10 @@ type InfinityEngine struct {
 // before being sharded to the configured tier.
 func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine, error) {
 	cfg.setDefaults()
-	e := &InfinityEngine{}
+	e := &InfinityEngine{
+		gpuT: mem.NewTracker(fmt.Sprintf("gpu%d", c.Rank())),
+		cpuT: mem.NewTracker(fmt.Sprintf("cpu%d", c.Rank())),
+	}
 	at := zero.Attachments{Scratch: zero.NewScratch()}
 	if cfg.Params == zero.OnNVMe || cfg.Optimizer == zero.OnNVMe {
 		t, err := newNVMeTier(cfg, c.Rank(), c.Size(), g, at.Scratch)
@@ -33,15 +73,20 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 			return nil, err
 		}
 		e.nvme, at.Tier = t, t
+		e.cpuT.Add(mem.CatPinnedStage, t.pinned.TotalBytes())
 	}
 	if cfg.GPUMemory > 0 {
 		e.gpu = mem.NewAllocator(cfg.GPUMemory)
 		if cfg.PreFragment > 0 {
 			e.gpu.PreFragment(cfg.PreFragment)
 		}
-		at.Budget = e.gpu
 	}
-	body, err := zero.NewZ3EngineOn(zero.Config{
+	at.Budget = gpuBudget{e.gpu, e.gpuT}
+	if cfg.OffloadActivations {
+		e.ckpt = newCPUCheckpointStore(e.cpuT, at.Scratch)
+		at.Checkpoints = e.ckpt
+	}
+	body, err := zero.NewShardedEngine(zero.Config{
 		Adam:             cfg.Adam,
 		LossScale:        cfg.LossScale,
 		DynamicLossScale: cfg.DynamicLossScale,
@@ -54,28 +99,31 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 		Topology:         cfg.Topology,
 	}, c, g, at)
 	if err != nil {
-		e.Close()
+		if e.nvme != nil {
+			e.nvme.Close()
+		}
 		return nil, err
 	}
-	e.Z3Engine = body
-	if cfg.OffloadActivations {
-		e.ckpt = newCPUCheckpointStore(at.Scratch)
-		body.Runtime().SetCheckpointStore(e.ckpt)
+	e.ShardedEngine = body
+	// The resident shards count against the device their placement names
+	// (NVMe-placed state occupies neither).
+	device := map[zero.Placement]*mem.Tracker{zero.OnGPU: e.gpuT, zero.OnCPU: e.cpuT}
+	for i, p := range module.AllParams(g) {
+		s := int64(zero.ShardLen(cfg.Partition, i, p.Len(), c.Rank(), c.Size()))
+		if t := device[cfg.Params]; t != nil {
+			t.Add(mem.CatParamsFP16, s*tensor.HalfBytes)
+		}
+		if t := device[cfg.Optimizer]; t != nil {
+			t.Add(mem.CatOptimState, s*12)
+		}
 	}
 	return e, nil
-}
-
-// Close releases the NVMe engine and store.
-func (e *InfinityEngine) Close() {
-	if e.nvme != nil {
-		e.nvme.Close()
-	}
 }
 
 // Stats returns cumulative engine statistics: the body's, plus the NVMe
 // tier's and the attachments'.
 func (e *InfinityEngine) Stats() Stats {
-	s := e.Z3Engine.Stats()
+	s := e.ShardedEngine.Stats()
 	if e.nvme != nil {
 		e.nvme.addStats(&s)
 	}
@@ -88,19 +136,11 @@ func (e *InfinityEngine) Stats() Stats {
 	return s
 }
 
-// Step runs one training step on this rank's batch. A GPU-memory budget
-// violation (working set exceeds Config.GPUMemory) is returned as an error
-// wrapping mem.ErrOutOfMemory or mem.ErrFragmented, with the engine unwound
-// to its between-steps state; an NVMe failure is returned as the I/O error.
-func (e *InfinityEngine) Step(tokens, targets []int, batch int) (zero.StepResult, error) {
-	return e.TryStep(tokens, targets, batch)
-}
+// GPUTracker and CPUTracker expose the per-device memory accounting.
+func (e *InfinityEngine) GPUTracker() *mem.Tracker { return e.gpuT }
 
-// StepAccum runs one training step with gradient accumulation over
-// micro-batches (reduce per micro-batch, accumulate fp32 shards).
-func (e *InfinityEngine) StepAccum(microTokens, microTargets [][]int, batchPerMicro int) (zero.StepResult, error) {
-	return e.TryStepAccum(microTokens, microTargets, batchPerMicro)
-}
+// CPUTracker exposes CPU-tier accounting.
+func (e *InfinityEngine) CPUTracker() *mem.Tracker { return e.cpuT }
 
 // ErrIsOOM reports whether err is a GPU memory-budget failure.
 func ErrIsOOM(err error) bool {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -69,4 +71,38 @@ func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 		// abandoned prefetch slot, and the write slots via their reapers.
 		assertPinnedPoolFull(t, e)
 	})
+}
+
+// A failed NVMe shard read — synchronous, or a read-ahead consumed later —
+// is fatal rather than a step error: it is local to this rank, whose peers
+// are already committed to the gather the shard feeds. The panic carries the
+// I/O error and names the shard, and the staging buffer is back in the pool.
+func TestShardReadFailureIsFatal(t *testing.T) {
+	mcfg := testModelCfg(false)
+	tokens, targets := makeBatches(mcfg, 1, 1, testBatch)
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("prefetch=%d", depth), func(t *testing.T) {
+			comm.Run(1, func(c *comm.Comm) {
+				e, err := NewInfinityEngine(Config{Params: zero.OnNVMe, Optimizer: zero.OnCPU,
+					PrefetchDepth: depth, LossScale: 32, Seed: 2}, c, model.MustGPT(mcfg))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer e.Close()
+				e.nvme.io.Close()
+				e.nvme.io = nvme.NewEngine(&failingStore{Store: e.nvme.store, allow: 3}, nvme.Options{Workers: 2})
+				defer func() {
+					err, _ := recover().(error)
+					if !errors.Is(err, errInjectedRead) || !strings.Contains(fmt.Sprint(err), "read shard") {
+						t.Errorf("step panicked with %v, want the injected shard-read failure", err)
+					}
+					e.nvme.DrainReads()
+					assertPinnedPoolFull(t, e)
+				}()
+				_, serr := e.Step(tokens[0][0], targets[0][0], testBatch)
+				t.Errorf("step with failing shard reads returned (err %v)", serr)
+			})
+		})
+	}
 }

@@ -3,11 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
@@ -39,46 +37,19 @@ type fig6cRun struct {
 }
 
 func runFig6cVariant(part zero.Partitioning, topo *comm.Topology, ranks, steps int) (fig6cRun, error) {
-	mcfg := model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 2}
 	gatherK, reduceK := "allgatherhalfdecode", "reducescatterhalfdecode"
 	if part == zero.PartitionBroadcast {
 		gatherK, reduceK = "broadcasthalf", "reducehalfdecode"
 	}
-	var out fig6cRun
-	var mu sync.Mutex
-	var firstErr error
-	comm.Run(ranks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		e, err := zero.NewZ3Engine(zero.Config{LossScale: 256, Seed: 42, Backend: backend,
-			PrefetchDepth: overlapDepth, Overlap: overlapEnabled,
-			Partition: part, Topology: topo}, c, g)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		var losses []float64
-		for s := 0; s < steps; s++ {
-			rng := tensor.NewRNG(uint64(6000 + s*100 + c.Rank()))
-			tok, tgt := model.SyntheticBatch(rng, mcfg, 2)
-			losses = append(losses, e.Step(tok, tgt, 2).Loss)
-		}
-		if c.Rank() == 0 {
-			tr := c.Traffic()
-			mu.Lock()
-			out = fig6cRun{
-				losses: losses,
-				gather: tr[gatherK], reduce: tr[reduceK],
-				total:   c.TrafficTotal(),
-				gatherK: gatherK, reduceK: reduceK,
-			}
-			mu.Unlock()
-		}
-	})
-	return out, firstErr
+	run, err := trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 2}, ranks, steps, 6000,
+		newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: part, Topology: topo}))
+	tr := run.stats.CommTraffic
+	return fig6cRun{
+		losses: run.losses,
+		gather: tr[gatherK], reduce: tr[reduceK],
+		total:   run.traffic,
+		gatherK: gatherK, reduceK: reduceK,
+	}, err
 }
 
 func init() {

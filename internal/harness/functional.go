@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -24,146 +23,48 @@ func equivModel(ckpt bool) model.Config {
 
 // trainLosses trains the named engine for steps on ranks goroutine-GPUs and
 // returns the global loss trajectory.
-func trainLosses(engine string, ranks, steps int) ([]float64, error) {
-	mcfg := equivModel(engine == "infinity-nvme-ckpt")
-	var losses []float64
-	var mu sync.Mutex
-	var firstErr error
-	comm.Run(ranks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(tok, tgt []int) (zero.StepResult, error)
-		switch engine {
-		case "ddp", "zero1", "zero2", "zero-offload":
-			cfg := zero.Config{LossScale: 256, Seed: 42, Backend: backend}
-			switch engine {
-			case "zero1":
-				cfg.Stage = zero.Stage1
-			case "zero2":
-				cfg.Stage = zero.Stage2
-			case "zero-offload":
-				cfg.Stage = zero.Stage2
-				cfg.OffloadOptimizer = true
-			}
+func trainLosses(name string, ranks, steps int) ([]float64, error) {
+	var mk func(*comm.Comm, *model.GPT) (engine, error)
+	switch name {
+	case "ddp", "zero1", "zero2", "zero-offload":
+		cfg := zero.Config{LossScale: 256, Seed: 42, Backend: backend}
+		switch name {
+		case "zero1":
+			cfg.Stage = zero.Stage1
+		case "zero2", "zero-offload":
+			cfg.Stage = zero.Stage2
+			cfg.OffloadOptimizer = name == "zero-offload"
+		}
+		mk = func(c *comm.Comm, g *model.GPT) (engine, error) {
 			e, err := zero.NewDPEngine(cfg, c, g)
-			if err != nil {
-				mu.Lock()
-				firstErr = err
-				mu.Unlock()
-				return
-			}
-			step = func(tok, tgt []int) (zero.StepResult, error) { return e.Step(tok, tgt, 2), nil }
-		case "zero3", "zero3-overlap":
-			zcfg := zero.Config{LossScale: 256, Seed: 42, Backend: backend}
-			if engine == "zero3-overlap" {
-				zcfg.PrefetchDepth = overlapDepth
-				zcfg.Overlap = true
-			}
-			e, err := zero.NewZ3Engine(zcfg, c, g)
-			if err != nil {
-				mu.Lock()
-				firstErr = err
-				mu.Unlock()
-				return
-			}
-			step = func(tok, tgt []int) (zero.StepResult, error) { return e.Step(tok, tgt, 2), nil }
-		default: // infinity variants
-			cfg := core.Config{LossScale: 256, Seed: 42, Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 2, Backend: backend}
-			if engine == "infinity-cpu" {
-				cfg.Params, cfg.Optimizer = zero.OnCPU, zero.OnCPU
-			}
-			if engine == "infinity-nvme-ckpt" {
-				cfg.OffloadActivations = true
-			}
-			if engine == "infinity-overlap" {
-				cfg.PrefetchDepth = overlapDepth
-				cfg.Overlap = true
-			}
-			e, err := core.NewInfinityEngine(cfg, c, g)
-			if err != nil {
-				mu.Lock()
-				firstErr = err
-				mu.Unlock()
-				return
-			}
-			defer e.Close()
-			step = func(tok, tgt []int) (zero.StepResult, error) { return e.Step(tok, tgt, 2) }
+			return dpEngine{e}, err
 		}
-		var local []float64
-		for s := 0; s < steps; s++ {
-			rng := tensor.NewRNG(uint64(7000 + s*100 + c.Rank()))
-			tok, tgt := model.SyntheticBatch(rng, mcfg, 2)
-			res, err := step(tok, tgt)
-			if err != nil {
-				mu.Lock()
-				firstErr = err
-				mu.Unlock()
-				return
-			}
-			local = append(local, res.Loss)
+	case "zero3":
+		mk = newZ3(zero.Config{})
+	case "zero3-overlap":
+		mk = newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: true})
+	case "infinity-cpu":
+		mk = newInfinity(core.Config{Params: zero.OnCPU, Optimizer: zero.OnCPU, PrefetchDepth: 2})
+	default: // the NVMe variants
+		cfg := core.Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 2,
+			OffloadActivations: name == "infinity-nvme-ckpt"}
+		if name == "infinity-overlap" {
+			cfg.PrefetchDepth, cfg.Overlap = overlapDepth, true
 		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			losses = local
-			mu.Unlock()
-		}
-	})
-	return losses, firstErr
-}
-
-// budgetRun is one rank-0 observation from runInfinityBudget.
-type budgetRun struct {
-	loss  float64
-	stats core.Stats
+		mk = newInfinity(cfg)
+	}
+	run, err := trainSPMD(equivModel(name == "infinity-nvme-ckpt"), ranks, steps, 7000, mk)
+	return run.losses, err
 }
 
 // runInfinityBudget trains mcfg on the real ZeRO-Infinity engine (CPU
 // placements) for a few steps, optionally under a pre-fragmented GPU
 // working-set budget — the real-engine Fig. 6b protocol. It returns rank
-// 0's final loss and stats, or the first error (a budget violation
-// surfaces as an error wrapping mem.ErrFragmented / mem.ErrOutOfMemory).
-func runInfinityBudget(mcfg model.Config, budget, chunk int64) (budgetRun, error) {
-	const ranks, steps = 2, 2
-	var out budgetRun
-	var mu sync.Mutex
-	var firstErr error
-	comm.Run(ranks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		e, err := core.NewInfinityEngine(core.Config{
-			Params: zero.OnCPU, Optimizer: zero.OnCPU,
-			GPUMemory: budget, PreFragment: chunk,
-			LossScale: 256, Seed: 42, Backend: backend,
-		}, c, g)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		defer e.Close()
-		var last float64
-		for s := 0; s < steps; s++ {
-			rng := tensor.NewRNG(uint64(6200 + s*100 + c.Rank()))
-			tok, tgt := model.SyntheticBatch(rng, mcfg, 2)
-			res, serr := e.Step(tok, tgt, 2)
-			if serr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = serr
-				}
-				mu.Unlock()
-				return
-			}
-			last = res.Loss
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			out = budgetRun{loss: last, stats: e.Stats()}
-			mu.Unlock()
-		}
-	})
-	return out, firstErr
+// 0's record, or the first error (a budget violation surfaces as an error
+// wrapping mem.ErrFragmented / mem.ErrOutOfMemory).
+func runInfinityBudget(mcfg model.Config, budget, chunk int64) (spmdRun, error) {
+	return trainSPMD(mcfg, 2, 2, 6200, newInfinity(core.Config{
+		Params: zero.OnCPU, Optimizer: zero.OnCPU, GPUMemory: budget, PreFragment: chunk}))
 }
 
 func init() {
@@ -262,7 +163,7 @@ func init() {
 			}
 			t := newTable(w)
 			t.row("model", "gpu budget", "result", "max live params")
-			t.row("dense", "unlimited", fmt.Sprintf("trains (loss %.4f)", denseFree.loss),
+			t.row("dense", "unlimited", fmt.Sprintf("trains (loss %.4f)", denseFree.lastLoss()),
 				mem.FormatBytes(denseFree.stats.MaxLiveParamBytes))
 
 			denseOOM, err := runInfinityBudget(base, budget, chunk)
@@ -282,7 +183,7 @@ func init() {
 			}
 			t.row(fmt.Sprintf("tiled x%d", tilingFactor),
 				fmt.Sprintf("%s/%s chunks", mem.FormatBytes(budget), mem.FormatBytes(chunk)),
-				fmt.Sprintf("trains (loss %.4f)", tiledRun.loss),
+				fmt.Sprintf("trains (loss %.4f)", tiledRun.lastLoss()),
 				mem.FormatBytes(tiledRun.stats.MaxLiveParamBytes))
 			t.flush()
 			fmt.Fprintf(w, "max live param bytes: dense %s -> tiled %s (%.1fx reduction)\n",

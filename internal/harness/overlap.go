@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
@@ -26,75 +22,15 @@ func SetOverlap(depth int, enabled bool) {
 	overlapEnabled = enabled
 }
 
-// overlapRun trains one engine variant and captures per-step wall time plus
-// the engine's overlap counters from rank 0.
-type overlapRun struct {
-	stepMS []float64
-	losses []float64
-	stats  core.Stats
-}
-
-func runOverlapVariant(engine string, depth int, async bool, ranks, steps int) (overlapRun, error) {
-	mcfg := model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}
-	var out overlapRun
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+// runOverlapVariant trains one engine variant and captures per-step wall
+// time plus the engine's overlap counters from rank 0.
+func runOverlapVariant(name string, depth int, async bool, ranks, steps int) (spmdRun, error) {
+	mk := newZ3(zero.Config{PrefetchDepth: depth, Overlap: async, Partition: fabricPart, Topology: fabricTopo})
+	if name != "zero3" { // infinity-nvme
+		mk = newInfinity(core.Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
+			PrefetchDepth: depth, Overlap: async, Partition: fabricPart, Topology: fabricTopo})
 	}
-	comm.Run(ranks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(tok, tgt []int) (zero.StepResult, error)
-		var stats func() core.Stats
-		switch engine {
-		case "zero3":
-			e, err := zero.NewZ3Engine(zero.Config{LossScale: 256, Seed: 42, Backend: backend,
-				PrefetchDepth: depth, Overlap: async,
-				Partition: fabricPart, Topology: fabricTopo}, c, g)
-			if err != nil {
-				fail(err)
-				return
-			}
-			step = func(tok, tgt []int) (zero.StepResult, error) { return e.Step(tok, tgt, 2), nil }
-			stats = e.Stats
-		default: // infinity-nvme
-			e, err := core.NewInfinityEngine(core.Config{LossScale: 256, Seed: 42, Backend: backend,
-				Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-				PrefetchDepth: depth, Overlap: async,
-				Partition: fabricPart, Topology: fabricTopo}, c, g)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer e.Close()
-			step = func(tok, tgt []int) (zero.StepResult, error) { return e.Step(tok, tgt, 2) }
-			stats = e.Stats
-		}
-		var local overlapRun
-		for s := 0; s < steps; s++ {
-			rng := tensor.NewRNG(uint64(7000 + s*100 + c.Rank()))
-			tok, tgt := model.SyntheticBatch(rng, mcfg, 2)
-			start := time.Now()
-			res, err := step(tok, tgt)
-			if err != nil {
-				fail(err)
-				return
-			}
-			local.stepMS = append(local.stepMS, float64(time.Since(start).Microseconds())/1000)
-			local.losses = append(local.losses, res.Loss)
-		}
-		local.stats = stats()
-		if c.Rank() == 0 {
-			mu.Lock()
-			out = local
-			mu.Unlock()
-		}
-	})
-	return out, firstErr
+	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 7000, mk)
 }
 
 func init() {

@@ -4,28 +4,20 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
 // The stepalloc experiment surfaces the allocation-free steady-state work:
 // it trains the stage-3 and infinity engines for a few steps and reports
 // each step's wall time and heap-allocation count (Stats.AllocsPerStep /
-// Z3Engine.AllocsPerStep, a process-global runtime-metrics allocation
+// ShardedEngine.AllocsPerStep, a process-global runtime-metrics allocation
 // delta). Step 1 warms the scratch arenas, the collective op pool and the
 // gather trace; later steps' engine+comm+tensor contribution is zero, so
 // the residual count is the model's activation allocations only.
-
-type stepAllocRun struct {
-	stepMS []float64
-	allocs []uint64
-	losses []float64
-}
 
 // runStepAllocEngineOnly trains the allocation-free stub model
 // (zero.NewAllocFreeStub) on the real Z3 engine with overlap+prefetch and
@@ -69,69 +61,12 @@ func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 	return minAllocs, firstErr
 }
 
-func runStepAllocVariant(engine string, ranks, steps int) (stepAllocRun, error) {
-	mcfg := model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}
-	var out stepAllocRun
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+func runStepAllocVariant(name string, ranks, steps int) (spmdRun, error) {
+	mk := newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart, Topology: fabricTopo})
+	if name != "zero3" { // infinity-gpu
+		mk = newInfinity(core.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart, Topology: fabricTopo})
 	}
-	comm.Run(ranks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(tok, tgt []int) (zero.StepResult, uint64, error)
-		switch engine {
-		case "zero3":
-			e, err := zero.NewZ3Engine(zero.Config{LossScale: 256, Seed: 42, Backend: backend,
-				PrefetchDepth: overlapDepth, Overlap: overlapEnabled,
-				Partition: fabricPart, Topology: fabricTopo}, c, g)
-			if err != nil {
-				fail(err)
-				return
-			}
-			step = func(tok, tgt []int) (zero.StepResult, uint64, error) {
-				res := e.Step(tok, tgt, 2)
-				return res, e.AllocsPerStep, nil
-			}
-		default: // infinity-gpu
-			e, err := core.NewInfinityEngine(core.Config{LossScale: 256, Seed: 42, Backend: backend,
-				PrefetchDepth: overlapDepth, Overlap: overlapEnabled,
-				Partition: fabricPart, Topology: fabricTopo}, c, g)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer e.Close()
-			step = func(tok, tgt []int) (zero.StepResult, uint64, error) {
-				res, err := e.Step(tok, tgt, 2)
-				return res, e.Stats().AllocsPerStep, err
-			}
-		}
-		var local stepAllocRun
-		for s := 0; s < steps; s++ {
-			rng := tensor.NewRNG(uint64(9000 + s*100 + c.Rank()))
-			tok, tgt := model.SyntheticBatch(rng, mcfg, 2)
-			start := time.Now()
-			res, allocs, err := step(tok, tgt)
-			if err != nil {
-				fail(err)
-				return
-			}
-			local.stepMS = append(local.stepMS, float64(time.Since(start).Microseconds())/1000)
-			local.allocs = append(local.allocs, allocs)
-			local.losses = append(local.losses, res.Loss)
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			out = local
-			mu.Unlock()
-		}
-	})
-	return out, firstErr
+	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 9000, mk)
 }
 
 func init() {

@@ -2,8 +2,8 @@
 // a contiguous block allocator with explicit fragmentation (paper Sec. 3
 // "MSWM ... can result in running out of memory ... due to lack of enough
 // contiguous memory", and the Fig. 6b pre-fragmentation protocol), a
-// pinned-buffer pool (Sec. 6.3 "pinned memory management layer"), and the
-// recycling arenas behind the allocation-free training step.
+// pinned-buffer pool (Sec. 6.3 "pinned memory management layer"), and a
+// usage tracker that attributes bytes to model-state categories.
 package mem
 
 import (

@@ -252,6 +252,39 @@ func TestPinnedPoolBadRelease(t *testing.T) {
 	p.Release(make([]byte, 4))
 }
 
+func TestTracker(t *testing.T) {
+	tr := NewTracker("gpu0")
+	tr.Add(CatParamsFP16, 100)
+	tr.Add(CatParamsFP16, 50)
+	tr.Add(CatParamsFP16, -120)
+	if got := tr.Live(CatParamsFP16); got != 30 {
+		t.Fatalf("live = %d", got)
+	}
+	if got := tr.Peak(CatParamsFP16); got != 150 {
+		t.Fatalf("peak = %d", got)
+	}
+	tr.Add(CatGradsFP16, 70)
+	if got := tr.TotalLive(); got != 100 {
+		t.Fatalf("total live = %d", got)
+	}
+	if got := tr.TotalPeak(); got != 220 {
+		t.Fatalf("total peak = %d", got)
+	}
+	if s := tr.String(); s == "" {
+		t.Fatal("empty String()")
+	}
+}
+
+func TestTrackerNegativePanics(t *testing.T) {
+	tr := NewTracker("cpu")
+	defer func() {
+		if recover() == nil {
+			t.Error("negative balance did not panic")
+		}
+	}()
+	tr.Add(CatActCkpt, -1)
+}
+
 func TestFormatBytes(t *testing.T) {
 	cases := []struct {
 		n    int64

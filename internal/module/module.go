@@ -59,6 +59,8 @@ type CheckpointStore interface {
 	Put(t *tensor.Tensor) int
 	// Get retrieves and removes the tensor for handle h.
 	Get(h int) *tensor.Tensor
+	// Reset discards every tensor still stored (an abandoned step's).
+	Reset()
 }
 
 // Runtime threads hook dispatch and activation-saving state through a

@@ -180,6 +180,8 @@ func (s *mapStore) Get(h int) *tensor.Tensor {
 	return t
 }
 
+func (s *mapStore) Reset() { clear(s.m) }
+
 func TestCheckpointStorePlumbing(t *testing.T) {
 	rt := NewRuntime(nil)
 	if _, off := rt.PutCheckpoint(tensor.New(tensor.FP32, 1)); off {

@@ -26,7 +26,7 @@ func runAccum(t *testing.T, ecfg Config, micros, steps int) runOutput {
 				t.Error(err)
 				return
 			}
-			step = func(mt, mg [][]int) StepResult { return e.StepAccum(mt, mg, testBatch) }
+			step = func(mt, mg [][]int) StepResult { return mustStep(t)(e.StepAccum(mt, mg, testBatch)) }
 			full = e.FullParams
 		} else {
 			e, err := NewDPEngine(ecfg, c, g)
@@ -92,7 +92,7 @@ func TestAccumulationAveragesMicroGradients(t *testing.T) {
 			for m := 0; m < micros; m++ {
 				mt[m], mg[m] = tokens[0][c.Rank()], targets[0][c.Rank()]
 			}
-			res := e.StepAccum(mt, mg, testBatch)
+			res := mustStep(t)(e.StepAccum(mt, mg, testBatch))
 			p := e.FullParams()
 			if c.Rank() == 0 {
 				mu.Lock()
@@ -171,4 +171,15 @@ func TestStepAccumValidatesInput(t *testing.T) {
 		}()
 		e.StepAccum([][]int{{1}}, nil, 1)
 	})
+}
+
+// mustStep unwraps a sharded-engine step that cannot fail (resident shards,
+// nothing attached).
+func mustStep(t *testing.T) func(StepResult, error) StepResult {
+	return func(res StepResult, err error) StepResult {
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
 }

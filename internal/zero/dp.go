@@ -64,7 +64,7 @@ type DPEngine struct {
 func NewDPEngine(cfg Config, c *comm.Comm, g Model) (*DPEngine, error) {
 	cfg.setDefaults()
 	if cfg.Stage == Stage3 {
-		return nil, fmt.Errorf("zero: DPEngine does not support stage3; use Z3Engine")
+		return nil, fmt.Errorf("zero: DPEngine does not support stage3; use NewZ3Engine")
 	}
 	e := &DPEngine{
 		cfg:    cfg,

@@ -42,7 +42,7 @@ func (f *inflightGather) inFlight() bool { return f.full != nil || f.fullH != ni
 // stay matched rank to rank (the property that makes speculation safe on
 // the sequence-numbered rendezvous substrate).
 type gatherPrefetcher struct {
-	e     *Z3Engine
+	e     *ShardedEngine
 	depth int
 
 	outstanding int
@@ -104,7 +104,7 @@ func (pf *gatherPrefetcher) drain() {
 // micro-batch — and again as the barrier before the overflow check.
 //
 //zinf:hotpath
-func (e *Z3Engine) drainReduces() {
+func (e *ShardedEngine) drainReduces() {
 	e.pendingReduces = overlap.Drain(e.pendingReduces, func(ps *pstate, gs []float32, gh []tensor.Half) {
 		e.foldGradShard(ps, gs, gh)
 	})

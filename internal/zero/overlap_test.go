@@ -69,7 +69,7 @@ func TestZ3OverlapGradAccumBitIdentical(t *testing.T) {
 			for s := 0; s < testSteps; s++ {
 				// Split the shared batch into two identical micro-batches.
 				tok, tgt := tokens[s][c.Rank()], targets[s][c.Rank()]
-				res := e.StepAccum([][]int{tok, tok}, [][]int{tgt, tgt}, testBatch)
+				res := mustStep(t)(e.StepAccum([][]int{tok, tok}, [][]int{tgt, tgt}, testBatch))
 				local = append(local, res.Loss)
 			}
 			p := e.FullParams()

@@ -11,7 +11,7 @@ import (
 )
 
 // Shared rank-state wire codec, used by every engine's
-// SaveRankState/LoadRankState (Z3Engine — on any tier — and DPEngine). Two
+// SaveRankState/LoadRankState (ShardedEngine — on any tier — and DPEngine). Two
 // versions exist:
 //
 //	v1 "ZST1": magic | u32 rank | u32 world | u64 step | f64 scale |

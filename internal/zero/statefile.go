@@ -21,7 +21,7 @@ import (
 // checkpoint writer pipeline serialization with training. Only owned
 // parameters are written, so the format is valid under both partitioning
 // strategies.
-func (e *Z3Engine) SaveRankState(w io.Writer) error {
+func (e *ShardedEngine) SaveRankState(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	scale, goodSteps, skipped := e.scaler.State()
 	err := WriteStateHeader(bw, StateHeader{
@@ -48,7 +48,7 @@ func (e *Z3Engine) SaveRankState(w io.Writer) error {
 // rebuilds each fp16 parameter shard on its tier from the restored master.
 // The world size and rank must match. On error the engine state may be
 // partially overwritten; load into fresh engines.
-func (e *Z3Engine) LoadRankState(r io.Reader) error {
+func (e *ShardedEngine) LoadRankState(r io.Reader) error {
 	br := bufio.NewReader(r)
 	h, err := ReadStateHeader(br)
 	if err != nil {

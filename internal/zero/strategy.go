@@ -6,7 +6,7 @@
 //	  ZeRO-1               — optimizer states partitioned
 //	  ZeRO-2               — optimizer states + gradients partitioned
 //	  ZeRO-Offload         — ZeRO-2 placement with optimizer states on CPU
-//	Z3Engine — all three model states partitioned (the one sharded engine):
+//	ShardedEngine — all three model states partitioned:
 //	  ZeRO-3               — shards resident in process memory
 //	  ZeRO-Infinity        — the same body over the tier, GPU budget and
 //	                         checkpoint store internal/core attaches

@@ -67,6 +67,8 @@ type Tier interface {
 	// fp16 shard, a pure function of the master.
 	SaveOpt(i int, w *bufio.Writer, codec *VecCodec) error
 	LoadOpt(i int, r *bufio.Reader, codec *VecCodec) error
+	// Close releases the tier's devices.
+	Close()
 }
 
 // Budget accounts every materialized parameter's fp16 footprint against a
@@ -187,5 +189,8 @@ func (t *Resident) LoadOpt(i int, r *bufio.Reader, codec *VecCodec) error {
 	}
 	return err
 }
+
+// Close implements Tier.
+func (t *Resident) Close() {}
 
 var _ Tier = (*Resident)(nil)

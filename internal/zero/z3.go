@@ -12,9 +12,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Z3Engine is the one sharded engine: ZeRO stage 3, and — with a different
-// Tier behind it — ZeRO-Infinity (paper Secs. 5-7, which build Infinity on
-// ZeRO-3). Every model state is partitioned across the data-parallel ranks:
+// ShardedEngine is the one sharded engine: ZeRO stage 3, and — with a
+// different Tier behind it — ZeRO-Infinity (paper Secs. 5-7, which build
+// Infinity on ZeRO-3). Every model state is partitioned across the data-parallel ranks:
 // bandwidth-centric 1/dp slicing of each parameter (Sec. 6.1) or the
 // owner-rank baseline. Hooks injected through the module runtime gather a
 // submodule's parameters right before its forward/backward and re-partition
@@ -28,7 +28,7 @@ import (
 // transient buffers cycle through the Scratch arenas, so a steady-state step
 // performs zero heap allocations in the engine+comm+tensor hot path
 // (asserted by TestSteadyStateZeroAllocs).
-type Z3Engine struct {
+type ShardedEngine struct {
 	cfg    Config
 	c      *comm.Comm
 	g      Model
@@ -44,7 +44,8 @@ type Z3Engine struct {
 	ownedIdx []int
 
 	tier   Tier
-	budget Budget // nil: unlimited
+	budget Budget                 // nil: unlimited
+	ckpt   module.CheckpointStore // nil: checkpoints stay in the step arena
 	sc     Scratch
 
 	scaler    *optim.LossScaler
@@ -109,26 +110,47 @@ type Attachments struct {
 	Tier Tier
 	// Budget bounds the gathered working set (nil: unlimited).
 	Budget Budget
+	// Checkpoints offloads activation checkpoints (nil: kept in place).
+	Checkpoints module.CheckpointStore
 }
 
-// stepAbort is the panic a hook raises to abandon the running step with an
-// error (budget exhausted, shard I/O failed); TryStepAccum recovers it.
+// stepAbort is the panic the gather hook raises to abandon the running step
+// when the Budget is exhausted; StepAccum recovers it. Whether a gather fits
+// is a pure function of the gather sequence, so every rank aborts at the same
+// gather.
 type stepAbort struct{ err error }
 
-func (a stepAbort) Error() string { return a.err.Error() }
+// Z3Engine is plain ZeRO-3: the sharded engine over resident shards with
+// nothing attached, so its steps cannot fail.
+type Z3Engine struct{ *ShardedEngine }
 
 // NewZ3Engine builds the stage-3 engine for one rank over resident shards.
 func NewZ3Engine(cfg Config, c *comm.Comm, g Model) (*Z3Engine, error) {
-	return NewZ3EngineOn(cfg, c, g, Attachments{})
+	e, err := NewShardedEngine(cfg, c, g, Attachments{})
+	if err != nil {
+		return nil, err
+	}
+	return &Z3Engine{e}, nil
 }
 
-// NewZ3EngineOn builds the engine over the given attachments and performs
+// Step runs one training step on this rank's batch.
+//
+//zinf:hotpath
+func (e *Z3Engine) Step(tokens, targets []int, batch int) StepResult {
+	res, err := e.ShardedEngine.Step(tokens, targets, batch)
+	if err != nil {
+		panic(err) // nothing attached can fail a step: a bug
+	}
+	return res
+}
+
+// NewShardedEngine builds the engine over the given attachments and performs
 // partitioned initialization: each parameter's full init values exist only
 // transiently before being sharded onto the tier (paper Sec. 7.2).
-func NewZ3EngineOn(cfg Config, c *comm.Comm, g Model, at Attachments) (*Z3Engine, error) {
+func NewShardedEngine(cfg Config, c *comm.Comm, g Model, at Attachments) (*ShardedEngine, error) {
 	cfg.setDefaults()
 	cfg.Stage = Stage3
-	e := &Z3Engine{
+	e := &ShardedEngine{
 		cfg:      cfg,
 		c:        c,
 		g:        g,
@@ -136,6 +158,7 @@ func NewZ3EngineOn(cfg Config, c *comm.Comm, g Model, at Attachments) (*Z3Engine
 		states:   make(map[*module.Param]*pstate),
 		tier:     at.Tier,
 		budget:   at.Budget,
+		ckpt:     at.Checkpoints,
 		sc:       at.Scratch,
 		external: make(map[module.Module][]*module.Param),
 	}
@@ -153,6 +176,9 @@ func NewZ3EngineOn(cfg Config, c *comm.Comm, g Model, at Attachments) (*Z3Engine
 	e.rt = module.NewRuntime(e)
 	e.rt.SetBackend(cfg.Backend)
 	e.rt.SetStepArena(mem.NewStepArena())
+	if e.ckpt != nil {
+		e.rt.SetCheckpointStore(e.ckpt)
+	}
 	c.SetCodecBackend(cfg.Backend)
 	if cfg.Topology != nil {
 		if err := c.SetTopology(cfg.Topology); err != nil {
@@ -208,7 +234,7 @@ func ShardLen(part Partitioning, i, n, rank, dp int) int {
 
 // place cuts this rank's shard out of a parameter's full fp16-representable
 // values and hands it to the tier with fresh optimizer state.
-func (e *Z3Engine) place(ps *pstate, full []float32) error {
+func (e *ShardedEngine) place(ps *pstate, full []float32) error {
 	fs := make([]float32, ps.shardLen)
 	if ps.bcastRoot >= 0 {
 		copy(fs, full)
@@ -220,24 +246,29 @@ func (e *Z3Engine) place(ps *pstate, full []float32) error {
 	return e.tier.Place(ps.idx, half, fs)
 }
 
+// Close releases the tier's resources (a no-op for resident shards).
+func (e *ShardedEngine) Close() { e.tier.Close() }
+
 // Model returns the wrapped model.
-func (e *Z3Engine) Model() Model { return e.g }
+func (e *ShardedEngine) Model() Model { return e.g }
 
 // Runtime returns the hook runtime; all forward/backward calls must go
 // through it.
-func (e *Z3Engine) Runtime() *module.Runtime { return e.rt }
+func (e *ShardedEngine) Runtime() *module.Runtime { return e.rt }
 
 // LossScale returns the current loss scale.
-func (e *Z3Engine) LossScale() float64 { return e.scaler.Scale }
+func (e *ShardedEngine) LossScale() float64 { return e.scaler.Scale }
 
-// shard fetches ps's fp16 shard from the tier, abandoning the step if the
-// tier cannot produce it.
+// shard fetches ps's fp16 shard from the tier. A tier that cannot produce it
+// is fatal: the failure is local to this rank while its peers are already
+// committed to the collective the shard feeds, so no step error could be
+// returned without leaving them waiting.
 //
 //zinf:hotpath
-func (e *Z3Engine) shard(ps *pstate) []tensor.Half {
+func (e *ShardedEngine) shard(ps *pstate) []tensor.Half {
 	s, err := e.tier.Shard(ps.idx)
 	if err != nil {
-		panic(stepAbort{err})
+		panic(err)
 	}
 	return s
 }
@@ -252,7 +283,7 @@ func (e *Z3Engine) shard(ps *pstate) []tensor.Half {
 // compute.
 //
 //zinf:hotpath
-func (e *Z3Engine) gather(p *module.Param) {
+func (e *ShardedEngine) gather(p *module.Param) {
 	if p.Materialized() {
 		return
 	}
@@ -311,7 +342,7 @@ func (e *Z3Engine) gather(p *module.Param) {
 // read-ahead budget is spent.
 //
 //zinf:hotpath
-func (e *Z3Engine) readAhead() {
+func (e *ShardedEngine) readAhead() {
 	e.trace.Each(func(next *pstate) bool {
 		return next.p.Materialized() || e.tier.ReadAhead(next.idx, e.Gathers)
 	})
@@ -323,7 +354,7 @@ func (e *Z3Engine) readAhead() {
 // overwrites. Shared by the sync gather, the prefetcher and FullParams.
 //
 //zinf:hotpath
-func (e *Z3Engine) bcastFullH(ps *pstate) []tensor.Half {
+func (e *ShardedEngine) bcastFullH(ps *pstate) []tensor.Half {
 	fullH := e.sc.F16.Get(ps.p.Len())
 	if e.c.Rank() == ps.bcastRoot {
 		shard := e.shard(ps)
@@ -336,7 +367,7 @@ func (e *Z3Engine) bcastFullH(ps *pstate) []tensor.Half {
 // release re-partitions p, recycling the gathered fp32 view.
 //
 //zinf:hotpath
-func (e *Z3Engine) release(p *module.Param) {
+func (e *ShardedEngine) release(p *module.Param) {
 	if !p.Materialized() {
 		return
 	}
@@ -354,7 +385,7 @@ func (e *Z3Engine) release(p *module.Param) {
 // parameter as external to the module currently executing.
 //
 //zinf:hotpath
-func (e *Z3Engine) onDemand(p *module.Param) {
+func (e *ShardedEngine) onDemand(p *module.Param) {
 	e.gather(p)
 	e.OnDemandGathers++
 	if len(e.active) == 0 {
@@ -375,7 +406,7 @@ func (e *Z3Engine) onDemand(p *module.Param) {
 // enter opens m's hook scope and gathers its own and known-external params.
 //
 //zinf:hotpath
-func (e *Z3Engine) enter(m module.Module) {
+func (e *ShardedEngine) enter(m module.Module) {
 	e.active = append(e.active, m)
 	for _, p := range m.Params() {
 		e.gather(p)
@@ -389,7 +420,7 @@ func (e *Z3Engine) enter(m module.Module) {
 // except externals an enclosing scope still needs.
 //
 //zinf:hotpath
-func (e *Z3Engine) leave(m module.Module) {
+func (e *ShardedEngine) leave(m module.Module) {
 	e.active = e.active[:len(e.active)-1]
 	for _, p := range m.Params() {
 		e.release(p)
@@ -404,23 +435,23 @@ func (e *Z3Engine) leave(m module.Module) {
 // PreForward implements module.Hooks.
 //
 //zinf:hotpath
-func (e *Z3Engine) PreForward(m module.Module) { e.enter(m) }
+func (e *ShardedEngine) PreForward(m module.Module) { e.enter(m) }
 
 // PostForward implements module.Hooks.
 //
 //zinf:hotpath
-func (e *Z3Engine) PostForward(m module.Module) { e.leave(m) }
+func (e *ShardedEngine) PostForward(m module.Module) { e.leave(m) }
 
 // PreBackward implements module.Hooks.
 //
 //zinf:hotpath
-func (e *Z3Engine) PreBackward(m module.Module) { e.enter(m) }
+func (e *ShardedEngine) PreBackward(m module.Module) { e.enter(m) }
 
 // PostBackward implements module.Hooks: reduce each parameter's gradient,
 // then re-partition.
 //
 //zinf:hotpath
-func (e *Z3Engine) PostBackward(m module.Module) {
+func (e *ShardedEngine) PostBackward(m module.Module) {
 	for _, p := range m.Params() {
 		if p.HasGrad() {
 			e.reduceGrad(p)
@@ -440,7 +471,7 @@ func (e *Z3Engine) PostBackward(m module.Module) {
 // asynchronously and drained before the overflow check.
 //
 //zinf:hotpath
-func (e *Z3Engine) reduceGrad(p *module.Param) {
+func (e *ShardedEngine) reduceGrad(p *module.Param) {
 	ps := e.states[p]
 	n := p.Len()
 	// The fp16 source is the whole gradient for an owner reduce, zero-padded
@@ -479,7 +510,7 @@ func (e *Z3Engine) reduceGrad(p *module.Param) {
 // (micro-batch accumulation).
 //
 //zinf:hotpath
-func (e *Z3Engine) foldGradShard(ps *pstate, gs []float32, gh []tensor.Half) {
+func (e *ShardedEngine) foldGradShard(ps *pstate, gs []float32, gh []tensor.Half) {
 	e.sc.F16.Put(gh)
 	switch {
 	case gs == nil:
@@ -495,7 +526,7 @@ func (e *Z3Engine) foldGradShard(ps *pstate, gs []float32, gh []tensor.Half) {
 // on the active stack — if so it must stay materialized.
 //
 //zinf:hotpath
-func (e *Z3Engine) inScope(p *module.Param) bool {
+func (e *ShardedEngine) inScope(p *module.Param) bool {
 	owner := e.states[p].owner
 	for _, m := range e.active {
 		if owner == m {
@@ -510,47 +541,23 @@ func (e *Z3Engine) inScope(p *module.Param) bool {
 	return false
 }
 
-// Step runs one training step on this rank's batch.
+// Step is StepAccum over a single micro-batch.
 //
 //zinf:hotpath
-func (e *Z3Engine) Step(tokens, targets []int, batch int) StepResult {
-	return mustStep(e.TryStep(tokens, targets, batch))
-}
-
-// StepAccum runs one training step over micro-batches.
-//
-//zinf:hotpath
-func (e *Z3Engine) StepAccum(microTokens, microTargets [][]int, batchPerMicro int) StepResult {
-	return mustStep(e.TryStepAccum(microTokens, microTargets, batchPerMicro))
-}
-
-// mustStep serves engines that cannot fail a step — resident shards, no
-// budget; an error there is a bug.
-//
-//zinf:hotpath
-func mustStep(res StepResult, err error) StepResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// TryStep is TryStepAccum over a single micro-batch.
-//
-//zinf:hotpath
-func (e *Z3Engine) TryStep(tokens, targets []int, batch int) (StepResult, error) {
+func (e *ShardedEngine) Step(tokens, targets []int, batch int) (StepResult, error) {
 	tok, tgt := MicroBatch(&e.microTok, &e.microTgt, tokens, targets)
-	return e.TryStepAccum(tok, tgt, batch)
+	return e.StepAccum(tok, tgt, batch)
 }
 
-// TryStepAccum runs one training step with gradient accumulation over
-// micro-batches (reduce per micro-batch, accumulate fp32 shards). A step a
-// hook abandons — Budget exhausted, shard fetch failed — unwinds the engine
-// to its between-steps state and returns the cause, parameters and optimizer
-// state untouched. A failed Tier.Update is returned as is.
+// StepAccum runs one training step with gradient accumulation over
+// micro-batches (reduce per micro-batch, accumulate fp32 shards). A step the
+// Budget cannot fit is unwound to the engine's between-steps state and
+// returns the allocator's error (wrapping mem.ErrOutOfMemory or
+// mem.ErrFragmented), parameters and optimizer state untouched. A failed
+// Tier.Update is returned as is.
 //
 //zinf:hotpath
-func (e *Z3Engine) TryStepAccum(microTokens, microTargets [][]int, batchPerMicro int) (res StepResult, err error) {
+func (e *ShardedEngine) StepAccum(microTokens, microTargets [][]int, batchPerMicro int) (res StepResult, err error) {
 	if len(microTokens) == 0 || len(microTokens) != len(microTargets) {
 		panic("zero: StepAccum needs matching non-empty micro-batches")
 	}
@@ -625,7 +632,7 @@ func (e *Z3Engine) TryStepAccum(microTokens, microTargets [][]int, batchPerMicro
 // bounding retained gradient buffers to one micro-batch.
 //
 //zinf:hotpath
-func (e *Z3Engine) endMicroBatch() {
+func (e *ShardedEngine) endMicroBatch() {
 	if e.prefetch != nil {
 		e.prefetch.drain()
 	}
@@ -636,12 +643,12 @@ func (e *Z3Engine) endMicroBatch() {
 	e.drainReduces()
 }
 
-// endStep is TryStepAccum's deferred tail: it records the step's
+// endStep is StepAccum's deferred tail: it records the step's
 // process-global allocation count and turns a stepAbort into the step's
 // error after unwinding — the single recover site.
 //
 //zinf:hotpath
-func (e *Z3Engine) endStep(err *error) {
+func (e *ShardedEngine) endStep(err *error) {
 	if r := recover(); r != nil {
 		a, ok := r.(stepAbort)
 		if !ok {
@@ -654,15 +661,15 @@ func (e *Z3Engine) endStep(err *error) {
 	e.AllocsPerStep = e.meter.End()
 }
 
-// unwind returns the engine to its between-steps state after a step was
-// abandoned inside a hook: scopes popped, every materialized parameter (and
-// its Budget block) released, speculative gathers, tier reads and pending
-// reductions drained, partial gradients dropped. The abort is deterministic
-// — every rank hits it at the same gather — so the drained collectives are
-// matched.
+// unwind returns the engine to its between-steps state after the Budget
+// abandoned a step inside a gather: scopes popped, every materialized
+// parameter (and its Budget block) released, speculative gathers, tier reads
+// and pending reductions drained, partial gradients and offloaded
+// checkpoints dropped. Every rank aborts at the same gather (see stepAbort),
+// so the collectives drained here are matched.
 //
 //zinf:hotpath
-func (e *Z3Engine) unwind() {
+func (e *ShardedEngine) unwind() {
 	clear(e.active)
 	e.active = e.active[:0]
 	for _, p := range e.params {
@@ -671,6 +678,9 @@ func (e *Z3Engine) unwind() {
 	}
 	e.endMicroBatch()
 	e.dropGradShards()
+	if e.ckpt != nil {
+		e.ckpt.Reset()
+	}
 	e.rt.SetSaveActivations(true)
 	e.rt.EndStep()
 }
@@ -678,7 +688,7 @@ func (e *Z3Engine) unwind() {
 // CheckIdle reports what, if anything, the engine still holds between
 // steps; nil means every scope is closed, every parameter re-partitioned and
 // no collective or gradient is pending.
-func (e *Z3Engine) CheckIdle() error {
+func (e *ShardedEngine) CheckIdle() error {
 	if len(e.active) != 0 || len(e.pendingReduces) != 0 {
 		return fmt.Errorf("zero: %d module scopes open, %d reductions pending", len(e.active), len(e.pendingReduces))
 	}
@@ -694,7 +704,7 @@ func (e *Z3Engine) CheckIdle() error {
 // dropGradShards recycles and forgets every gradient shard (overflow skip).
 //
 //zinf:hotpath
-func (e *Z3Engine) dropGradShards() {
+func (e *ShardedEngine) dropGradShards() {
 	for _, ps := range e.owned {
 		e.sc.F32.Put(ps.gradShard)
 		ps.gradShard = nil
@@ -704,7 +714,7 @@ func (e *Z3Engine) dropGradShards() {
 // LoadParams replaces the model weights (sharding each full vector onto the
 // tier) and resets the optimizer state. Every rank must call it with
 // identical values.
-func (e *Z3Engine) LoadParams(values map[string][]float32) error {
+func (e *ShardedEngine) LoadParams(values map[string][]float32) error {
 	for _, p := range e.params {
 		v, ok := values[p.Name]
 		if !ok {
@@ -729,7 +739,7 @@ func (e *Z3Engine) LoadParams(values map[string][]float32) error {
 // all ranks must call it together). The transient gathered view cycles
 // through the Scratch — only the returned float32 vectors are fresh
 // allocations (asserted by TestFullParamsGatherScratchPooled).
-func (e *Z3Engine) FullParams() map[string][]float32 {
+func (e *ShardedEngine) FullParams() map[string][]float32 {
 	out := make(map[string][]float32, len(e.params))
 	for _, p := range e.params {
 		ps := e.states[p]
@@ -755,11 +765,11 @@ func (e *Z3Engine) FullParams() map[string][]float32 {
 // MaxLiveParamBytes returns the measured peak fp16 footprint of
 // simultaneously materialized (gathered) parameters — the working-set
 // contribution memory-centric tiling divides by the tile factor.
-func (e *Z3Engine) MaxLiveParamBytes() int64 { return e.peakLive }
+func (e *ShardedEngine) MaxLiveParamBytes() int64 { return e.peakLive }
 
 // GatherTrace returns "module/param" for each gather of the first step, in
 // order.
-func (e *Z3Engine) GatherTrace() []string {
+func (e *ShardedEngine) GatherTrace() []string {
 	out := make([]string, len(e.firstGathers))
 	for i, ps := range e.firstGathers {
 		out[i] = ps.owner.Name() + "/" + ps.p.Name
@@ -808,7 +818,7 @@ type Stats struct {
 }
 
 // Stats returns cumulative engine statistics.
-func (e *Z3Engine) Stats() Stats {
+func (e *ShardedEngine) Stats() Stats {
 	return Stats{
 		Gathers:            e.Gathers,
 		OnDemandGathers:    e.OnDemandGathers,
@@ -822,4 +832,4 @@ func (e *Z3Engine) Stats() Stats {
 	}
 }
 
-var _ module.Hooks = (*Z3Engine)(nil)
+var _ module.Hooks = (*ShardedEngine)(nil)

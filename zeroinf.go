@@ -280,11 +280,11 @@ func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 		Topology:         cfg.Topology,
 	}
 	if cfg.Stage == Stage3 {
-		e, err := zero.NewZ3Engine(zc, c, g)
+		e, err := zero.NewShardedEngine(zc, c, g, zero.Attachments{})
 		if err != nil {
 			return nil, err
 		}
-		return z3Engine{e}, nil
+		return e, nil
 	}
 	e, err := zero.NewDPEngine(zc, c, g)
 	if err != nil {
@@ -303,17 +303,6 @@ func (e dpEngine) StepAccum(mt, mg [][]int, batch int) (StepResult, error) {
 	return e.DPEngine.StepAccum(mt, mg, batch), nil
 }
 func (e dpEngine) Close() {}
-
-type z3Engine struct{ *zero.Z3Engine }
-
-func (e z3Engine) Step(tok, tgt []int, batch int) (StepResult, error) {
-	return e.TryStep(tok, tgt, batch)
-}
-
-func (e z3Engine) StepAccum(mt, mg [][]int, batch int) (StepResult, error) {
-	return e.TryStepAccum(mt, mg, batch)
-}
-func (e z3Engine) Close() {}
 
 // TrainOptions configures the convenience training loop.
 type TrainOptions struct {
