@@ -1,6 +1,7 @@
 // Command zinf-launch runs multi-process training: it spawns one
 // zinf-train worker process per rank, wires them into a socket-transport
-// world (rank 0 is the hub every other rank connects to), ships the
+// world (a full mesh; rank 0 listens on the coordinator address and tells
+// every rank where its peers listen), ships the
 // resolved training recipe as JSON, prefixes each worker's output with its
 // rank, and aggregates exit status — any rank failing kills the world.
 //
@@ -17,7 +18,7 @@
 //
 //	ZINF_WORKER_RANK       this rank (0..world-1)
 //	ZINF_WORKER_WORLD      world size
-//	ZINF_WORKER_COORD      hub TCP address
+//	ZINF_WORKER_COORD      coordinator (rank 0) TCP address
 //	ZINF_WORKER_TRANSPORT  "sock" or "mem"
 //	ZINF_CONFIG            JSON cliconfig.WorkerSpec (the training recipe)
 package main
@@ -44,7 +45,7 @@ func main() {
 	var (
 		transport = flag.String("transport", "sock", "worker transport: sock (one process per rank) | mem (one process, goroutine ranks)")
 		trainBin  = flag.String("train-bin", "", "path to the zinf-train binary (default: next to this binary, else $PATH)")
-		coord     = flag.String("coord", "127.0.0.1:0", "hub bind address for the sock transport (port 0 = auto-pick)")
+		coord     = flag.String("coord", "127.0.0.1:0", "coordinator (rank 0) bind address for the sock transport (port 0 = auto-pick)")
 		dataSeed  = flag.Uint64("data-seed", 0, "synthetic-data seed (0 = library default)")
 	)
 	flag.Parse()
@@ -156,7 +157,7 @@ func findTrainBin() string {
 
 // pickAddr resolves a ":0" coordinator address to a concrete port by
 // binding and releasing it, so every worker can be handed the same
-// dialable address before the hub exists.
+// dialable address before rank 0 is listening.
 func pickAddr(coord string) (string, error) {
 	l, err := net.Listen("tcp", coord)
 	if err != nil {

@@ -13,9 +13,11 @@
 // Two transports implement the data plane (see transport.go): the reference
 // in-memory rendezvous (ranks are goroutines in one process) and a TCP
 // socket transport (each rank is its own OS process, launched by
-// cmd/zinf-launch). Both execute collectives through the same compute
-// kernels over a shared collCtx, so the fp32 rank-order accumulation — and
-// therefore the training trajectory — is bit-identical across transports.
+// cmd/zinf-launch). Both compute every destination with the same
+// per-destination kernels over a shared collCtx — the in-memory transport's
+// last arriver for every rank, a socket rank for itself — so the fp32
+// rank-order accumulation, and therefore the training trajectory, is
+// bit-identical across transports.
 //
 // The substrate is allocation-free in steady state: in-flight op descriptors
 // are pooled and reused, per-rank contributions are flat payload structs
@@ -105,8 +107,8 @@ var computeFns = [...]func(w *collCtx, o *op){
 // the compute kernels need, factored out of the transports so every fabric
 // runs the exact same data movement and fp32 rank-order accumulation.
 // Synchronization is the embedding transport's job (the in-memory transport
-// serializes compute under its world mutex; the socket transport computes on
-// the hub rank's only goroutine).
+// serializes compute under its world mutex; a socket transport computes on
+// its one rank's goroutine).
 type collCtx struct {
 	size int
 
@@ -142,17 +144,18 @@ func (w *collCtx) computeMeasured(o *op) {
 	preIntra, preInter := st.IntraBytes, st.InterBytes
 	start := time.Now()
 	computeFns[o.kind](w, o)
-	w.account(o)
+	w.account(o.kind, o.root, o.contrib[0])
 	st.MeasSeconds += time.Since(start).Seconds()
 	st.MeasIntraBytes += st.IntraBytes - preIntra
 	st.MeasInterBytes += st.InterBytes - preInter
 }
 
 // op is one in-flight collective. On the in-memory transport the last rank
-// to arrive performs the data movement and the last rank to leave returns
-// the descriptor to the free pool; on the socket transport the hub rank
-// assembles a synthetic op from the peers' framed contributions and runs the
-// same compute kernels over it.
+// to arrive performs the data movement for every destination and the last
+// rank to leave returns the descriptor to the free pool. A socket rank fills
+// its one descriptor with the part of each contribution its own destination
+// needs (its slice of a reduce-scatter, every shard of an allgather) and
+// runs the per-destination kernels below over it.
 type op struct {
 	kind          opKind
 	root          int
@@ -214,12 +217,19 @@ func computeAllGather(w *collCtx, o *op) {
 		computeAllGatherHier(w, o)
 		return
 	}
-	n := len(o.contrib[0].fsrc)
 	for i := range o.contrib {
-		dst := o.contrib[i].fdst
-		for r := range o.contrib {
-			copy(dst[r*n:(r+1)*n], o.contrib[r].fsrc)
-		}
+		gatherInto(o, o.contrib[i].fdst)
+	}
+}
+
+// gatherInto concatenates every contribution's fsrc into dst in rank order:
+// one destination of an allgather, or the root's of a rooted gather.
+//
+//zinf:hotpath
+func gatherInto(o *op, dst []float32) {
+	n := len(o.contrib[0].fsrc)
+	for r := range o.contrib {
+		copy(dst[r*n:(r+1)*n], o.contrib[r].fsrc)
 	}
 }
 
@@ -239,12 +249,20 @@ func (c *Comm) ReduceScatter(dst, src []float32) {
 func computeReduceScatter(w *collCtx, o *op) {
 	n := len(o.contrib[0].fdst)
 	for r := range o.contrib {
-		shard := o.contrib[r].fdst
-		base := r * n
-		copy(shard, o.contrib[0].fsrc[base:base+n])
-		for _, cb := range o.contrib[1:] {
-			tensor.Axpy(1, cb.fsrc[base:base+n], shard)
-		}
+		reduceInto(o, o.contrib[r].fdst, r*n)
+	}
+}
+
+// reduceInto computes one destination of a float32 reduction: dst becomes
+// the rank-order fp32 sum of every contribution's fsrc[at:at+len(dst)]. dst
+// must not alias a contribution.
+//
+//zinf:hotpath
+func reduceInto(o *op, dst []float32, at int) {
+	n := len(dst)
+	copy(dst, o.contrib[0].fsrc[at:at+n])
+	for _, cb := range o.contrib[1:] {
+		tensor.Axpy(1, cb.fsrc[at:at+n], dst)
 	}
 }
 
@@ -289,9 +307,7 @@ func computeGather(w *collCtx, o *op) {
 	if len(rd) != len(o.contrib)*n {
 		panic("comm: gather root dst length mismatch")
 	}
-	for r := range o.contrib {
-		copy(rd[r*n:(r+1)*n], o.contrib[r].fsrc)
-	}
+	gatherInto(o, rd)
 }
 
 // AllGatherHalf is AllGather over binary16 payloads; data moves bit-exactly.
@@ -310,12 +326,18 @@ func computeAllGatherHalf(w *collCtx, o *op) {
 		computeAllGatherHalfHier(w, o)
 		return
 	}
-	n := len(o.contrib[0].hsrc)
 	for i := range o.contrib {
-		dst := o.contrib[i].hdst
-		for r := range o.contrib {
-			copy(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
-		}
+		gatherHalfInto(o, o.contrib[i].hdst)
+	}
+}
+
+// gatherHalfInto is gatherInto over binary16 shards.
+//
+//zinf:hotpath
+func gatherHalfInto(o *op, dst []tensor.Half) {
+	n := len(o.contrib[0].hsrc)
+	for r := range o.contrib {
+		copy(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
 	}
 }
 
@@ -354,16 +376,16 @@ func (c *Comm) ReduceScatterHalf(dst, src []tensor.Half) {
 	c.rendezvous(opReduceScatterHalf, 0, payload{hdst: dst, hsrc: src})
 }
 
-// reduceHalfShard computes the fp32 rank-order sum of shard r's slice of the
-// contributions into acc (the shared accumulation kernel of the half
-// reduce-scatter family).
+// reduceHalfShard computes the fp32 rank-order sum of every contribution's
+// hsrc[at:at+len(acc)] into acc (the shared accumulation kernel of the half
+// reductions).
 //
 //zinf:hotpath
-func (w *collCtx) reduceHalfShard(o *op, r, n int, acc, tmp []float32) {
-	base := r * n
+func (w *collCtx) reduceHalfShard(o *op, at int, acc, tmp []float32) {
+	n := len(acc)
 	clear(acc)
 	for _, cb := range o.contrib {
-		w.codec.DecodeHalf(tmp, cb.hsrc[base:base+n])
+		w.codec.DecodeHalf(tmp, cb.hsrc[at:at+n])
 		tensor.Axpy(1, tmp, acc)
 	}
 }
@@ -371,12 +393,22 @@ func (w *collCtx) reduceHalfShard(o *op, r, n int, acc, tmp []float32) {
 //zinf:hotpath
 func computeReduceScatterHalf(w *collCtx, o *op) {
 	n := len(o.contrib[0].hdst)
-	acc := w.fscratch.Get(n)
-	tmp := w.fscratch.Get(n)
 	for r := range o.contrib {
-		w.reduceHalfShard(o, r, n, acc, tmp)
-		w.codec.EncodeHalf(o.contrib[r].hdst, acc)
+		w.reduceHalfInto(o, o.contrib[r].hdst, r*n)
 	}
+}
+
+// reduceHalfInto computes one destination of a half reduction: the
+// rank-order fp32 sum of every contribution's hsrc[at:at+len(dst)], rounded
+// to binary16 into dst. dst may be one contribution's own slice (the
+// in-place all-reduce): every addend is read before dst is written.
+//
+//zinf:hotpath
+func (w *collCtx) reduceHalfInto(o *op, dst []tensor.Half, at int) {
+	acc := w.fscratch.Get(len(dst))
+	tmp := w.fscratch.Get(len(dst))
+	w.reduceHalfShard(o, at, acc, tmp)
+	w.codec.EncodeHalf(dst, acc)
 	w.fscratch.Put(acc)
 	w.fscratch.Put(tmp)
 }
@@ -398,16 +430,20 @@ func (c *Comm) ReduceScatterHalfDecode(dst []float32, src []tensor.Half) {
 //zinf:hotpath
 func computeReduceScatterHalfDecode(w *collCtx, o *op) {
 	n := len(o.contrib[0].fdst)
-	acc := w.fscratch.Get(n)
-	tmp := w.fscratch.Get(n)
-	enc := w.hscratch.Get(n)
 	for r := range o.contrib {
-		w.reduceHalfShard(o, r, n, acc, tmp)
-		w.codec.EncodeHalf(enc, acc)
-		w.codec.DecodeHalf(o.contrib[r].fdst, enc)
+		w.reduceHalfDecodeInto(o, o.contrib[r].fdst, r*n)
 	}
-	w.fscratch.Put(acc)
-	w.fscratch.Put(tmp)
+}
+
+// reduceHalfDecodeInto is reduceHalfInto with the rounded sum delivered as
+// float32: one destination of the fused reduce-scatter, or the root's of the
+// rooted reduce.
+//
+//zinf:hotpath
+func (w *collCtx) reduceHalfDecodeInto(o *op, dst []float32, at int) {
+	enc := w.hscratch.Get(len(dst))
+	w.reduceHalfInto(o, enc, at)
+	w.codec.DecodeHalf(dst, enc)
 	w.hscratch.Put(enc)
 }
 
@@ -432,21 +468,12 @@ func (c *Comm) ReduceHalfDecode(dst []float32, src []tensor.Half, root int) {
 //zinf:hotpath
 func computeReduceHalfDecode(w *collCtx, o *op) {
 	n := len(o.contrib[0].hsrc)
-	acc := w.fscratch.GetZeroed(n)
-	tmp := w.fscratch.Get(n)
 	for _, cb := range o.contrib {
 		if len(cb.hsrc) != n {
 			panic("comm: reducehalfdecode length mismatch")
 		}
-		w.codec.DecodeHalf(tmp, cb.hsrc)
-		tensor.Axpy(1, tmp, acc)
 	}
-	enc := w.hscratch.Get(n)
-	w.codec.EncodeHalf(enc, acc)
-	w.codec.DecodeHalf(o.contrib[o.root].fdst, enc)
-	w.fscratch.Put(acc)
-	w.fscratch.Put(tmp)
-	w.hscratch.Put(enc)
+	w.reduceHalfDecodeInto(o, o.contrib[o.root].fdst, 0)
 }
 
 // AllReduceHalf sums binary16 buffers elementwise across ranks with float32
@@ -545,6 +572,20 @@ func computeAllGatherHalfDecode(w *collCtx, o *op) {
 		}
 	}
 	w.fscratch.Put(dec)
+}
+
+// gatherHalfDecodeInto is one destination of the fused allgather+decode
+// where shards arrive still encoded (the socket transport: fp16 is what
+// crosses the link). computeAllGatherHalfDecode decodes each shard once for
+// all destinations instead; the LUT decode is exact, so both deliver the
+// same bytes.
+//
+//zinf:hotpath
+func (w *collCtx) gatherHalfDecodeInto(o *op, dst []float32) {
+	n := len(o.contrib[0].hsrc)
+	for r := range o.contrib {
+		w.codec.DecodeHalf(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
+	}
 }
 
 // AllReduceScalar sums one float64 across ranks and returns the total on

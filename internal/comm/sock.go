@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -11,43 +13,67 @@ import (
 	"repro/internal/tensor"
 )
 
-// sockTransport is the multi-process Transport: one rank per OS process,
-// connected over TCP. It is deliberately hub-routed rather than a mesh —
-// rank 0 is always the hub, every other rank holds exactly one connection
-// to it, and every collective (rooted or not) flows contribution frames to
-// the hub, which assembles them into the same op descriptor the in-memory
-// transport uses and runs the exact same compute functions. Because one
-// goroutine performs the fp32 rank-order accumulation over all ranks'
-// buffers in both transports, bit-identity across transports is structural,
-// not a property that per-collective send/recv schedules would each have to
-// re-prove.
+// sockTransport is the multi-process Transport: one rank per OS process, a
+// full mesh of TCP connections (one per pair of ranks), and an
+// owner-computes data plane — every rank computes exactly its own
+// destination from the parts of its peers' contributions that destination
+// needs, so no byte crosses a link it does not have to and no rank relays
+// for another (the paper's bandwidth-centric argument, Sec. 6.1, applied to
+// our own fabric). Who sends what, as frameContrib frames shipped the moment
+// a collective is issued:
 //
-// Deadlock freedom: the hub owns one reader goroutine per peer that drains
-// contribution frames into an unbounded per-peer mailbox, so a peer's
-// contribution write never blocks on the hub being busy; leaves read result
-// frames inline (the hub's result stream to each leaf is strictly in that
-// leaf's sequence order). Collectives complete in sequence order on every
-// rank: issuing appends to a pending FIFO, and Wait/rendezvous advance the
-// FIFO head-first through the awaited sequence number — which also makes
-// out-of-order Wait calls safe, exactly like the in-memory transport.
+//	barrier, scalar allreduce/max   every rank → every peer: header only
+//	broadcast(half)                 root → every peer: its buffer
+//	allgather (all four forms)      every rank → every peer: its shard, as
+//	                                fp16 whenever the collective's wire type
+//	                                is fp16 (AllGatherEncodeHalf encodes once
+//	                                at the sender; AllGatherHalfDecode
+//	                                decodes at each receiver)
+//	gather, reducehalfdecode        every non-root → root: its source
+//	reducescatter (all three forms) every rank → owner r: slice r of its
+//	                                source; nothing comes back
+//	allreduce(half)                 as reducescatter over ownedSpan slices;
+//	                                then every owner → every peer: its
+//	                                reduced slice, as a frameReduced frame
 //
-// Measured traffic: the hub records real wire bytes (classified intra/inter
-// node by the installed topology) and wall-clock time including the wait
-// for straggler contributions; leaves carry no measured numbers, so the
-// measured view of a socket world lives on rank 0.
+// Bit-identity with the in-memory transport is structural: a rank fills its
+// op descriptor with views of those parts — its own in its rank position —
+// and runs the same per-destination kernels the in-memory transport's last
+// arriver runs for every rank (reduceInto, reduceHalfInto,
+// reduceHalfDecodeInto, gatherInto, …): same leaf kernels, same rank order,
+// same codec. The all-reduces are the reduce-scatter kernel over each
+// owner's slice followed by a copy, which is elementwise what
+// computeAllReduce(Half) does over the whole buffer.
+//
+// Deadlock freedom: every connection has a reader goroutine that does
+// nothing but drain frames into an unbounded per-peer mailbox, so a write
+// never waits on the receiving rank's progress, only on its reader. A rank
+// ships its frameContrib frames at issue, before it waits for anything, and
+// completes collectives strictly in sequence order (issue appends to a
+// pending FIFO; Wait/rendezvous advance it head-first through the awaited
+// sequence number, which also makes out-of-order Wait calls safe). By
+// induction over sequence numbers every frame a rank waits for has been, or
+// will unconditionally be, written: contrib frames at the sender's issue,
+// reduced frames once the sender holds the contrib frames its peers already
+// shipped. Each connection carries the two frame types in sequence order
+// within the type, so each mailbox keeps one FIFO per type.
+//
+// Measured traffic is each rank's own: the bytes it wrote (headers
+// included), classified intra/inter-node by whether the receiving peer
+// shares its node, and the wall-clock time it spent inside the transport —
+// shipping at issue plus completing, waits for peers included.
 type sockTransport struct {
 	collCtx
-	rank int
-
-	hubConn *frameConn     // leaf: the one connection, to rank 0
-	peers   []*peerMailbox // hub: by rank; nil at index 0 (self)
-	ln      net.Listener   // hub: kept only so Close unblocks readers
+	rank    int
+	peers   []*peer // by rank; nil at this rank's own index
+	readers sync.WaitGroup
 
 	pending    []sockOp
 	phead      int
 	lastResult float64
 
-	o *op // hub/solo: the single reusable op descriptor
+	o       *op    // the one reusable descriptor (see op)
+	swapBuf []byte // big-endian hosts only: byte-swapped copy of an outgoing payload
 
 	closeOnce sync.Once
 	closeErr  error
@@ -61,62 +87,80 @@ type sockOp struct {
 	pl   payload
 }
 
-// inFrame is one decoded contribution sitting in a hub mailbox. Its payload
-// slices come from the transport's arenas and are released after compute.
-type inFrame struct {
-	seq  uint64
-	kind opKind
-	root int
-	pl   payload
-	wire int64
-}
+// peer is this rank's end of the connection to one other rank: the write
+// side belongs to the rank goroutine, the read side to the reader goroutine,
+// and the mailbox between them is guarded by mu.
+type peer struct {
+	rank  int
+	c     net.Conn
+	br    *bufio.Reader
+	intra bool // shares this rank's node under the installed topology
 
-// peerMailbox buffers one peer's decoded contributions between its reader
-// goroutine (push) and the hub's rank goroutine (pop).
-type peerMailbox struct {
-	fc   *frameConn
+	whdr [frameHdrLen]byte // rank goroutine: header being written
+	iov  [3][]byte         // rank goroutine: header + payload sections
+	vec  net.Buffers
+	sent int64 // wire bytes written to this peer
+
+	rhdr [frameHdrLen]byte // reader goroutine: header being read
+
 	mu   sync.Mutex
 	cond *sync.Cond
-	q    []inFrame
-	head int
+	q    [frameTypes]frameQueue // by frame type, each in sequence order
+	rcvd int64                  // wire bytes read from this peer
 	err  error
 }
 
+type frameQueue struct {
+	q    []inFrame
+	head int
+}
+
+func newPeer(rank int, c net.Conn) *peer {
+	// Small read buffer: headers and header-only frames coalesce into one
+	// read; payloads larger than it bypass it into their staging.
+	p := &peer{rank: rank, c: c, br: bufio.NewReaderSize(c, 4096)}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
 //zinf:hotpath
-func (p *peerMailbox) push(f inFrame) {
+func (p *peer) push(f inFrame) {
 	p.mu.Lock()
-	p.q = append(p.q, f)
+	fq := &p.q[f.ftype-1]
+	fq.q = append(fq.q, f)
+	p.rcvd += f.wireLen()
 	p.mu.Unlock()
 	p.cond.Signal()
 }
 
-func (p *peerMailbox) fail(err error) {
+func (p *peer) fail(err error) {
 	p.mu.Lock()
 	p.err = err
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
 
-// pop blocks for the peer's next contribution. A dead peer panics the hub:
-// the world cannot make collective progress without it, and the process
-// exit is what tells the launcher to kill the remaining ranks.
+// pop blocks for the peer's next frame of the given type. A dead peer
+// panics: the world cannot make collective progress without it, and the
+// process exit is what tells the launcher to kill the remaining ranks.
 //
 //zinf:hotpath
-func (p *peerMailbox) pop() inFrame {
+func (p *peer) pop(ftype byte) inFrame {
 	p.mu.Lock()
-	for p.head == len(p.q) {
+	fq := &p.q[ftype-1]
+	for fq.head == len(fq.q) {
 		if p.err != nil {
 			p.mu.Unlock()
-			panic(fmt.Sprintf("comm: sock: peer connection lost: %v", p.err))
+			panic(fmt.Sprintf("comm: sock: connection to rank %d lost: %v", p.rank, p.err))
 		}
 		p.cond.Wait()
 	}
-	f := p.q[p.head]
-	p.q[p.head] = inFrame{}
-	p.head++
-	if p.head == len(p.q) {
-		p.q = p.q[:0]
-		p.head = 0
+	f := fq.q[fq.head]
+	fq.q[fq.head] = inFrame{}
+	fq.head++
+	if fq.head == len(fq.q) {
+		fq.q = fq.q[:0]
+		fq.head = 0
 	}
 	p.mu.Unlock()
 	return f
@@ -126,26 +170,30 @@ func (p *peerMailbox) pop() inFrame {
 type SockConfig struct {
 	// Rank and Size identify this process within the world.
 	Rank, Size int
-	// Coord is the hub's TCP address ("host:port"). Rank 0 listens on it;
-	// every other rank dials it (retrying until DialTimeout, so workers may
-	// start in any order).
+	// Coord is the coordinator's TCP address ("host:port"). Rank 0 listens
+	// on it; every other rank dials it (retrying until DialTimeout, so
+	// workers may start in any order), learns its peers' addresses there,
+	// and keeps the connection as its link to rank 0. Peers listen on an
+	// ephemeral port of the interface that reached Coord.
 	Coord string
-	// DialTimeout bounds bootstrap: how long leaves keep retrying the dial
-	// and the hub waits for stragglers to connect. Defaults to 15s.
+	// DialTimeout bounds bootstrap: dial retries, the handshakes, and the
+	// wait for stragglers to connect. Defaults to 15s.
 	DialTimeout time.Duration
 }
 
 // NewSockTransport bootstraps one rank of a TCP-connected world and blocks
-// until this rank is wired: the hub (rank 0) until all peers have connected
-// and identified themselves, a leaf until its dial and handshake complete.
-// Pass the result to New via WorldOptions.Transport; the world then hosts
-// exactly this rank.
+// until this rank holds an identified connection to every other rank. Pass
+// the result to New via WorldOptions.Transport; the world then hosts exactly
+// this rank.
 func NewSockTransport(cfg SockConfig) (Transport, error) {
 	if cfg.Size < 1 {
 		return nil, fmt.Errorf("comm: sock: world size %d < 1", cfg.Size)
 	}
 	if cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("comm: sock: rank %d out of range [0,%d)", cfg.Rank, cfg.Size)
+	}
+	if cfg.Size > math.MaxUint16 {
+		return nil, fmt.Errorf("comm: sock: world size %d exceeds the frame header's 16-bit rank", cfg.Size)
 	}
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
@@ -158,115 +206,171 @@ func NewSockTransport(cfg SockConfig) (Transport, error) {
 			hscratch: mem.NewArena[tensor.Half](),
 			codec:    tensor.Reference(),
 		},
-		rank: cfg.Rank,
+		rank:  cfg.Rank,
+		peers: make([]*peer, cfg.Size),
+		o:     &op{contrib: make([]payload, cfg.Size)},
 	}
+	if cfg.Size == 1 {
+		return t, nil // solo world: no network at all
+	}
+	deadline := time.Now().Add(timeout)
+	var err error
 	if cfg.Rank == 0 {
-		t.o = &op{contrib: make([]payload, cfg.Size)}
-		t.peers = make([]*peerMailbox, cfg.Size)
-		if cfg.Size == 1 {
-			return t, nil // solo world: no network at all
-		}
-		if err := t.bootstrapHub(cfg.Coord, timeout); err != nil {
-			return nil, err
-		}
-		return t, nil
+		err = t.bootstrapCoord(cfg.Coord, deadline)
+	} else {
+		err = t.bootstrapPeer(cfg.Coord, deadline)
 	}
-	if err := t.bootstrapLeaf(cfg.Coord, timeout); err != nil {
+	if err != nil {
+		t.Close()
 		return nil, err
+	}
+	for _, p := range t.peers {
+		if p != nil {
+			p.c.SetDeadline(time.Time{})
+			t.readers.Add(1)
+			go t.readLoop(p)
+		}
 	}
 	return t, nil
 }
 
-// bootstrapHub accepts and identifies every peer, then starts one reader
-// goroutine per connection.
-func (t *sockTransport) bootstrapHub(coord string, timeout time.Duration) error {
+// accept takes the next connection off ln and reads its hello, admitting
+// only ranks in (t.rank, size) that have not connected yet. The connection
+// is registered in t.peers (so a failed bootstrap closes it) but not yet
+// acknowledged.
+func (t *sockTransport) accept(ln net.Listener, deadline time.Time) (*peer, string, error) {
+	ln.(*net.TCPListener).SetDeadline(deadline)
+	c, err := ln.Accept()
+	if err != nil {
+		return nil, "", fmt.Errorf("comm: sock: rank %d waiting for peers to connect: %w", t.rank, err)
+	}
+	c.SetDeadline(deadline)
+	rank, size, addr, err := readHello(c)
+	switch {
+	case err != nil:
+	case size != t.size:
+		err = fmt.Errorf("comm: sock: rank %d believes world size is %d, rank %d has %d", rank, size, t.rank, t.size)
+	case rank <= t.rank || rank >= t.size:
+		err = fmt.Errorf("comm: sock: rank %d got a hello from rank %d, want one of (%d,%d)", t.rank, rank, t.rank, t.size)
+	case t.peers[rank] != nil:
+		err = fmt.Errorf("comm: sock: duplicate hello from rank %d", rank)
+	}
+	if err != nil {
+		c.Close()
+		return nil, "", err
+	}
+	t.peers[rank] = newPeer(rank, c)
+	return t.peers[rank], addr, nil
+}
+
+// bootstrapCoord is rank 0's bootstrap: collect every rank's hello (and
+// listener address), then answer each with the address table. Rank 0 only
+// brokers addresses; its connections double as its own links in the mesh.
+func (t *sockTransport) bootstrapCoord(coord string, deadline time.Time) error {
 	ln, err := net.Listen("tcp", coord)
 	if err != nil {
-		return fmt.Errorf("comm: sock: hub listen %s: %w", coord, err)
+		return fmt.Errorf("comm: sock: rank 0 listen %s: %w", coord, err)
 	}
-	t.ln = ln
-	deadline := time.Now().Add(timeout)
+	defer ln.Close()
+	addrs := make([]string, t.size)
 	for have := 1; have < t.size; have++ {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline)
-		}
-		c, err := ln.Accept()
+		p, addr, err := t.accept(ln, deadline)
 		if err != nil {
-			t.Close()
-			return fmt.Errorf("comm: sock: hub accepted %d/%d ranks: %w", have, t.size, err)
-		}
-		c.SetDeadline(deadline)
-		rank, size, err := readHello(c)
-		switch {
-		case err != nil:
-		case size != t.size:
-			err = fmt.Errorf("comm: sock: rank %d believes world size is %d, hub has %d", rank, size, t.size)
-		case rank <= 0 || rank >= t.size:
-			err = fmt.Errorf("comm: sock: hello from out-of-range rank %d", rank)
-		case t.peers[rank] != nil:
-			err = fmt.Errorf("comm: sock: duplicate hello from rank %d", rank)
-		default:
-			err = writeWelcome(c, t.size)
-		}
-		if err != nil {
-			c.Close()
-			t.Close()
 			return err
 		}
-		c.SetDeadline(time.Time{})
-		p := &peerMailbox{fc: newFrameConn(c)}
-		p.cond = sync.NewCond(&p.mu)
-		t.peers[rank] = p
+		addrs[p.rank] = addr
 	}
-	for rank, p := range t.peers {
-		if p != nil {
-			go t.readLoop(rank, p)
+	for _, p := range t.peers[1:] {
+		if err := writeWelcome(p.c, t.size, addrs); err != nil {
+			return fmt.Errorf("comm: sock: welcoming rank %d: %w", p.rank, err)
 		}
 	}
 	return nil
 }
 
-// bootstrapLeaf dials the hub (retrying while it may not be listening yet)
-// and completes the handshake.
-func (t *sockTransport) bootstrapLeaf(coord string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var c net.Conn
-	for {
-		var err error
-		c, err = net.DialTimeout("tcp", coord, time.Until(deadline))
+// bootstrapPeer is every other rank's bootstrap: listen, announce the
+// listener to rank 0 and learn the table, dial every lower rank, accept
+// every higher one. Lower ranks finish dialing first, so the sequential
+// dial-then-accept order cannot cycle.
+func (t *sockTransport) bootstrapPeer(coord string, deadline time.Time) error {
+	c, err := dialRetry(coord, deadline)
+	if err != nil {
+		return fmt.Errorf("comm: sock: rank %d could not reach rank 0 at %s: %w", t.rank, coord, err)
+	}
+	t.peers[0] = newPeer(0, c)
+	host, _, err := net.SplitHostPort(c.LocalAddr().String())
+	if err != nil {
+		return fmt.Errorf("comm: sock: rank %d local address: %w", t.rank, err)
+	}
+	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
+	if err != nil {
+		return fmt.Errorf("comm: sock: rank %d listen on %s: %w", t.rank, host, err)
+	}
+	defer ln.Close()
+	addrs, err := t.hello(t.peers[0], ln.Addr().String(), deadline)
+	if err != nil {
+		return err
+	}
+	if len(addrs) != t.size {
+		return fmt.Errorf("comm: sock: rank 0 sent no address table to rank %d", t.rank)
+	}
+	for r := 1; r < t.rank; r++ {
+		c, err := net.DialTimeout("tcp", addrs[r], time.Until(deadline))
+		if err != nil {
+			return fmt.Errorf("comm: sock: rank %d could not reach rank %d at %s: %w", t.rank, r, addrs[r], err)
+		}
+		t.peers[r] = newPeer(r, c)
+		if _, err := t.hello(t.peers[r], "", deadline); err != nil {
+			return err
+		}
+	}
+	for r := t.rank + 1; r < t.size; r++ {
+		p, _, err := t.accept(ln, deadline)
 		if err == nil {
-			break
+			err = writeWelcome(p.c, t.size, nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hello identifies this rank to p and returns the welcome's address table.
+func (t *sockTransport) hello(p *peer, listenAddr string, deadline time.Time) ([]string, error) {
+	p.c.SetDeadline(deadline)
+	if err := writeHello(p.c, t.rank, t.size, listenAddr); err != nil {
+		return nil, fmt.Errorf("comm: sock: rank %d hello to rank %d: %w", t.rank, p.rank, err)
+	}
+	addrs, err := readWelcome(p.c, t.size)
+	if err != nil {
+		return nil, fmt.Errorf("comm: sock: rank %d welcome from rank %d: %w", t.rank, p.rank, err)
+	}
+	return addrs, nil
+}
+
+// dialRetry dials addr until it answers or the deadline passes: the
+// coordinator may not be listening yet.
+func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
+	for {
+		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		if err == nil {
+			return c, nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("comm: sock: rank %d could not reach hub at %s: %w", t.rank, coord, err)
+			return nil, err
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	c.SetDeadline(deadline)
-	if err := writeHello(c, t.rank, t.size); err != nil {
-		c.Close()
-		return fmt.Errorf("comm: sock: rank %d hello: %w", t.rank, err)
-	}
-	size, err := readWelcome(c)
-	if err != nil {
-		c.Close()
-		return fmt.Errorf("comm: sock: rank %d: %w", t.rank, err)
-	}
-	if size != t.size {
-		c.Close()
-		return fmt.Errorf("comm: sock: hub has world size %d, rank %d expected %d", size, t.rank, t.size)
-	}
-	c.SetDeadline(time.Time{})
-	t.hubConn = newFrameConn(c)
-	return nil
 }
 
-// readLoop drains one peer's contribution frames into its mailbox. It owns
-// the connection's read side and exits when the connection dies (normal
-// shutdown included: the peer closing its end surfaces as io.EOF here).
-func (t *sockTransport) readLoop(rank int, p *peerMailbox) {
+// readLoop drains one peer's frames into its mailbox. It owns the
+// connection's read side and exits when the connection dies (Close
+// included).
+func (t *sockTransport) readLoop(p *peer) {
+	defer t.readers.Done()
 	for {
-		f, err := t.readContrib(rank, p.fc)
+		f, err := readFrame(p.br, p.rhdr[:], t.fscratch, t.hscratch, maxFrameElems)
 		if err != nil {
 			p.fail(err)
 			return
@@ -275,81 +379,23 @@ func (t *sockTransport) readLoop(rank int, p *peerMailbox) {
 	}
 }
 
-// readContrib reads and decodes one contribution frame from peer rank,
-// staging the payload in the transport's arenas (released by runHub after
-// compute).
-//
-//zinf:hotpath
-func (t *sockTransport) readContrib(rank int, fc *frameConn) (inFrame, error) {
-	var hb [frameHdrLen]byte
-	if _, err := io.ReadFull(fc.br, hb[:]); err != nil {
-		return inFrame{}, err
-	}
-	if hb[4] != frameContrib {
-		return inFrame{}, errBadFrameType
-	}
-	kind := opKind(hb[5])
-	root := int(le16(hb[6:]))
-	nfdst, nfsrc := int(le32(hb[8:])), int(le32(hb[12:]))
-	nhdst, nhsrc := int(le32(hb[16:])), int(le32(hb[20:]))
-	plen := int(le32(hb[0:]))
-	isRoot := rank == root
-	if plen != contribPayloadLen(kind, isRoot, nfdst, nfsrc, nhdst, nhsrc) {
-		return inFrame{}, errFrameLen
-	}
-	fc.rbuf = growBuf(fc.rbuf, plen)
-	if _, err := io.ReadFull(fc.br, fc.rbuf); err != nil {
-		return inFrame{}, err
-	}
-	pl := payload{
-		fdst: t.fscratch.Get(nfdst),
-		fsrc: t.fscratch.Get(nfsrc),
-		hdst: t.hscratch.Get(nhdst),
-		hsrc: t.hscratch.Get(nhsrc),
-		v:    f64frombits(le64(hb[32:])),
-	}
-	off := 0
-	if dstCarriesInput(kind, isRoot) {
-		off += getF32s(pl.fdst, fc.rbuf[off:])
-	}
-	off += getF32s(pl.fsrc, fc.rbuf[off:])
-	if dstCarriesInput(kind, isRoot) {
-		off += getHalfs(pl.hdst, fc.rbuf[off:])
-	}
-	getHalfs(pl.hsrc, fc.rbuf[off:])
-	return inFrame{
-		seq:  le64(hb[24:]),
-		kind: kind,
-		root: root,
-		pl:   pl,
-		wire: int64(frameHdrLen + plen),
-	}, nil
-}
-
 // Size returns the number of ranks in the world.
 //
 //zinf:hotpath
 func (t *sockTransport) Size() int { return t.size }
 
-// Close tears down this rank's connections. On the hub this unblocks every
-// reader goroutine (their reads error out and fail their mailboxes).
+// Close closes every connection and returns once every reader goroutine has
+// exited. Peers still running see the loss on their next collective.
 func (t *sockTransport) Close() error {
 	t.closeOnce.Do(func() {
-		if t.ln != nil {
-			t.closeErr = t.ln.Close()
-		}
-		if t.hubConn != nil {
-			if err := t.hubConn.c.Close(); err != nil && t.closeErr == nil {
-				t.closeErr = err
-			}
-		}
+		var errs []error
 		for _, p := range t.peers {
 			if p != nil {
-				if err := p.fc.c.Close(); err != nil && t.closeErr == nil {
-					t.closeErr = err
-				}
+				errs = append(errs, p.c.Close())
 			}
 		}
+		t.readers.Wait()
+		t.closeErr = errors.Join(errs...)
 	})
 	return t.closeErr
 }
@@ -359,8 +405,8 @@ func (t *sockTransport) Close() error {
 func (t *sockTransport) hosts(rank int) bool { return rank == t.rank }
 
 // setCodec and setTopology run during World construction, before the rank
-// issues collectives; the transport is single-goroutine after bootstrap
-// (readers never touch codec or topo), so no locking is needed.
+// issues collectives; readers never touch codec, topo or peer.intra, so no
+// locking is needed.
 func (t *sockTransport) setCodec(be tensor.Backend) {
 	t.codec = tensor.DefaultBackend(be)
 }
@@ -371,6 +417,11 @@ func (t *sockTransport) setTopology(topo *Topology) error {
 		return err
 	}
 	t.topo = cp
+	for _, p := range t.peers {
+		if p != nil {
+			p.intra = t.nodeOf(p.rank) == t.nodeOf(t.rank)
+		}
+	}
 	return nil
 }
 
@@ -390,16 +441,281 @@ func (t *sockTransport) resetTraffic() {
 	}
 }
 
-// enqueue registers this rank's seq-th collective: leaves ship their
-// contribution to the hub immediately (so the hub can overlap assembly with
-// the leaf's further compute), and every rank appends to its pending FIFO.
+// ownedSpan returns the slice [lo,hi) of an n-element buffer that rank r
+// owns in a reduction: ceil(n/size)-sized chunks in rank order, the tail
+// ranks' possibly short or empty. For n = size*m it is [r*m,(r+1)*m) — the
+// reduce-scatter's shard.
+//
+//zinf:hotpath
+func (t *sockTransport) ownedSpan(n, r int) (lo, hi int) {
+	chunk := (n + t.size - 1) / t.size
+	return min(r*chunk, n), min((r+1)*chunk, n)
+}
+
+// send writes one frame to p — header and payload sections in one vectored
+// write, the payload straight from the caller's memory — and accounts its
+// wire bytes. A write failure panics: a rank that cannot reach a peer
+// cannot make collective progress, and the process exit is what tells the
+// launcher to kill the world.
+//
+//zinf:hotpath
+func (t *sockTransport) send(p *peer, h frameHdr, fs []float32, hs []tensor.Half) {
+	h.nf, h.nh = len(fs), len(hs)
+	putHdr(p.whdr[:], h)
+	fb, hb := f32Bytes(fs), halfBytes(hs)
+	if hostSwaps {
+		t.swapBuf = append(t.swapBuf[:0], fb...)
+		t.swapBuf = append(t.swapBuf, hb...)
+		fb, hb = t.swapBuf[:len(fb)], t.swapBuf[len(fb):]
+		swapBytes(fb, 4)
+		swapBytes(hb, 2)
+	}
+	p.iov = [3][]byte{p.whdr[:], fb, hb}
+	p.vec = p.iov[:]
+	if _, err := p.vec.WriteTo(p.c); err != nil {
+		panic(fmt.Sprintf("comm: sock: write to rank %d failed at seq %d (%s): %v", p.rank, h.seq, h.kind, err))
+	}
+	n := h.wireLen()
+	p.sent += n
+	if st := &t.traffic[h.kind]; p.intra {
+		st.MeasIntraBytes += n
+	} else {
+		st.MeasInterBytes += n
+	}
+}
+
+// sendAll sends the same frame to every peer.
+//
+//zinf:hotpath
+func (t *sockTransport) sendAll(h frameHdr, fs []float32, hs []tensor.Half) {
+	for _, p := range t.peers {
+		if p != nil {
+			t.send(p, h, fs, hs)
+		}
+	}
+}
+
+// sendSlices sends every peer r the slice of fs and hs it owns.
+//
+//zinf:hotpath
+func (t *sockTransport) sendSlices(h frameHdr, fs []float32, hs []tensor.Half) {
+	for r, p := range t.peers {
+		if p != nil {
+			flo, fhi := t.ownedSpan(len(fs), r)
+			hlo, hhi := t.ownedSpan(len(hs), r)
+			t.send(p, h, fs[flo:fhi], hs[hlo:hhi])
+		}
+	}
+}
+
+// ship sends this rank's contribution to its seq-th collective to the peers
+// whose destinations need it (the table in the type comment).
+//
+//zinf:hotpath
+func (t *sockTransport) ship(so sockOp) {
+	pl := so.pl
+	h := frameHdr{ftype: frameContrib, kind: so.kind, root: so.root, seq: so.seq, bits: math.Float64bits(pl.v)}
+	switch so.kind {
+	case opBarrier, opAllReduceScalar, opAllReduceMax:
+		t.sendAll(h, nil, nil)
+	case opBroadcast, opBroadcastHalf:
+		if t.rank == so.root {
+			t.sendAll(h, pl.fdst, pl.hdst)
+		}
+	case opAllGather, opAllGatherHalf, opAllGatherHalfDecode:
+		t.sendAll(h, pl.fsrc, pl.hsrc)
+	case opAllGatherEncodeHalf:
+		// Round once, into this rank's own slot of dst, and ship the slot.
+		own := pl.hdst[t.rank*len(pl.fsrc) : (t.rank+1)*len(pl.fsrc)]
+		t.codec.EncodeHalf(own, pl.fsrc)
+		t.sendAll(h, nil, own)
+	case opGather, opReduceHalfDecode:
+		if t.rank != so.root {
+			t.send(t.peers[so.root], h, pl.fsrc, pl.hsrc)
+		}
+	case opReduceScatter, opReduceScatterHalf, opReduceScatterHalfDecode:
+		t.sendSlices(h, pl.fsrc, pl.hsrc)
+	case opAllReduce, opAllReduceHalf:
+		t.sendSlices(h, pl.fdst, pl.hdst)
+	}
+}
+
+// take pops peer p's next frame of the given type and checks it against the
+// collective this rank is completing: a different sequence number, kind or
+// root is the SPMD-contract violation the in-memory transport reports as a
+// collective mismatch; a different shape is a length mismatch.
+//
+//zinf:hotpath
+func (t *sockTransport) take(p *peer, ftype byte, so sockOp, nf, nh int) inFrame {
+	f := p.pop(ftype)
+	if f.seq != so.seq || f.kind != so.kind || f.root != so.root {
+		panic(fmt.Sprintf("comm: collective mismatch at seq %d: rank %d sent %s(root %d) seq %d, rank %d called %s(root %d)",
+			so.seq, p.rank, f.kind, f.root, f.seq, t.rank, so.kind, so.root))
+	}
+	if len(f.f) != nf || len(f.h) != nh {
+		panic(fmt.Sprintf("comm: %s length mismatch at seq %d: rank %d sent %d float32 + %d half, rank %d expected %d + %d",
+			so.kind, so.seq, p.rank, len(f.f), len(f.h), t.rank, nf, nh))
+	}
+	return f
+}
+
+// collect fills the descriptor with one contrib frame from every peer, each
+// carrying nf float32 and nh binary16 elements, as that rank's source.
+//
+//zinf:hotpath
+func (t *sockTransport) collect(so sockOp, nf, nh int) {
+	for r, p := range t.peers {
+		if p != nil {
+			f := t.take(p, frameContrib, so, nf, nh)
+			t.o.contrib[r] = payload{fsrc: f.f, hsrc: f.h, v: math.Float64frombits(f.bits)}
+		}
+	}
+}
+
+// unstage returns a consumed frame's staging to the arenas.
+//
+//zinf:hotpath
+func (t *sockTransport) unstage(fs []float32, hs []tensor.Half) {
+	t.fscratch.Put(fs)
+	t.hscratch.Put(hs)
+}
+
+// release returns the peers' staged contributions to the arenas and clears
+// the descriptor.
+//
+//zinf:hotpath
+func (t *sockTransport) release() {
+	for r := range t.o.contrib {
+		if r != t.rank {
+			t.unstage(t.o.contrib[r].fsrc, t.o.contrib[r].hsrc)
+		}
+		t.o.contrib[r] = payload{}
+	}
+}
+
+// shareReduced is an all-reduce's second phase: this rank ships the slice it
+// reduced (fs or hs) to every peer and copies every other owner's reduced
+// slice into place in fdst / hdst.
+//
+//zinf:hotpath
+func (t *sockTransport) shareReduced(so sockOp, fs []float32, hs []tensor.Half) {
+	t.sendAll(frameHdr{ftype: frameReduced, kind: so.kind, root: so.root, seq: so.seq}, fs, hs)
+	for r, p := range t.peers {
+		if p != nil {
+			flo, fhi := t.ownedSpan(len(so.pl.fdst), r)
+			hlo, hhi := t.ownedSpan(len(so.pl.hdst), r)
+			f := t.take(p, frameReduced, so, fhi-flo, hhi-hlo)
+			copy(so.pl.fdst[flo:fhi], f.f)
+			copy(so.pl.hdst[hlo:hhi], f.h)
+			t.unstage(f.f, f.h)
+		}
+	}
+}
+
+// complete finishes one collective on this rank: gather the parts of the
+// peers' contributions this rank's destination needs, put this rank's own
+// part in its rank position, and run the shared per-destination kernel.
+// Returns the scalar result (0 for data collectives).
+//
+//zinf:hotpath
+func (t *sockTransport) complete(so sockOp) float64 {
+	w, o, me, pl := &t.collCtx, t.o, t.rank, so.pl
+	own := &o.contrib[me]
+	switch so.kind {
+	case opBarrier:
+		t.collect(so, 0, 0)
+	case opAllReduceScalar, opAllReduceMax:
+		t.collect(so, 0, 0)
+		own.v = pl.v
+		computeFns[so.kind](w, o)
+	case opBroadcast, opBroadcastHalf:
+		if me != so.root {
+			f := t.take(t.peers[so.root], frameContrib, so, len(pl.fdst), len(pl.hdst))
+			copy(pl.fdst, f.f)
+			copy(pl.hdst, f.h)
+			t.unstage(f.f, f.h)
+		}
+	case opAllGather:
+		t.collect(so, len(pl.fsrc), 0)
+		own.fsrc = pl.fsrc
+		gatherInto(o, pl.fdst)
+	case opAllGatherHalf:
+		t.collect(so, 0, len(pl.hsrc))
+		own.hsrc = pl.hsrc
+		gatherHalfInto(o, pl.hdst)
+	case opAllGatherEncodeHalf:
+		n := len(pl.fsrc)
+		t.collect(so, 0, n)
+		own.hsrc = pl.hdst[me*n : (me+1)*n] // encoded in place by ship
+		gatherHalfInto(o, pl.hdst)
+	case opAllGatherHalfDecode:
+		t.collect(so, 0, len(pl.hsrc))
+		own.hsrc = pl.hsrc
+		w.gatherHalfDecodeInto(o, pl.fdst)
+	case opGather:
+		if me == so.root {
+			if len(pl.fdst) != t.size*len(pl.fsrc) {
+				panic("comm: gather root dst length mismatch")
+			}
+			t.collect(so, len(pl.fsrc), 0)
+			own.fsrc = pl.fsrc
+			gatherInto(o, pl.fdst)
+		}
+	case opReduceHalfDecode:
+		if me == so.root {
+			t.collect(so, 0, len(pl.hsrc))
+			own.hsrc = pl.hsrc
+			w.reduceHalfDecodeInto(o, pl.fdst, 0)
+		}
+	case opReduceScatter:
+		n := len(pl.fdst)
+		t.collect(so, n, 0)
+		own.fsrc = pl.fsrc[me*n : (me+1)*n]
+		reduceInto(o, pl.fdst, 0)
+	case opReduceScatterHalf:
+		n := len(pl.hdst)
+		t.collect(so, 0, n)
+		own.hsrc = pl.hsrc[me*n : (me+1)*n]
+		w.reduceHalfInto(o, pl.hdst, 0)
+	case opReduceScatterHalfDecode:
+		n := len(pl.fdst)
+		t.collect(so, 0, n)
+		own.hsrc = pl.hsrc[me*n : (me+1)*n]
+		w.reduceHalfDecodeInto(o, pl.fdst, 0)
+	case opAllReduce:
+		lo, hi := t.ownedSpan(len(pl.fdst), me)
+		t.collect(so, hi-lo, 0)
+		own.fsrc = pl.fdst[lo:hi]
+		sum := t.fscratch.Get(hi - lo) // reduceInto's dst may not alias an addend
+		reduceInto(o, sum, 0)
+		copy(pl.fdst[lo:hi], sum)
+		t.fscratch.Put(sum)
+		t.shareReduced(so, pl.fdst[lo:hi], nil)
+	case opAllReduceHalf:
+		lo, hi := t.ownedSpan(len(pl.hdst), me)
+		t.collect(so, 0, hi-lo)
+		own.hsrc = pl.hdst[lo:hi]
+		w.reduceHalfInto(o, pl.hdst[lo:hi], 0)
+		t.shareReduced(so, nil, pl.hdst[lo:hi])
+	}
+	res := o.result
+	o.result = 0
+	t.release()
+	t.account(so.kind, so.root, pl)
+	return res
+}
+
+// enqueue registers this rank's seq-th collective: its contribution ships
+// immediately (so peers can complete — and it can overlap compute — without
+// waiting for this rank to Wait), and the op joins the pending FIFO.
 //
 //zinf:hotpath
 func (t *sockTransport) enqueue(seq uint64, kind opKind, root int, pl payload) {
-	if t.hubConn != nil {
-		t.hubConn.writeContrib(seq, kind, root, t.rank == root, pl)
-	}
-	t.pending = append(t.pending, sockOp{seq: seq, kind: kind, root: root, pl: pl})
+	start := time.Now()
+	so := sockOp{seq: seq, kind: kind, root: root, pl: pl}
+	t.ship(so)
+	t.pending = append(t.pending, so)
+	t.traffic[kind].MeasSeconds += time.Since(start).Seconds()
 }
 
 // rendezvous performs rank's seq-th collective synchronously.
@@ -432,83 +748,9 @@ func (t *sockTransport) advance(target uint64) float64 {
 			t.pending = t.pending[:0]
 			t.phead = 0
 		}
-		if t.peers != nil {
-			t.lastResult = t.runHub(so)
-		} else {
-			t.lastResult = t.runLeaf(so)
-		}
+		start := time.Now()
+		t.lastResult = t.complete(so)
+		t.traffic[so.kind].MeasSeconds += time.Since(start).Seconds()
 	}
 	return t.lastResult
-}
-
-// runHub assembles one collective from the hub's own contribution plus one
-// mailbox frame per peer, runs the shared compute functions, returns each
-// peer's results, and records measured traffic: real wire bytes in both
-// directions (classified intra/inter-node by the installed topology) and
-// wall-clock time including the wait for straggler contributions.
-//
-//zinf:hotpath
-func (t *sockTransport) runHub(so sockOp) float64 {
-	start := time.Now()
-	o := t.o
-	o.kind, o.root = so.kind, so.root
-	o.contrib[t.rank] = so.pl
-	var wIntra, wInter int64
-	hubNode := t.nodeOf(t.rank)
-	for r, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		f := p.pop()
-		if f.seq != so.seq || f.kind != so.kind || f.root != so.root {
-			panic(fmt.Sprintf("comm: collective mismatch at seq %d: rank %d sent %s(root %d), hub expected %s(root %d)",
-				so.seq, r, f.kind, f.root, so.kind, so.root))
-		}
-		o.contrib[r] = f.pl
-		if t.nodeOf(r) == hubNode {
-			wIntra += f.wire
-		} else {
-			wInter += f.wire
-		}
-	}
-	computeFns[o.kind](&t.collCtx, o)
-	t.account(o)
-	res := o.result
-	for r, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		n := p.fc.writeResult(so.seq, o.kind, resultCarriesDst(o.kind, r == o.root), o.contrib[r], res)
-		if t.nodeOf(r) == hubNode {
-			wIntra += n
-		} else {
-			wInter += n
-		}
-	}
-	for r, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		t.fscratch.Put(o.contrib[r].fdst)
-		t.fscratch.Put(o.contrib[r].fsrc)
-		t.hscratch.Put(o.contrib[r].hdst)
-		t.hscratch.Put(o.contrib[r].hsrc)
-	}
-	for i := range o.contrib {
-		o.contrib[i] = payload{}
-	}
-	o.result = 0
-	st := &t.traffic[o.kind]
-	st.MeasSeconds += time.Since(start).Seconds()
-	st.MeasIntraBytes += wIntra
-	st.MeasInterBytes += wInter
-	return res
-}
-
-// runLeaf completes one collective on a non-hub rank: block for the hub's
-// result frame and decode it straight into the caller's buffers.
-//
-//zinf:hotpath
-func (t *sockTransport) runLeaf(so sockOp) float64 {
-	return t.hubConn.readResultInto(so.seq, so.kind, resultCarriesDst(so.kind, t.rank == so.root), so.pl)
 }

@@ -37,7 +37,8 @@ package comm
 // Alongside the model, TrafficStats carries measured counters: wall-clock
 // seconds spent moving each kind's data and the bytes observed on the
 // transport that carried them (kernel copy volume on the in-memory
-// transport, real TCP frame bytes on the socket transport).
+// transport; on the socket transport the TCP frame bytes the reporting rank
+// itself wrote).
 
 import (
 	"fmt"
@@ -205,7 +206,7 @@ func (c *Comm) Topology() *Topology { return c.world.t.topology() }
 
 // nodes returns the node count of the installed topology (1 when flat).
 // The embedding transport serializes access (the in-memory transport's
-// mutex; the socket transport's single compute goroutine).
+// mutex; a socket transport's one rank goroutine).
 //
 //zinf:hotpath
 func (w *collCtx) nodes() int {
@@ -249,15 +250,17 @@ type TrafficStats struct {
 	// MeasIntraBytes / MeasInterBytes are the bytes observed moving on the
 	// transport, classified by the same intra/inter link taxonomy: on the
 	// in-memory transport they equal the modeled bytes (the kernel's copies
-	// are the wire); on the socket transport they are real TCP frame bytes
-	// (headers included) classified by whether the peer shares the hub
-	// rank's node.
+	// are the wire); on the socket transport they are the TCP frame bytes
+	// (headers included) the reporting rank wrote, classified by whether
+	// the receiving peer shares its node — each rank's own, so a world's
+	// wire volume is the sum over its ranks.
 	MeasIntraBytes, MeasInterBytes int64
-	// MeasSeconds is the measured wall-clock time spent completing this
-	// kind's collectives: kernel compute time on the in-memory transport;
-	// on the socket transport the hub's full per-op wall time, which
-	// includes waiting for straggler contributions — it is collective wall
-	// time, not pure wire time.
+	// MeasSeconds is the measured wall-clock time spent on this kind's
+	// collectives: kernel compute time on the in-memory transport; on the
+	// socket transport the reporting rank's own time inside the transport —
+	// shipping its contributions at issue plus completing, which includes
+	// waiting for straggler peers. It is collective wall time, not pure
+	// wire time.
 	MeasSeconds float64
 }
 
@@ -309,8 +312,8 @@ func (t *TrafficStats) add(o TrafficStats) {
 // Traffic returns a snapshot of the world's per-collective traffic, keyed
 // by collective name, skipping kinds that never ran. The snapshot
 // allocates; it is an observability call, not a hot-path one. On the socket
-// transport the counters live where the collectives execute, so only the
-// hub rank (rank 0) observes non-zero traffic.
+// transport every rank keeps its own counters: the modeled side is the same
+// on all of them, the measured side is that rank's bytes and seconds.
 func (c *Comm) Traffic() map[string]TrafficStats {
 	out := make(map[string]TrafficStats)
 	c.world.t.snapshotTraffic(func(k opKind, st TrafficStats) {
@@ -535,42 +538,42 @@ func min64(a, b int64) int64 {
 }
 
 // account records one completed collective's modeled traffic and simulated
-// cost. Runs inside the transport's compute serialization, after the op's
-// compute function.
+// cost from any one rank's payload pl (the lengths it reads are equal on
+// every rank). Runs inside the transport's compute serialization.
 //
 //zinf:hotpath
-func (w *collCtx) account(o *op) {
-	st := &w.traffic[o.kind]
+func (w *collCtx) account(kind opKind, root int, pl payload) {
+	st := &w.traffic[kind]
 	st.Ops++
 	if w.size == 1 {
 		return
 	}
 	const f32, f16 = 4, 2
-	switch o.kind {
+	switch kind {
 	case opBarrier:
 		w.accountScalar(st)
 	case opBroadcast:
-		w.accountBroadcast(st, int64(len(o.contrib[o.root].fdst))*f32, o.root)
+		w.accountBroadcast(st, int64(len(pl.fdst))*f32, root)
 	case opBroadcastHalf:
-		w.accountBroadcast(st, int64(len(o.contrib[o.root].hdst))*f16, o.root)
+		w.accountBroadcast(st, int64(len(pl.hdst))*f16, root)
 	case opAllGather:
-		w.accountAllGather(st, int64(len(o.contrib[0].fsrc))*f32)
+		w.accountAllGather(st, int64(len(pl.fsrc))*f32)
 	case opAllGatherHalf, opAllGatherHalfDecode:
-		w.accountAllGather(st, int64(len(o.contrib[0].hsrc))*f16)
+		w.accountAllGather(st, int64(len(pl.hsrc))*f16)
 	case opAllGatherEncodeHalf:
-		w.accountAllGather(st, int64(len(o.contrib[0].fsrc))*f16) // moves encoded fp16 shards
+		w.accountAllGather(st, int64(len(pl.fsrc))*f16) // moves encoded fp16 shards
 	case opReduceScatter:
-		w.accountReduceScatter(st, int64(len(o.contrib[0].fsrc))*f32)
+		w.accountReduceScatter(st, int64(len(pl.fsrc))*f32)
 	case opReduceScatterHalf, opReduceScatterHalfDecode:
-		w.accountReduceScatter(st, int64(len(o.contrib[0].hsrc))*f16)
+		w.accountReduceScatter(st, int64(len(pl.hsrc))*f16)
 	case opAllReduce:
-		w.accountAllReduce(st, int64(len(o.contrib[0].fdst))*f32)
+		w.accountAllReduce(st, int64(len(pl.fdst))*f32)
 	case opAllReduceHalf:
-		w.accountAllReduce(st, int64(len(o.contrib[0].hdst))*f16)
+		w.accountAllReduce(st, int64(len(pl.hdst))*f16)
 	case opGather:
-		w.accountGather(st, int64(len(o.contrib[o.root].fsrc))*f32, o.root)
+		w.accountGather(st, int64(len(pl.fsrc))*f32, root)
 	case opReduceHalfDecode:
-		w.accountReduceRoot(st, int64(len(o.contrib[0].hsrc))*f16, o.root)
+		w.accountReduceRoot(st, int64(len(pl.hsrc))*f16, root)
 	case opAllReduceScalar, opAllReduceMax:
 		w.accountScalar(st)
 	}

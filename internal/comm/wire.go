@@ -1,335 +1,322 @@
 package comm
 
-// Wire protocol of the socket transport: length-prefixed binary frames over
-// TCP, little-endian throughout.
+// Wire protocol (version 2) of the socket transport: length-prefixed binary
+// frames over TCP, little-endian throughout.
 //
-// Bootstrap frames (fixed size, exchanged once per connection):
+// Bootstrap frames, exchanged once per connection:
 //
-//	hello   (leaf → hub): magic u32, version u8, pad[3], rank u32, size u32
-//	welcome (hub → leaf): magic u32, version u8, pad[3], size u32
+//	hello   (dialer → listener):  magic u32, version u8, pad[3], rank u32,
+//	                              size u32, addr (u16 length + bytes)
+//	welcome (listener → dialer):  magic u32, version u8, pad[3], size u32,
+//	                              count u32, count × addr
 //
-// Collective frames share one 40-byte header:
+// A rank's hello to rank 0 carries the address its own listener is bound to;
+// rank 0's welcome carries the table of every rank's address (count = size).
+// Between two peers the hello's address is empty and the welcome is a bare
+// acknowledgement (count = 0).
+//
+// Collective frames share one 32-byte header:
 //
 //	off  0  u32  payload length (bytes following the header)
-//	off  4  u8   frame type (contrib | result)
+//	off  4  u8   frame type (contrib | reduced)
 //	off  5  u8   collective kind
 //	off  6  u16  root rank
-//	off  8  u32  len(fdst)   off 12  u32  len(fsrc)
-//	off 16  u32  len(hdst)   off 20  u32  len(hsrc)
-//	off 24  u64  sequence number
-//	off 32  u64  float64 bits (scalar contribution v / scalar result)
+//	off  8  u32  float32 elements in the payload
+//	off 12  u32  binary16 elements in the payload
+//	off 16  u64  sequence number
+//	off 24  u64  float64 bits (the sender's scalar contribution)
 //
-// A contrib frame carries the rank's source data (fsrc/hsrc) and — for the
-// collectives whose destination buffer is also an input (broadcast root,
-// allreduce) — the destination contents; destination lengths always travel
-// in the header so the hub can stage pooled buffers of the right size. A
-// result frame carries the computed destination contents back (omitted for
-// ranks whose destination the collective leaves untouched: the broadcast
-// root, non-root ranks of gather/reduce-to-root). Payload sections appear
-// in fdst, fsrc, hdst, hsrc order; floats as IEEE-754 bits, halfs as raw
-// binary16 bits, so the bytes on the wire are exactly the bytes the shared
-// compute kernels produced — no re-rounding anywhere.
+// The payload is the float32 section followed by the binary16 section, each
+// the in-memory bytes of the sender's slice: header and payload leave in one
+// vectored write straight from the caller's buffer, and the receiver reads
+// the payload straight into arena staging of the element type — no
+// per-element conversion on either side. Big-endian hosts swap bytes in
+// place after a read and through a scratch copy before a write (hostSwaps,
+// decided at init), so the wire stays little-endian.
 //
-// The encode/decode scratch buffers grow to the high-water frame size once
-// and are reused, keeping the steady-state framing path allocation-free.
+// A header is outside input: its counts are checked against maxFrameElems
+// and against the payload length before anything is sized from them.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
+	"unsafe"
 
+	"repro/internal/mem"
 	"repro/internal/tensor"
 )
 
 const (
 	wireMagic   = 0x5A494E46 // "ZINF"
-	wireVersion = 1
+	wireVersion = 2
 
+	// frameContrib carries a rank's input to a collective and is shipped when
+	// the collective is issued; frameReduced carries an owner's reduced slice
+	// (the second phase of an all-reduce) and is shipped when the owner
+	// completes the reduction.
 	frameContrib byte = 1
-	frameResult  byte = 2
+	frameReduced byte = 2
+	frameTypes        = 2
 
-	frameHdrLen = 40
-	helloLen    = 16
-	welcomeLen  = 12
+	frameHdrLen = 32
+
+	// maxFrameElems bounds the element counts a frame header may claim
+	// (2^28 float32 = 1 GiB): the most a corrupt or hostile header can make
+	// the reader stage.
+	maxFrameElems = 1 << 28
+	// maxAddrLen bounds a bootstrap address ("host:port").
+	maxAddrLen = 255
 )
 
-// Framing errors surfaced by the hub's reader goroutines (package-level so
-// the hot read path never formats).
+// Framing errors surfaced by the reader goroutines (package-level so the hot
+// read path never formats).
 var (
-	errBadFrameType = errors.New("comm: sock: unexpected frame type")
+	errBadFrameType = errors.New("comm: sock: unknown frame type")
+	errBadFrameKind = errors.New("comm: sock: unknown collective kind")
+	errFrameTooBig  = errors.New("comm: sock: frame element count exceeds the limit")
 	errFrameLen     = errors.New("comm: sock: frame payload length does not match header counts")
 )
 
-// frameConn wraps one TCP connection with buffered reads and reusable
-// encode/decode scratch. Reads and writes may run on different goroutines
-// (the hub reads contributions on a reader goroutine while its rank
-// goroutine writes results); each direction owns its scratch buffer.
-type frameConn struct {
-	c    net.Conn
-	br   *bufio.Reader
-	wbuf []byte // encode scratch, writer side only
-	rbuf []byte // decode scratch, reader side only
-}
+// hostSwaps is true on big-endian hosts, where payload bytes need swapping
+// to and from the little-endian wire.
+var hostSwaps = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 0
+}()
 
-func newFrameConn(c net.Conn) *frameConn {
-	return &frameConn{c: c, br: bufio.NewReaderSize(c, 1<<16)}
-}
-
-// growBuf returns buf resized to n bytes, reallocating (to the next power
-// of two) only when capacity is exceeded — a warmup-only allocation.
+// f32Bytes and halfBytes view a slice's backing memory as bytes.
 //
 //zinf:hotpath
-func growBuf(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		c := 1
-		for c < n {
-			c <<= 1
+func f32Bytes(xs []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*4)
+}
+
+//zinf:hotpath
+func halfBytes(xs []tensor.Half) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*2)
+}
+
+// swapBytes reverses each width-byte element of b in place (width 2 or 4):
+// the big-endian fallback's only per-element loop.
+//
+//zinf:hotpath
+func swapBytes(b []byte, width int) {
+	if width == 2 {
+		for i := 0; i+1 < len(b); i += 2 {
+			b[i], b[i+1] = b[i+1], b[i]
 		}
-		//zinf:allow hotpathalloc frame scratch grows to the high-water frame size once; reused thereafter
-		buf = make([]byte, c)
+		return
 	}
-	return buf[:n]
+	for i := 0; i+3 < len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
+	}
 }
 
-// dstCarriesInput reports whether kind's destination buffer is also an
-// input for the given rank, and therefore travels in its contrib frame:
-// the broadcast root's buffer is the source, and allreduce buffers hold
-// the addends in place.
+// frameHdr is a decoded collective-frame header.
+type frameHdr struct {
+	ftype  byte
+	kind   opKind
+	root   int
+	nf, nh int    // float32 / binary16 elements in the payload
+	seq    uint64 // the sender's sequence number for this collective
+	bits   uint64 // float64 bits of the sender's scalar
+}
+
+// wireLen returns the frame's total bytes on the wire.
 //
 //zinf:hotpath
-func dstCarriesInput(kind opKind, isRoot bool) bool {
-	switch kind {
-	case opBroadcast, opBroadcastHalf:
-		return isRoot
-	case opAllReduce, opAllReduceHalf:
-		return true
-	}
-	return false
-}
+func (h frameHdr) wireLen() int64 { return int64(frameHdrLen + h.nf*4 + h.nh*2) }
 
-// resultCarriesDst reports whether kind writes the given rank's destination
-// buffer, and therefore whether the result frame carries it back. The
-// broadcast root's buffer is the unchanged source; gather and
-// reduce-to-root ignore non-root destinations (the in-memory transport
-// leaves them untouched, so the socket transport must too).
+// putHdr encodes h into b[:frameHdrLen].
 //
 //zinf:hotpath
-func resultCarriesDst(kind opKind, isRoot bool) bool {
-	switch kind {
-	case opBroadcast, opBroadcastHalf:
-		return !isRoot
-	case opGather, opReduceHalfDecode:
-		return isRoot
-	}
-	return true
+func putHdr(b []byte, h frameHdr) {
+	binary.LittleEndian.PutUint32(b[0:], uint32(h.nf*4+h.nh*2))
+	b[4] = h.ftype
+	b[5] = byte(h.kind)
+	binary.LittleEndian.PutUint16(b[6:], uint16(h.root))
+	binary.LittleEndian.PutUint32(b[8:], uint32(h.nf))
+	binary.LittleEndian.PutUint32(b[12:], uint32(h.nh))
+	binary.LittleEndian.PutUint64(b[16:], h.seq)
+	binary.LittleEndian.PutUint64(b[24:], h.bits)
 }
 
-// contribPayloadLen returns the payload byte count of a contrib frame.
+// parseHdr decodes and validates b[:frameHdrLen]. Nothing is allocated from
+// a header it rejects: counts above maxElems and a payload length that
+// disagrees with the counts are errors.
 //
 //zinf:hotpath
-func contribPayloadLen(kind opKind, isRoot bool, nfdst, nfsrc, nhdst, nhsrc int) int {
-	n := nfsrc*4 + nhsrc*2
-	if dstCarriesInput(kind, isRoot) {
-		n += nfdst*4 + nhdst*2
+func parseHdr(b []byte, maxElems int) (frameHdr, error) {
+	h := frameHdr{
+		ftype: b[4],
+		kind:  opKind(b[5]),
+		root:  int(binary.LittleEndian.Uint16(b[6:])),
+		seq:   binary.LittleEndian.Uint64(b[16:]),
+		bits:  binary.LittleEndian.Uint64(b[24:]),
 	}
-	return n
+	plen := uint64(binary.LittleEndian.Uint32(b[0:]))
+	nf := uint64(binary.LittleEndian.Uint32(b[8:]))
+	nh := uint64(binary.LittleEndian.Uint32(b[12:]))
+	switch {
+	case h.ftype != frameContrib && h.ftype != frameReduced:
+		return frameHdr{}, errBadFrameType
+	case h.kind >= opKindCount:
+		return frameHdr{}, errBadFrameKind
+	case nf > uint64(maxElems) || nh > uint64(maxElems):
+		return frameHdr{}, errFrameTooBig
+	case plen != nf*4+nh*2:
+		return frameHdr{}, errFrameLen
+	}
+	h.nf, h.nh = int(nf), int(nh)
+	return h, nil
 }
 
-// Little-endian field readers, named for header-decoding readability.
+// inFrame is one received frame: its header plus the payload staged in the
+// transport's arenas, released by the rank goroutine once consumed.
+type inFrame struct {
+	frameHdr
+	f []float32
+	h []tensor.Half
+}
+
+// readFrame reads one frame from r. hb is the caller's header scratch
+// (frameHdrLen bytes, owned by the connection so that nothing escapes per
+// frame); the payload is read straight into staging drawn from fa and ha
+// after the header has been validated against maxElems.
 //
 //zinf:hotpath
-func le16(b []byte) uint16 { return binary.LittleEndian.Uint16(b) }
-
-//zinf:hotpath
-func le32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-
-//zinf:hotpath
-func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
-
-//zinf:hotpath
-func f64frombits(bits uint64) float64 { return math.Float64frombits(bits) }
-
-//zinf:hotpath
-func putF32s(b []byte, xs []float32) int {
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(x))
+func readFrame(r io.Reader, hb []byte, fa *mem.Arena[float32], ha *mem.Arena[tensor.Half], maxElems int) (inFrame, error) {
+	if _, err := io.ReadFull(r, hb); err != nil {
+		return inFrame{}, err
 	}
-	return len(xs) * 4
+	h, err := parseHdr(hb, maxElems)
+	if err != nil {
+		return inFrame{}, err
+	}
+	f := inFrame{frameHdr: h, f: fa.Get(h.nf), h: ha.Get(h.nh)}
+	fb, hbytes := f32Bytes(f.f), halfBytes(f.h)
+	if _, err = io.ReadFull(r, fb); err == nil {
+		_, err = io.ReadFull(r, hbytes)
+	}
+	if err != nil {
+		fa.Put(f.f)
+		ha.Put(f.h)
+		return inFrame{}, err
+	}
+	if hostSwaps {
+		swapBytes(fb, 4)
+		swapBytes(hbytes, 2)
+	}
+	return f, nil
 }
 
-//zinf:hotpath
-func getF32s(dst []float32, b []byte) int {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return len(dst) * 4
+// Bootstrap handshake (see the package comment above). It runs once per
+// connection, off the hot path.
+
+func putAddr(b []byte, addr string) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(addr)))
+	return append(b, addr...)
 }
 
-//zinf:hotpath
-func putHalfs(b []byte, xs []tensor.Half) int {
-	for i, x := range xs {
-		binary.LittleEndian.PutUint16(b[i*2:], uint16(x))
+func readAddr(c io.Reader) (string, error) {
+	var lb [2]byte
+	if _, err := io.ReadFull(c, lb[:]); err != nil {
+		return "", err
 	}
-	return len(xs) * 2
+	n := int(binary.LittleEndian.Uint16(lb[:]))
+	if n > maxAddrLen {
+		return "", fmt.Errorf("address of %d bytes exceeds the %d-byte limit", n, maxAddrLen)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(c, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
-//zinf:hotpath
-func getHalfs(dst []tensor.Half, b []byte) int {
-	for i := range dst {
-		dst[i] = tensor.Half(binary.LittleEndian.Uint16(b[i*2:]))
-	}
-	return len(dst) * 2
-}
-
-// putHdr encodes the shared header into b[:frameHdrLen].
-//
-//zinf:hotpath
-func putHdr(b []byte, plen int, ftype byte, kind opKind, root int, nfdst, nfsrc, nhdst, nhsrc int, seq uint64, bits uint64) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(plen))
-	b[4] = ftype
-	b[5] = byte(kind)
-	binary.LittleEndian.PutUint16(b[6:], uint16(root))
-	binary.LittleEndian.PutUint32(b[8:], uint32(nfdst))
-	binary.LittleEndian.PutUint32(b[12:], uint32(nfsrc))
-	binary.LittleEndian.PutUint32(b[16:], uint32(nhdst))
-	binary.LittleEndian.PutUint32(b[20:], uint32(nhsrc))
-	binary.LittleEndian.PutUint64(b[24:], seq)
-	binary.LittleEndian.PutUint64(b[32:], bits)
-}
-
-// writeContrib encodes this rank's contribution and writes it to the hub.
-// Returns the wire bytes written. Write failures panic: a rank that cannot
-// reach the hub cannot make collective progress, and the process exit is
-// what tells the launcher to kill the world.
-//
-//zinf:hotpath
-func (fc *frameConn) writeContrib(seq uint64, kind opKind, root int, isRoot bool, pl payload) int64 {
-	plen := contribPayloadLen(kind, isRoot, len(pl.fdst), len(pl.fsrc), len(pl.hdst), len(pl.hsrc))
-	fc.wbuf = growBuf(fc.wbuf, frameHdrLen+plen)
-	b := fc.wbuf
-	putHdr(b, plen, frameContrib, kind, root, len(pl.fdst), len(pl.fsrc), len(pl.hdst), len(pl.hsrc), seq, math.Float64bits(pl.v))
-	off := frameHdrLen
-	if dstCarriesInput(kind, isRoot) {
-		off += putF32s(b[off:], pl.fdst)
-	}
-	off += putF32s(b[off:], pl.fsrc)
-	if dstCarriesInput(kind, isRoot) {
-		off += putHalfs(b[off:], pl.hdst)
-	}
-	off += putHalfs(b[off:], pl.hsrc)
-	if _, err := fc.c.Write(b[:off]); err != nil {
-		panic(fmt.Sprintf("comm: sock: contribution write failed at seq %d (%s): %v", seq, kind, err))
-	}
-	return int64(off)
-}
-
-// writeResult sends one rank's computed destination contents (when the
-// collective wrote them) and the scalar result back from the hub.
-//
-//zinf:hotpath
-func (fc *frameConn) writeResult(seq uint64, kind opKind, carryDst bool, pl payload, result float64) int64 {
-	nfdst, nhdst := len(pl.fdst), len(pl.hdst)
-	if !carryDst {
-		nfdst, nhdst = 0, 0
-	}
-	plen := nfdst*4 + nhdst*2
-	fc.wbuf = growBuf(fc.wbuf, frameHdrLen+plen)
-	b := fc.wbuf
-	putHdr(b, plen, frameResult, kind, 0, nfdst, 0, nhdst, 0, seq, math.Float64bits(result))
-	off := frameHdrLen
-	off += putF32s(b[off:], pl.fdst[:nfdst])
-	off += putHalfs(b[off:], pl.hdst[:nhdst])
-	if _, err := fc.c.Write(b[:off]); err != nil {
-		panic(fmt.Sprintf("comm: sock: result write failed at seq %d (%s): %v", seq, kind, err))
-	}
-	return int64(off)
-}
-
-// readResultInto blocks for the hub's result frame of this rank's seq-th
-// collective and decodes the destination contents directly into the local
-// buffers. Returns the scalar result. Frame mismatches and connection
-// failures panic — the socket-transport analogue of the in-memory
-// collective-mismatch panic.
-//
-//zinf:hotpath
-func (fc *frameConn) readResultInto(seq uint64, kind opKind, carryDst bool, pl payload) float64 {
-	var hb [frameHdrLen]byte
-	if _, err := io.ReadFull(fc.br, hb[:]); err != nil {
-		panic(fmt.Sprintf("comm: sock: lost hub connection at seq %d (%s): %v", seq, kind, err))
-	}
-	plen := int(binary.LittleEndian.Uint32(hb[0:]))
-	gotSeq := binary.LittleEndian.Uint64(hb[24:])
-	if hb[4] != frameResult || opKind(hb[5]) != kind || gotSeq != seq {
-		panic(fmt.Sprintf("comm: collective mismatch at seq %d: this rank called %s, hub answered frame type %d %s seq %d",
-			seq, kind, hb[4], opKind(hb[5]), gotSeq))
-	}
-	nfdst := int(binary.LittleEndian.Uint32(hb[8:]))
-	nhdst := int(binary.LittleEndian.Uint32(hb[16:]))
-	wantF, wantH := len(pl.fdst), len(pl.hdst)
-	if !carryDst {
-		wantF, wantH = 0, 0
-	}
-	if nfdst != wantF || nhdst != wantH || plen != nfdst*4+nhdst*2 {
-		panic(fmt.Sprintf("comm: sock: result shape mismatch at seq %d (%s): got %d/%d want %d/%d",
-			seq, kind, nfdst, nhdst, wantF, wantH))
-	}
-	fc.rbuf = growBuf(fc.rbuf, plen)
-	if _, err := io.ReadFull(fc.br, fc.rbuf); err != nil {
-		panic(fmt.Sprintf("comm: sock: lost hub connection at seq %d (%s): %v", seq, kind, err))
-	}
-	off := getF32s(pl.fdst[:nfdst], fc.rbuf)
-	getHalfs(pl.hdst[:nhdst], fc.rbuf[off:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(hb[32:]))
-}
-
-// writeHello / readHello / writeWelcome / readWelcome implement the
-// bootstrap handshake (see the package comment above). Bootstrap runs once,
-// off the hot path.
-
-func writeHello(c net.Conn, rank, size int) error {
-	var b [helloLen]byte
-	binary.LittleEndian.PutUint32(b[0:], wireMagic)
-	b[4] = wireVersion
-	binary.LittleEndian.PutUint32(b[8:], uint32(rank))
-	binary.LittleEndian.PutUint32(b[12:], uint32(size))
-	_, err := c.Write(b[:])
-	return err
-}
-
-func readHello(c net.Conn) (rank, size int, err error) {
-	var b [helloLen]byte
+// readPreamble reads the 8 bytes every bootstrap frame starts with.
+func readPreamble(c io.Reader, what string) error {
+	var b [8]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return 0, 0, fmt.Errorf("comm: sock: reading hello: %w", err)
+		return fmt.Errorf("comm: sock: reading %s: %w", what, err)
 	}
 	if binary.LittleEndian.Uint32(b[0:]) != wireMagic {
-		return 0, 0, fmt.Errorf("comm: sock: bad hello magic (not a zinf worker?)")
+		return fmt.Errorf("comm: sock: bad %s magic (not a zinf worker?)", what)
 	}
 	if b[4] != wireVersion {
-		return 0, 0, fmt.Errorf("comm: sock: wire version %d, want %d", b[4], wireVersion)
+		return fmt.Errorf("comm: sock: %s has wire version %d, want %d", what, b[4], wireVersion)
 	}
-	return int(binary.LittleEndian.Uint32(b[8:])), int(binary.LittleEndian.Uint32(b[12:])), nil
+	return nil
 }
 
-func writeWelcome(c net.Conn, size int) error {
-	var b [welcomeLen]byte
-	binary.LittleEndian.PutUint32(b[0:], wireMagic)
-	b[4] = wireVersion
-	binary.LittleEndian.PutUint32(b[8:], uint32(size))
-	_, err := c.Write(b[:])
+func preamble() []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 64), wireMagic)
+	return append(b, wireVersion, 0, 0, 0)
+}
+
+func writeHello(c net.Conn, rank, size int, addr string) error {
+	if len(addr) > maxAddrLen {
+		return fmt.Errorf("comm: sock: listen address %q exceeds %d bytes", addr, maxAddrLen)
+	}
+	b := binary.LittleEndian.AppendUint32(preamble(), uint32(rank))
+	b = binary.LittleEndian.AppendUint32(b, uint32(size))
+	_, err := c.Write(putAddr(b, addr))
 	return err
 }
 
-func readWelcome(c net.Conn) (size int, err error) {
-	var b [welcomeLen]byte
+func readHello(c net.Conn) (rank, size int, addr string, err error) {
+	if err := readPreamble(c, "hello"); err != nil {
+		return 0, 0, "", err
+	}
+	var b [8]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return 0, fmt.Errorf("comm: sock: reading welcome: %w", err)
+		return 0, 0, "", fmt.Errorf("comm: sock: reading hello: %w", err)
 	}
-	if binary.LittleEndian.Uint32(b[0:]) != wireMagic || b[4] != wireVersion {
-		return 0, fmt.Errorf("comm: sock: bad welcome from hub")
+	if addr, err = readAddr(c); err != nil {
+		return 0, 0, "", fmt.Errorf("comm: sock: reading hello: %w", err)
 	}
-	return int(binary.LittleEndian.Uint32(b[8:])), nil
+	return int(binary.LittleEndian.Uint32(b[0:])), int(binary.LittleEndian.Uint32(b[4:])), addr, nil
+}
+
+// writeWelcome acknowledges a hello; addrs is the address table (rank 0
+// only) or nil.
+func writeWelcome(c net.Conn, size int, addrs []string) error {
+	b := binary.LittleEndian.AppendUint32(preamble(), uint32(size))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(addrs)))
+	for _, a := range addrs {
+		b = putAddr(b, a)
+	}
+	_, err := c.Write(b)
+	return err
+}
+
+// readWelcome reads a welcome and returns its address table, which must be
+// empty or cover exactly size ranks.
+func readWelcome(c net.Conn, size int) ([]string, error) {
+	if err := readPreamble(c, "welcome"); err != nil {
+		return nil, err
+	}
+	var b [8]byte
+	if _, err := io.ReadFull(c, b[:]); err != nil {
+		return nil, fmt.Errorf("comm: sock: reading welcome: %w", err)
+	}
+	if got := int(binary.LittleEndian.Uint32(b[0:])); got != size {
+		return nil, fmt.Errorf("comm: sock: peer has world size %d, this rank expected %d", got, size)
+	}
+	count := int(binary.LittleEndian.Uint32(b[4:]))
+	if count != 0 && count != size {
+		return nil, fmt.Errorf("comm: sock: welcome carries %d addresses for a world of %d", count, size)
+	}
+	addrs := make([]string, count)
+	for i := range addrs {
+		a, err := readAddr(c)
+		if err != nil {
+			return nil, fmt.Errorf("comm: sock: reading welcome address %d: %w", i, err)
+		}
+		addrs[i] = a
+	}
+	return addrs, nil
 }

@@ -140,7 +140,8 @@ type (
 func NewWorld(opts WorldOptions) (*World, error) { return comm.New(opts) }
 
 // NewSockTransport bootstraps one rank of a TCP-connected world, blocking
-// until this rank is wired to the hub (rank 0).
+// until this rank holds a connection to every other rank (rank 0, listening
+// on cfg.Coord, brokers the peers' addresses).
 func NewSockTransport(cfg SockConfig) (Transport, error) { return comm.NewSockTransport(cfg) }
 
 // ValidateTopology reports whether t can be installed on a world of size
