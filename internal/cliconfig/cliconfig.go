@@ -41,7 +41,7 @@ func AddCommon(fs *flag.FlagSet, c *Common) {
 		"compute backend: "+strings.Join(zeroinf.Backends(), "|")+" (bit-identical, parallel uses all cores)")
 	fs.StringVar(&c.Topology, "topology", c.Topology,
 		"multi-node fabric spec <nodes>x<ranksPerNode>[:intra=GB/s][:inter=GB/s][:lintra=µs][:linter=µs][:flat]; "+
-			"collectives decompose hierarchically and achieved aggregate bandwidth is reported (\"\" = flat)")
+			"collectives are charged per link class and achieved aggregate bandwidth is reported (\"\" = flat)")
 	fs.StringVar(&c.Partition, "partition", c.Partition,
 		"stage-3/infinity parameter partitioning (Fig. 6c): slice (1/dp, all links) | broadcast (owner-rank)")
 	fs.IntVar(&c.Prefetch, "prefetch", c.Prefetch,

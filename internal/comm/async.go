@@ -6,18 +6,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Ticket tracks one asynchronous collective. Wait blocks until every rank
-// has entered the matching call and the data movement has completed; it
-// must eventually be called, from the issuing rank's goroutine (extra Wait
-// calls are no-ops).
+// Ticket tracks one issued collective. Wait blocks until every rank has
+// entered the matching call and the data movement has completed; it must
+// eventually be called, from the issuing rank's goroutine (extra Wait calls
+// are no-ops).
 //
-// Asynchronous collectives occupy a slot in the communicator's sequence at
-// issue time — the issuing rank's contribution is registered immediately,
-// with no goroutine spawned — so the SPMD contract extends naturally: every
-// rank must issue the same collectives in the same order, but may overlap
-// any amount of compute (or further collectives) between issuing and
-// waiting. Buffers handed to an async collective must stay untouched until
-// Wait returns.
+// A collective occupies a slot in the communicator's sequence at issue time
+// — the issuing rank's contribution is registered immediately, with no
+// goroutine spawned — so the SPMD contract extends naturally: every rank
+// must issue the same collectives in the same order, but may overlap any
+// amount of compute (or further collectives) between issuing and waiting.
+// Buffers handed to a collective must stay untouched until Wait returns.
 //
 // Ticket is a small value type (engines embed it in pooled in-flight
 // records); the zero Ticket is a completed ticket. It carries a branch per
@@ -35,7 +34,13 @@ type Ticket struct {
 // Wait blocks until the collective has completed on all ranks.
 //
 //zinf:hotpath
-func (t *Ticket) Wait() {
+func (t *Ticket) Wait() { t.wait() }
+
+// wait is Wait returning the collective's scalar result (0 for a data
+// collective or a ticket already waited).
+//
+//zinf:hotpath
+func (t *Ticket) wait() (res float64) {
 	switch {
 	case t.op != nil:
 		mt := t.mt
@@ -43,92 +48,66 @@ func (t *Ticket) Wait() {
 		for !t.op.computed {
 			t.op.done.Wait()
 		}
+		res = t.op.result
 		mt.leaveLocked(t.seq, t.op)
 		mt.mu.Unlock()
 		t.op, t.mt = nil, nil
 	case t.st != nil:
-		t.st.advance(t.seq)
+		res = t.st.advance(t.seq)
 		t.st = nil
 	}
+	return res
 }
 
-// AllGatherHalfAsync starts an asynchronous AllGatherHalf: every rank's src
-// (all equal length) is concatenated into dst in rank order. len(dst) must
-// be Size()*len(src). dst and src must not be touched until the ticket
-// completes; the gathered bytes are bit-identical to AllGatherHalf.
+// issue registers this rank's next collective with the transport: the one
+// path every collective, synchronous or not, takes.
 //
 //zinf:hotpath
-func (c *Comm) AllGatherHalfAsync(dst, src []tensor.Half) Ticket {
-	if len(dst) != c.Size()*len(src) {
-		panic(fmt.Sprintf("comm: allgatherhalfasync dst len %d != size %d * src len %d", len(dst), c.Size(), len(src)))
-	}
-	return c.async(opAllGatherHalf, 0, payload{hdst: dst, hsrc: src})
+func (c *Comm) issue(kind opKind, root int, pl payload) Ticket {
+	seq := c.seq
+	c.seq++
+	return c.world.t.issue(c.rank, seq, kind, root, pl)
 }
 
-// BroadcastHalfAsync starts an asynchronous BroadcastHalf: root's buf is
-// copied into every rank's buf (all equal length). Buffers must not be
-// touched until the ticket completes; the delivered bytes are bit-identical
-// to BroadcastHalf. This is the owner-rank-broadcast partitioning
+// BroadcastHalfAsync starts a BroadcastHalf; buf must not be touched until
+// the ticket completes. This is the owner-rank-broadcast partitioning
 // strategy's parameter-prefetch primitive.
 //
 //zinf:hotpath
 func (c *Comm) BroadcastHalfAsync(buf []tensor.Half, root int) Ticket {
-	return c.async(opBroadcastHalf, root, payload{hdst: buf})
+	return c.issue(opBroadcastHalf, root, payload{hdst: buf})
 }
 
-// AllGatherHalfDecodeAsync starts an asynchronous AllGatherHalfDecode:
-// every rank's binary16 src shard is decoded once and the decoded shards
-// are concatenated into dst in rank order as float32. len(dst) must be
-// Size()*len(src). Buffers must not be touched until the ticket completes;
-// results are bit-identical to AllGatherHalf followed by DecodeHalf. This
-// is the engines' parameter-prefetch primitive under 1/dp slicing.
+// AllGatherHalfDecodeAsync starts an AllGatherHalfDecode; dst and src must
+// not be touched until the ticket completes. This is the engines'
+// parameter-prefetch primitive under 1/dp slicing.
 //
 //zinf:hotpath
 func (c *Comm) AllGatherHalfDecodeAsync(dst []float32, src []tensor.Half) Ticket {
 	if len(dst) != c.Size()*len(src) {
-		panic(fmt.Sprintf("comm: allgatherhalfdecodeasync dst len %d != size %d * src len %d", len(dst), c.Size(), len(src)))
+		panic(fmt.Sprintf("comm: allgatherhalfdecode dst len %d != size %d * src len %d", len(dst), c.Size(), len(src)))
 	}
-	return c.async(opAllGatherHalfDecode, 0, payload{fdst: dst, hsrc: src})
+	return c.issue(opAllGatherHalfDecode, 0, payload{fdst: dst, hsrc: src})
 }
 
-// ReduceScatterHalfAsync starts an asynchronous ReduceScatterHalf:
-// contributions are decoded to float32, summed in rank order with float32
-// accumulation, and each rank's shard is re-encoded to binary16 into its
-// dst. len(src) must be Size()*len(dst). Buffers must not be touched until
-// the ticket completes; results are bit-identical to ReduceScatterHalf.
-//
-//zinf:hotpath
-func (c *Comm) ReduceScatterHalfAsync(dst, src []tensor.Half) Ticket {
-	if len(src) != c.Size()*len(dst) {
-		panic(fmt.Sprintf("comm: reducescatterhalfasync src len %d != size %d * dst len %d", len(src), c.Size(), len(dst)))
-	}
-	return c.async(opReduceScatterHalf, 0, payload{hdst: dst, hsrc: src})
-}
-
-// ReduceScatterHalfDecodeAsync starts an asynchronous
-// ReduceScatterHalfDecode: the fused reduce+fp16-round+decode delivers each
-// rank's shard directly as float32 into dst. len(src) must be
-// Size()*len(dst). Buffers must not be touched until the ticket completes;
-// results are bit-identical to ReduceScatterHalf followed by DecodeHalf.
+// ReduceScatterHalfDecodeAsync starts a ReduceScatterHalfDecode; dst and src
+// must not be touched until the ticket completes.
 //
 //zinf:hotpath
 func (c *Comm) ReduceScatterHalfDecodeAsync(dst []float32, src []tensor.Half) Ticket {
 	if len(src) != c.Size()*len(dst) {
-		panic(fmt.Sprintf("comm: reducescatterhalfdecodeasync src len %d != size %d * dst len %d", len(src), c.Size(), len(dst)))
+		panic(fmt.Sprintf("comm: reducescatterhalfdecode src len %d != size %d * dst len %d", len(src), c.Size(), len(dst)))
 	}
-	return c.async(opReduceScatterHalfDecode, 0, payload{fdst: dst, hsrc: src})
+	return c.issue(opReduceScatterHalfDecode, 0, payload{fdst: dst, hsrc: src})
 }
 
-// ReduceHalfDecodeAsync starts an asynchronous ReduceHalfDecode: every
-// rank's src is decoded, summed in rank order with float32 accumulation,
-// rounded through binary16 and delivered as float32 into root's dst (nil on
-// non-root ranks). Buffers must not be touched until the ticket completes;
-// results are bit-identical to ReduceHalfDecode.
+// ReduceHalfDecodeAsync starts a ReduceHalfDecode (dst nil on non-root
+// ranks); dst and src must not be touched until the ticket completes.
 //
 //zinf:hotpath
 func (c *Comm) ReduceHalfDecodeAsync(dst []float32, src []tensor.Half, root int) Ticket {
 	if c.rank == root && len(dst) != len(src) {
-		panic(fmt.Sprintf("comm: reducehalfdecodeasync root dst len %d != src len %d", len(dst), len(src)))
+		panic(fmt.Sprintf("comm: reducehalfdecode root dst len %d != src len %d", len(dst), len(src)))
 	}
-	return c.async(opReduceHalfDecode, root, payload{fdst: dst, hsrc: src})
+	return c.issue(opReduceHalfDecode, root, payload{fdst: dst, hsrc: src})
 }

@@ -1,7 +1,12 @@
 // Package comm provides the collective-communication substrate for the
 // ZeRO-Infinity reproduction. A World of n ranks runs SPMD code over a
-// pluggable Transport; collectives (broadcast, allgather, reduce-scatter,
-// allreduce, gather, barrier) have the same data semantics as NCCL's.
+// pluggable Transport. The collectives are the ones ZeRO-Infinity's traffic
+// needs (paper Sec. 6.1) and no others: the fp16 parameter allgather
+// (AllGatherHalfDecode, AllGatherEncodeHalf) or owner broadcast
+// (BroadcastHalf), the fp16 gradient reduce-scatter
+// (ReduceScatterHalfDecode), reduce-to-owner (ReduceHalfDecode) or all-reduce
+// (AllReduceHalf), and the overflow/clip/loss scalars (AllReduceScalar,
+// AllReduceMax). Data semantics are NCCL's.
 //
 // Collective matching follows the SPMD contract: every rank must invoke the
 // same sequence of collectives on the same communicator. Each call is matched
@@ -23,9 +28,14 @@
 // are pooled and reused, per-rank contributions are flat payload structs
 // (no interface boxing), the data-movement functions are package-level (no
 // closure captures), and reduction/encode scratch comes from a context-owned
-// size-classed arena. Fused convert+collective paths
-// (AllGatherEncodeHalf, ReduceScatterHalfDecode) additionally remove the
-// intermediate full-size fp16 pass their two-call forms needed.
+// size-classed arena. The data collectives are fused with the fp16 codec
+// (encode before an allgather, decode after a gather or reduction), so no
+// caller holds an intermediate full-size fp16 buffer.
+//
+// Every collective takes one path: it is issued (its contribution registered
+// with the transport, a Ticket returned) and then waited. The synchronous
+// methods are issue-then-Wait; the *Async methods hand the ticket to the
+// caller.
 package comm
 
 import (
@@ -37,20 +47,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// opKind enumerates the collective types. An enum (rather than the previous
-// per-call formatted string) keeps the mismatch check allocation-free.
+// opKind enumerates the collective types. An enum (rather than a per-call
+// formatted string) keeps the mismatch check allocation-free. The values go
+// over the wire (frameHdr.kind): renumbering them is a wireVersion bump.
 type opKind uint8
 
 const (
-	opBarrier opKind = iota
-	opBroadcast
-	opAllGather
-	opReduceScatter
-	opAllReduce
-	opGather
-	opBroadcastHalf
-	opAllGatherHalf
-	opReduceScatterHalf
+	opBroadcastHalf opKind = iota
 	opAllReduceHalf
 	opAllGatherEncodeHalf
 	opAllGatherHalfDecode
@@ -63,12 +66,13 @@ const (
 )
 
 var opNames = [...]string{
-	"barrier", "broadcast", "allgather", "reducescatter", "allreduce",
-	"gather", "broadcasthalf", "allgatherhalf", "reducescatterhalf",
-	"allreducehalf", "allgatherencodehalf", "allgatherhalfdecode",
-	"reducescatterhalfdecode", "reducehalfdecode", "allreducescalar",
-	"allreducemax",
+	"broadcasthalf", "allreducehalf", "allgatherencodehalf",
+	"allgatherhalfdecode", "reducescatterhalfdecode", "reducehalfdecode",
+	"allreducescalar", "allreducemax",
 }
+
+// A kind without a name, or a name without a kind, fails to compile.
+var _ [opKindCount]string = opNames
 
 func (k opKind) String() string { return opNames[k] }
 
@@ -84,16 +88,8 @@ type payload struct {
 
 // computeFns dispatches the data movement for each kind. The functions are
 // package-level so issuing a collective never builds a closure.
-var computeFns = [...]func(w *collCtx, o *op){
-	opBarrier:                 func(*collCtx, *op) {},
-	opBroadcast:               computeBroadcast,
-	opAllGather:               computeAllGather,
-	opReduceScatter:           computeReduceScatter,
-	opAllReduce:               computeAllReduce,
-	opGather:                  computeGather,
+var computeFns = [opKindCount]func(w *collCtx, o *op){
 	opBroadcastHalf:           computeBroadcastHalf,
-	opAllGatherHalf:           computeAllGatherHalf,
-	opReduceScatterHalf:       computeReduceScatterHalf,
 	opAllReduceHalf:           computeAllReduceHalf,
 	opAllGatherEncodeHalf:     computeAllGatherEncodeHalf,
 	opAllGatherHalfDecode:     computeAllGatherHalfDecode,
@@ -108,7 +104,8 @@ var computeFns = [...]func(w *collCtx, o *op){
 // runs the exact same data movement and fp32 rank-order accumulation.
 // Synchronization is the embedding transport's job (the in-memory transport
 // serializes compute under its world mutex; a socket transport computes on
-// its one rank's goroutine).
+// its one rank's goroutine). New fixes codec and topo through configure
+// before any rank runs; nothing writes them afterwards.
 type collCtx struct {
 	size int
 
@@ -118,19 +115,38 @@ type collCtx struct {
 	fscratch *mem.Arena[float32]
 	hscratch *mem.Arena[tensor.Half]
 
-	// codec dispatches the binary16 conversions the *Half collectives
-	// perform. Every backend is bit-identical, so this is purely a speed
-	// knob (reference by default).
+	// codec dispatches the binary16 conversions the collectives perform.
+	// Every backend is bit-identical, so this is purely a speed knob.
 	codec tensor.Backend
 
-	// topo, when set, groups ranks into nodes: the data-moving collectives
-	// decompose hierarchically (intra-node phase, then inter-node phase
-	// among node leaders) and every collective's byte flow and simulated
-	// transfer cost are accounted per link class in traffic. See
-	// topology.go.
+	// topo, when set, groups ranks into nodes. It never changes what a
+	// collective delivers — only which link class account charges each
+	// collective's bytes to and what it costs there. See topology.go.
 	topo    *Topology
 	traffic [opKindCount]TrafficStats
 }
+
+func newCollCtx(size int) collCtx {
+	return collCtx{
+		size:     size,
+		fscratch: mem.NewArena[float32](),
+		hscratch: mem.NewArena[tensor.Half](),
+	}
+}
+
+// configure fixes the codec backend and the (validated, normalized)
+// topology. New calls it once, before it hands out the world.
+func (w *collCtx) configure(codec tensor.Backend, topo *Topology) error {
+	cp, err := normalizeTopology(topo, w.size)
+	if err != nil {
+		return err
+	}
+	w.codec, w.topo = codec, cp
+	return nil
+}
+
+// topology returns the installed (normalized) topology, nil when flat.
+func (w *collCtx) topology() *Topology { return w.topo }
 
 // computeMeasured runs o's data movement plus modeled accounting and folds
 // in the measured counters: wall-clock compute time, and — on this shared-
@@ -166,194 +182,18 @@ type op struct {
 	result        float64    // scalar collectives' result
 }
 
-// Barrier blocks until every rank has entered the barrier.
-//
-//zinf:hotpath
-func (c *Comm) Barrier() {
-	c.rendezvous(opBarrier, 0, payload{})
-}
-
-// Broadcast copies root's buf into every rank's buf. All bufs must have the
-// same length.
-//
-//zinf:hotpath
-func (c *Comm) Broadcast(buf []float32, root int) {
-	c.rendezvous(opBroadcast, root, payload{fdst: buf})
-}
-
-//zinf:hotpath
-func computeBroadcast(w *collCtx, o *op) {
-	if w.hier() {
-		computeBroadcastHier(w, o)
-		return
-	}
-	src := o.contrib[o.root].fdst
-	for r := range o.contrib {
-		if r == o.root {
-			continue
-		}
-		dst := o.contrib[r].fdst
-		if len(dst) != len(src) {
-			panic(fmt.Sprintf("comm: broadcast length mismatch: root %d, rank %d", len(src), len(dst)))
-		}
-		copy(dst, src)
-	}
-}
-
-// AllGather concatenates every rank's src (all equal length) into dst in rank
-// order on every rank. len(dst) must be Size()*len(src).
-//
-//zinf:hotpath
-func (c *Comm) AllGather(dst, src []float32) {
-	if len(dst) != c.Size()*len(src) {
-		panic(fmt.Sprintf("comm: allgather dst len %d != size %d * src len %d", len(dst), c.Size(), len(src)))
-	}
-	c.rendezvous(opAllGather, 0, payload{fdst: dst, fsrc: src})
-}
-
-//zinf:hotpath
-func computeAllGather(w *collCtx, o *op) {
-	if w.hier() {
-		computeAllGatherHier(w, o)
-		return
-	}
-	for i := range o.contrib {
-		gatherInto(o, o.contrib[i].fdst)
-	}
-}
-
-// gatherInto concatenates every contribution's fsrc into dst in rank order:
-// one destination of an allgather, or the root's of a rooted gather.
-//
-//zinf:hotpath
-func gatherInto(o *op, dst []float32) {
-	n := len(o.contrib[0].fsrc)
-	for r := range o.contrib {
-		copy(dst[r*n:(r+1)*n], o.contrib[r].fsrc)
-	}
-}
-
-// ReduceScatter sums the ranks' src buffers elementwise (in rank order) and
-// scatters the result: rank r receives elements [r*len(dst), (r+1)*len(dst))
-// of the sum. len(src) must be Size()*len(dst).
-//
-//zinf:hotpath
-func (c *Comm) ReduceScatter(dst, src []float32) {
-	if len(src) != c.Size()*len(dst) {
-		panic(fmt.Sprintf("comm: reducescatter src len %d != size %d * dst len %d", len(src), c.Size(), len(dst)))
-	}
-	c.rendezvous(opReduceScatter, 0, payload{fdst: dst, fsrc: src})
-}
-
-//zinf:hotpath
-func computeReduceScatter(w *collCtx, o *op) {
-	n := len(o.contrib[0].fdst)
-	for r := range o.contrib {
-		reduceInto(o, o.contrib[r].fdst, r*n)
-	}
-}
-
-// reduceInto computes one destination of a float32 reduction: dst becomes
-// the rank-order fp32 sum of every contribution's fsrc[at:at+len(dst)]. dst
-// must not alias a contribution.
-//
-//zinf:hotpath
-func reduceInto(o *op, dst []float32, at int) {
-	n := len(dst)
-	copy(dst, o.contrib[0].fsrc[at:at+n])
-	for _, cb := range o.contrib[1:] {
-		tensor.Axpy(1, cb.fsrc[at:at+n], dst)
-	}
-}
-
-// AllReduce sums every rank's buf elementwise (in rank order); each rank's
-// buf holds the total afterwards.
-//
-//zinf:hotpath
-func (c *Comm) AllReduce(buf []float32) {
-	c.rendezvous(opAllReduce, 0, payload{fdst: buf})
-}
-
-//zinf:hotpath
-func computeAllReduce(w *collCtx, o *op) {
-	n := len(o.contrib[0].fdst)
-	sum := w.fscratch.Get(n)
-	copy(sum, o.contrib[0].fdst)
-	for _, cb := range o.contrib[1:] {
-		if len(cb.fdst) != n {
-			panic("comm: allreduce length mismatch")
-		}
-		tensor.Axpy(1, cb.fdst, sum)
-	}
-	for i := range o.contrib {
-		copy(o.contrib[i].fdst, sum)
-	}
-	w.fscratch.Put(sum)
-}
-
-// Gather concatenates every rank's src into root's dst in rank order. dst is
-// ignored on non-root ranks (may be nil). On root, len(dst) must be
-// Size()*len(src).
-//
-//zinf:hotpath
-func (c *Comm) Gather(dst, src []float32, root int) {
-	c.rendezvous(opGather, root, payload{fdst: dst, fsrc: src})
-}
-
-//zinf:hotpath
-func computeGather(w *collCtx, o *op) {
-	rd := o.contrib[o.root].fdst
-	n := len(o.contrib[o.root].fsrc)
-	if len(rd) != len(o.contrib)*n {
-		panic("comm: gather root dst length mismatch")
-	}
-	gatherInto(o, rd)
-}
-
-// AllGatherHalf is AllGather over binary16 payloads; data moves bit-exactly.
-//
-//zinf:hotpath
-func (c *Comm) AllGatherHalf(dst, src []tensor.Half) {
-	if len(dst) != c.Size()*len(src) {
-		panic("comm: allgatherhalf length mismatch")
-	}
-	c.rendezvous(opAllGatherHalf, 0, payload{hdst: dst, hsrc: src})
-}
-
-//zinf:hotpath
-func computeAllGatherHalf(w *collCtx, o *op) {
-	if w.hier() {
-		computeAllGatherHalfHier(w, o)
-		return
-	}
-	for i := range o.contrib {
-		gatherHalfInto(o, o.contrib[i].hdst)
-	}
-}
-
-// gatherHalfInto is gatherInto over binary16 shards.
-//
-//zinf:hotpath
-func gatherHalfInto(o *op, dst []tensor.Half) {
-	n := len(o.contrib[0].hsrc)
-	for r := range o.contrib {
-		copy(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
-	}
-}
-
-// BroadcastHalf copies root's binary16 buf into every rank's buf.
+// BroadcastHalf copies root's binary16 buf into every rank's buf (all equal
+// length): the parameter gather of the owner-rank-broadcast partitioning
+// strategy (Fig. 6c's baseline).
 //
 //zinf:hotpath
 func (c *Comm) BroadcastHalf(buf []tensor.Half, root int) {
-	c.rendezvous(opBroadcastHalf, root, payload{hdst: buf})
+	t := c.BroadcastHalfAsync(buf, root)
+	t.Wait()
 }
 
 //zinf:hotpath
 func computeBroadcastHalf(w *collCtx, o *op) {
-	if w.hier() {
-		computeBroadcastHalfHier(w, o)
-		return
-	}
 	src := o.contrib[o.root].hdst
 	for r := range o.contrib {
 		if r == o.root {
@@ -363,17 +203,106 @@ func computeBroadcastHalf(w *collCtx, o *op) {
 	}
 }
 
-// ReduceScatterHalf reduce-scatters binary16 gradients: contributions are
-// decoded to float32, summed in rank order with float32 accumulation (the
-// fp32-accumulate behaviour of tensor-core reductions), and each rank's shard
-// is re-encoded to binary16 into dst.
+// AllGatherHalfDecode gathers binary16 shards and delivers them decoded:
+// every rank contributes a binary16 shard (all equal length), each shard is
+// decoded to float32 exactly once, and the decoded shards are concatenated
+// into every rank's dst in rank order. What crosses a link is fp16; the
+// caller never holds a full-size fp16 buffer. The engines' parameter gathers
+// under 1/dp slicing run on this. len(dst) must be Size()*len(src).
 //
 //zinf:hotpath
-func (c *Comm) ReduceScatterHalf(dst, src []tensor.Half) {
-	if len(src) != c.Size()*len(dst) {
-		panic("comm: reducescatterhalf length mismatch")
+func (c *Comm) AllGatherHalfDecode(dst []float32, src []tensor.Half) {
+	t := c.AllGatherHalfDecodeAsync(dst, src)
+	t.Wait()
+}
+
+//zinf:hotpath
+func computeAllGatherHalfDecode(w *collCtx, o *op) {
+	n := len(o.contrib[0].hsrc)
+	dec := w.fscratch.Get(n)
+	for r := range o.contrib {
+		w.codec.DecodeHalf(dec, o.contrib[r].hsrc)
+		for i := range o.contrib {
+			copy(o.contrib[i].fdst[r*n:(r+1)*n], dec)
+		}
 	}
-	c.rendezvous(opReduceScatterHalf, 0, payload{hdst: dst, hsrc: src})
+	w.fscratch.Put(dec)
+}
+
+// gatherHalfDecodeInto is one destination of the allgather+decode where
+// shards arrive still encoded (the socket transport: fp16 is what crosses
+// the link). computeAllGatherHalfDecode decodes each shard once for all
+// destinations instead; the LUT decode is exact, so both deliver the same
+// bytes.
+//
+//zinf:hotpath
+func (w *collCtx) gatherHalfDecodeInto(o *op, dst []float32) {
+	n := len(o.contrib[0].hsrc)
+	for r := range o.contrib {
+		w.codec.DecodeHalf(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
+	}
+}
+
+// AllGatherEncodeHalf gathers float32 shards as binary16: every rank
+// contributes a float32 shard, each shard is rounded to binary16 once, and
+// the encoded shards are concatenated into every rank's dst in rank order —
+// without a per-rank intermediate fp16 shard buffer. The replicated-
+// parameter engines rebuild their fp16 weights from fp32 master shards with
+// it. len(dst) must be Size()*len(src).
+//
+//zinf:hotpath
+func (c *Comm) AllGatherEncodeHalf(dst []tensor.Half, src []float32) {
+	if len(dst) != c.Size()*len(src) {
+		panic(fmt.Sprintf("comm: allgatherencodehalf dst len %d != size %d * src len %d", len(dst), c.Size(), len(src)))
+	}
+	t := c.issue(opAllGatherEncodeHalf, 0, payload{hdst: dst, fsrc: src})
+	t.Wait()
+}
+
+//zinf:hotpath
+func computeAllGatherEncodeHalf(w *collCtx, o *op) {
+	n := len(o.contrib[0].fsrc)
+	enc := w.hscratch.Get(n)
+	for r := range o.contrib {
+		w.codec.EncodeHalf(enc, o.contrib[r].fsrc)
+		for i := range o.contrib {
+			copy(o.contrib[i].hdst[r*n:(r+1)*n], enc)
+		}
+	}
+	w.hscratch.Put(enc)
+}
+
+// gatherHalfInto concatenates every contribution's hsrc into dst in rank
+// order: one destination of an allgather whose shards arrive already
+// encoded (the socket transport's AllGatherEncodeHalf).
+//
+//zinf:hotpath
+func gatherHalfInto(o *op, dst []tensor.Half) {
+	n := len(o.contrib[0].hsrc)
+	for r := range o.contrib {
+		copy(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
+	}
+}
+
+// ReduceScatterHalfDecode reduce-scatters binary16 gradients: contributions
+// are decoded to float32 and summed in rank order with float32 accumulation
+// (the fp32-accumulate behaviour of tensor-core reductions); rank r's shard —
+// elements [r*len(dst), (r+1)*len(dst)) of the sum — is rounded through
+// binary16, which is what a link would carry, and delivered as float32 into
+// its dst. len(src) must be Size()*len(dst).
+//
+//zinf:hotpath
+func (c *Comm) ReduceScatterHalfDecode(dst []float32, src []tensor.Half) {
+	t := c.ReduceScatterHalfDecodeAsync(dst, src)
+	t.Wait()
+}
+
+//zinf:hotpath
+func computeReduceScatterHalfDecode(w *collCtx, o *op) {
+	n := len(o.contrib[0].fdst)
+	for r := range o.contrib {
+		w.reduceHalfDecodeInto(o, o.contrib[r].fdst, r*n)
+	}
 }
 
 // reduceHalfShard computes the fp32 rank-order sum of every contribution's
@@ -387,14 +316,6 @@ func (w *collCtx) reduceHalfShard(o *op, at int, acc, tmp []float32) {
 	for _, cb := range o.contrib {
 		w.codec.DecodeHalf(tmp, cb.hsrc[at:at+n])
 		tensor.Axpy(1, tmp, acc)
-	}
-}
-
-//zinf:hotpath
-func computeReduceScatterHalf(w *collCtx, o *op) {
-	n := len(o.contrib[0].hdst)
-	for r := range o.contrib {
-		w.reduceHalfInto(o, o.contrib[r].hdst, r*n)
 	}
 }
 
@@ -413,30 +334,8 @@ func (w *collCtx) reduceHalfInto(o *op, dst []tensor.Half, at int) {
 	w.fscratch.Put(tmp)
 }
 
-// ReduceScatterHalfDecode is the fused ReduceScatterHalf→DecodeHalf path:
-// the reduced shard is rounded through binary16 (exactly as
-// ReduceScatterHalf stores it) and delivered directly as float32 into dst,
-// eliminating the caller's intermediate fp16 shard buffer and decode pass.
-// Bit-identical to ReduceScatterHalf followed by DecodeHalf.
-//
-//zinf:hotpath
-func (c *Comm) ReduceScatterHalfDecode(dst []float32, src []tensor.Half) {
-	if len(src) != c.Size()*len(dst) {
-		panic("comm: reducescatterhalfdecode length mismatch")
-	}
-	c.rendezvous(opReduceScatterHalfDecode, 0, payload{fdst: dst, hsrc: src})
-}
-
-//zinf:hotpath
-func computeReduceScatterHalfDecode(w *collCtx, o *op) {
-	n := len(o.contrib[0].fdst)
-	for r := range o.contrib {
-		w.reduceHalfDecodeInto(o, o.contrib[r].fdst, r*n)
-	}
-}
-
 // reduceHalfDecodeInto is reduceHalfInto with the rounded sum delivered as
-// float32: one destination of the fused reduce-scatter, or the root's of the
+// float32: one destination of the reduce-scatter, or the root's of the
 // rooted reduce.
 //
 //zinf:hotpath
@@ -450,8 +349,8 @@ func (w *collCtx) reduceHalfDecodeInto(o *op, dst []float32, at int) {
 // ReduceHalfDecode reduces binary16 contributions to root: every rank's src
 // (all equal length) is decoded to float32 and summed in rank order with
 // float32 accumulation, the total is rounded through binary16 (exactly as
-// the reduce-scatter family stores it) and delivered as float32 into root's
-// dst. dst is ignored on non-root ranks (may be nil); on root len(dst) must
+// the reduce-scatter stores it) and delivered as float32 into root's dst.
+// dst is ignored on non-root ranks (may be nil); on root len(dst) must
 // equal len(src). This is the gradient-reduction primitive of the
 // owner-rank-broadcast partitioning strategy (Fig. 6c's baseline): the sum
 // per element is identical to ReduceScatterHalfDecode's, so the two
@@ -459,10 +358,8 @@ func (w *collCtx) reduceHalfDecodeInto(o *op, dst []float32, at int) {
 //
 //zinf:hotpath
 func (c *Comm) ReduceHalfDecode(dst []float32, src []tensor.Half, root int) {
-	if c.rank == root && len(dst) != len(src) {
-		panic(fmt.Sprintf("comm: reducehalfdecode root dst len %d != src len %d", len(dst), len(src)))
-	}
-	c.rendezvous(opReduceHalfDecode, root, payload{fdst: dst, hsrc: src})
+	t := c.ReduceHalfDecodeAsync(dst, src, root)
+	t.Wait()
 }
 
 //zinf:hotpath
@@ -478,12 +375,13 @@ func computeReduceHalfDecode(w *collCtx, o *op) {
 
 // AllReduceHalf sums binary16 buffers elementwise across ranks with float32
 // accumulation (rank order) and re-encodes the total to binary16 into every
-// rank's buf. Numerically identical to ReduceScatterHalf followed by
-// AllGatherHalf, which is what makes DDP and ZeRO gradient paths bit-equal.
+// rank's buf. Element for element it is ReduceScatterHalfDecode's sum and
+// rounding, which is what makes DDP and ZeRO gradient paths bit-equal.
 //
 //zinf:hotpath
 func (c *Comm) AllReduceHalf(buf []tensor.Half) {
-	c.rendezvous(opAllReduceHalf, 0, payload{hdst: buf})
+	t := c.issue(opAllReduceHalf, 0, payload{hdst: buf})
+	t.Wait()
 }
 
 //zinf:hotpath
@@ -508,92 +406,14 @@ func computeAllReduceHalf(w *collCtx, o *op) {
 	w.hscratch.Put(enc)
 }
 
-// AllGatherEncodeHalf is the fused EncodeHalf→AllGatherHalf path: every
-// rank contributes a float32 shard, each shard is rounded to binary16 once,
-// and the encoded shards are concatenated into every rank's dst in rank
-// order. Bit-identical to each rank encoding its shard and calling
-// AllGatherHalf, without the per-rank intermediate fp16 shard buffer.
-// len(dst) must be Size()*len(src).
-//
-//zinf:hotpath
-func (c *Comm) AllGatherEncodeHalf(dst []tensor.Half, src []float32) {
-	if len(dst) != c.Size()*len(src) {
-		panic("comm: allgatherencodehalf length mismatch")
-	}
-	c.rendezvous(opAllGatherEncodeHalf, 0, payload{hdst: dst, fsrc: src})
-}
-
-//zinf:hotpath
-func computeAllGatherEncodeHalf(w *collCtx, o *op) {
-	if w.hier() {
-		computeAllGatherEncodeHalfHier(w, o)
-		return
-	}
-	n := len(o.contrib[0].fsrc)
-	enc := w.hscratch.Get(n)
-	for r := range o.contrib {
-		w.codec.EncodeHalf(enc, o.contrib[r].fsrc)
-		for i := range o.contrib {
-			copy(o.contrib[i].hdst[r*n:(r+1)*n], enc)
-		}
-	}
-	w.hscratch.Put(enc)
-}
-
-// AllGatherHalfDecode is the fused AllGatherHalf→DecodeHalf path — the
-// gather-side mirror of AllGatherEncodeHalf: every rank contributes a
-// binary16 shard, each shard is decoded to float32 exactly once, and the
-// decoded shards are concatenated into every rank's dst in rank order.
-// Bit-identical to AllGatherHalf followed by DecodeHalf (the decode LUT is
-// exact), without the caller's full-size intermediate fp16 buffer and
-// decode pass — the engines' parameter gathers run on this.
-// len(dst) must be Size()*len(src).
-//
-//zinf:hotpath
-func (c *Comm) AllGatherHalfDecode(dst []float32, src []tensor.Half) {
-	if len(dst) != c.Size()*len(src) {
-		panic(fmt.Sprintf("comm: allgatherhalfdecode dst len %d != size %d * src len %d", len(dst), c.Size(), len(src)))
-	}
-	c.rendezvous(opAllGatherHalfDecode, 0, payload{fdst: dst, hsrc: src})
-}
-
-//zinf:hotpath
-func computeAllGatherHalfDecode(w *collCtx, o *op) {
-	if w.hier() {
-		computeAllGatherHalfDecodeHier(w, o)
-		return
-	}
-	n := len(o.contrib[0].hsrc)
-	dec := w.fscratch.Get(n)
-	for r := range o.contrib {
-		w.codec.DecodeHalf(dec, o.contrib[r].hsrc)
-		for i := range o.contrib {
-			copy(o.contrib[i].fdst[r*n:(r+1)*n], dec)
-		}
-	}
-	w.fscratch.Put(dec)
-}
-
-// gatherHalfDecodeInto is one destination of the fused allgather+decode
-// where shards arrive still encoded (the socket transport: fp16 is what
-// crosses the link). computeAllGatherHalfDecode decodes each shard once for
-// all destinations instead; the LUT decode is exact, so both deliver the
-// same bytes.
-//
-//zinf:hotpath
-func (w *collCtx) gatherHalfDecodeInto(o *op, dst []float32) {
-	n := len(o.contrib[0].hsrc)
-	for r := range o.contrib {
-		w.codec.DecodeHalf(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
-	}
-}
-
 // AllReduceScalar sums one float64 across ranks and returns the total on
-// every rank. Used for loss aggregation and overflow flags.
+// every rank. Used for loss aggregation and overflow flags; no rank returns
+// before every rank has entered, so it is also the world's barrier.
 //
 //zinf:hotpath
 func (c *Comm) AllReduceScalar(v float64) float64 {
-	return c.rendezvous(opAllReduceScalar, 0, payload{v: v})
+	t := c.issue(opAllReduceScalar, 0, payload{v: v})
+	return t.wait()
 }
 
 //zinf:hotpath
@@ -609,7 +429,8 @@ func computeAllReduceScalar(w *collCtx, o *op) {
 //
 //zinf:hotpath
 func (c *Comm) AllReduceMax(v float64) float64 {
-	return c.rendezvous(opAllReduceMax, 0, payload{v: v})
+	t := c.issue(opAllReduceMax, 0, payload{v: v})
+	return t.wait()
 }
 
 //zinf:hotpath

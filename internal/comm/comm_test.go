@@ -8,7 +8,20 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestBarrierAllRanksMeet(t *testing.T) {
+// newTestWorld builds an in-memory world of size ranks on the given topology
+// (nil = flat).
+func newTestWorld(t testing.TB, size int, topo *Topology) *World {
+	t.Helper()
+	w, err := New(WorldOptions{Size: size, Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// A scalar all-reduce is the world's barrier: no rank returns before every
+// rank has entered.
+func TestScalarAllReduceIsABarrier(t *testing.T) {
 	const n = 8
 	var mu sync.Mutex
 	entered := 0
@@ -16,123 +29,11 @@ func TestBarrierAllRanksMeet(t *testing.T) {
 		mu.Lock()
 		entered++
 		mu.Unlock()
-		c.Barrier()
+		c.AllReduceScalar(0)
 		mu.Lock()
 		defer mu.Unlock()
 		if entered != n {
-			t.Errorf("rank %d passed barrier with only %d entered", c.Rank(), entered)
-		}
-	})
-}
-
-func TestBroadcast(t *testing.T) {
-	const n = 4
-	Run(n, func(c *Comm) {
-		buf := make([]float32, 3)
-		if c.Rank() == 2 {
-			buf[0], buf[1], buf[2] = 7, 8, 9
-		}
-		c.Broadcast(buf, 2)
-		if buf[0] != 7 || buf[1] != 8 || buf[2] != 9 {
-			t.Errorf("rank %d got %v after broadcast", c.Rank(), buf)
-		}
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	const n = 5
-	Run(n, func(c *Comm) {
-		src := []float32{float32(c.Rank()), float32(c.Rank() * 10)}
-		dst := make([]float32, n*2)
-		c.AllGather(dst, src)
-		for r := 0; r < n; r++ {
-			if dst[2*r] != float32(r) || dst[2*r+1] != float32(r*10) {
-				t.Errorf("rank %d allgather slot %d = %v", c.Rank(), r, dst[2*r:2*r+2])
-			}
-		}
-	})
-}
-
-func TestReduceScatter(t *testing.T) {
-	const n = 4
-	Run(n, func(c *Comm) {
-		// Every rank contributes [1,2,...,n] per shard position scaled by rank+1.
-		src := make([]float32, n*2)
-		for i := range src {
-			src[i] = float32((c.Rank() + 1) * (i + 1))
-		}
-		dst := make([]float32, 2)
-		c.ReduceScatter(dst, src)
-		// Sum over ranks of (r+1)*(i+1) = (i+1) * n(n+1)/2.
-		scale := float32(n * (n + 1) / 2)
-		base := c.Rank() * 2
-		for i := 0; i < 2; i++ {
-			want := float32(base+i+1) * scale
-			if dst[i] != want {
-				t.Errorf("rank %d shard[%d] = %g, want %g", c.Rank(), i, dst[i], want)
-			}
-		}
-	})
-}
-
-func TestAllReduce(t *testing.T) {
-	const n = 6
-	Run(n, func(c *Comm) {
-		buf := []float32{float32(c.Rank()), 1}
-		c.AllReduce(buf)
-		wantSum := float32(n * (n - 1) / 2)
-		if buf[0] != wantSum || buf[1] != n {
-			t.Errorf("rank %d allreduce got %v, want [%g %d]", c.Rank(), buf, wantSum, n)
-		}
-	})
-}
-
-// The defining identity: reduce-scatter followed by allgather equals
-// allreduce. ZeRO-3 relies on this to be a drop-in for DDP's allreduce.
-func TestReduceScatterPlusAllGatherEqualsAllReduce(t *testing.T) {
-	const n = 4
-	const per = 3
-	total := n * per
-	inputs := make([][]float32, n)
-	rng := tensor.NewRNG(99)
-	for r := range inputs {
-		inputs[r] = make([]float32, total)
-		rng.FillNormal(inputs[r], 1)
-	}
-	want := make([][]float32, n)
-	got := make([][]float32, n)
-	Run(n, func(c *Comm) {
-		r := c.Rank()
-		a := append([]float32(nil), inputs[r]...)
-		c.AllReduce(a)
-		want[r] = a
-
-		b := append([]float32(nil), inputs[r]...)
-		shard := make([]float32, per)
-		c.ReduceScatter(shard, b)
-		full := make([]float32, total)
-		c.AllGather(full, shard)
-		got[r] = full
-	})
-	for r := 0; r < n; r++ {
-		for i := 0; i < total; i++ {
-			if want[r][i] != got[r][i] {
-				t.Fatalf("rank %d elem %d: allreduce %g, rs+ag %g", r, i, want[r][i], got[r][i])
-			}
-		}
-	}
-}
-
-func TestAllGatherHalfBitExact(t *testing.T) {
-	const n = 3
-	Run(n, func(c *Comm) {
-		src := []tensor.Half{tensor.Half(0x1234 + c.Rank()), tensor.Half(0x7bff)}
-		dst := make([]tensor.Half, n*2)
-		c.AllGatherHalf(dst, src)
-		for r := 0; r < n; r++ {
-			if dst[2*r] != tensor.Half(0x1234+r) || dst[2*r+1] != 0x7bff {
-				t.Errorf("rank %d slot %d corrupted: %#04x %#04x", c.Rank(), r, dst[2*r], dst[2*r+1])
-			}
+			t.Errorf("rank %d passed the all-reduce with only %d entered", c.Rank(), entered)
 		}
 	})
 }
@@ -150,7 +51,7 @@ func TestBroadcastHalf(t *testing.T) {
 	})
 }
 
-func TestReduceScatterHalfAccumulatesFP32(t *testing.T) {
+func TestReduceScatterHalfDecodeAccumulatesFP32(t *testing.T) {
 	const n = 4
 	Run(n, func(c *Comm) {
 		// Each rank contributes 1.0 in fp16 for every element; fp32
@@ -160,33 +61,45 @@ func TestReduceScatterHalfAccumulatesFP32(t *testing.T) {
 		for i := range src {
 			src[i] = one
 		}
-		dst := make([]tensor.Half, 2)
-		c.ReduceScatterHalf(dst, src)
-		for i, h := range dst {
-			if h.Float32() != float32(n) {
-				t.Errorf("rank %d shard[%d] = %g, want %d", c.Rank(), i, h.Float32(), n)
+		dst := make([]float32, 2)
+		c.ReduceScatterHalfDecode(dst, src)
+		for i, v := range dst {
+			if v != float32(n) {
+				t.Errorf("rank %d shard[%d] = %g, want %d", c.Rank(), i, v, n)
 			}
 		}
 	})
 }
 
-func TestGatherToRoot(t *testing.T) {
+// The defining identity: reduce-scatter followed by allgather equals
+// allreduce. ZeRO relies on this to be a drop-in for DDP's allreduce: the
+// fp16 gradient all-reduce must deliver, element for element, what the
+// reduce-scatter's owners hold and would gather back.
+func TestReduceScatterPlusAllGatherEqualsAllReduce(t *testing.T) {
 	const n = 4
+	const per = 3
+	total := n * per
+	want := make([][]tensor.Half, n)
+	got := make([][]tensor.Half, n)
 	Run(n, func(c *Comm) {
-		src := []float32{float32(c.Rank())}
-		var dst []float32
-		if c.Rank() == 1 {
-			dst = make([]float32, n)
-		}
-		c.Gather(dst, src, 1)
-		if c.Rank() == 1 {
-			for r := 0; r < n; r++ {
-				if dst[r] != float32(r) {
-					t.Errorf("gather slot %d = %g", r, dst[r])
-				}
+		r := c.Rank()
+		a := randHalves(uint64(99+r), total)
+		c.AllReduceHalf(a)
+		want[r] = a
+
+		shard := make([]float32, per)
+		c.ReduceScatterHalfDecode(shard, randHalves(uint64(99+r), total))
+		full := make([]tensor.Half, total)
+		c.AllGatherEncodeHalf(full, shard)
+		got[r] = full
+	})
+	for r := 0; r < n; r++ {
+		for i := 0; i < total; i++ {
+			if want[r][i] != got[r][i] {
+				t.Fatalf("rank %d elem %d: allreduce %#04x, rs+ag %#04x", r, i, want[r][i], got[r][i])
 			}
 		}
-	})
+	}
 }
 
 func TestScalarCollectives(t *testing.T) {
@@ -205,41 +118,36 @@ func TestScalarCollectives(t *testing.T) {
 
 func TestWorldSizeOne(t *testing.T) {
 	Run(1, func(c *Comm) {
-		buf := []float32{3}
-		c.AllReduce(buf)
-		if buf[0] != 3 {
-			t.Errorf("size-1 allreduce changed value: %g", buf[0])
+		buf := []tensor.Half{0x4200} // 3
+		c.AllReduceHalf(buf)
+		if buf[0] != 0x4200 {
+			t.Errorf("size-1 allreducehalf changed value: %#04x", buf[0])
 		}
 		dst := make([]float32, 1)
-		c.ReduceScatter(dst, []float32{5})
+		c.ReduceScatterHalfDecode(dst, []tensor.Half{0x4500}) // 5
 		if dst[0] != 5 {
-			t.Errorf("size-1 reducescatter = %g", dst[0])
+			t.Errorf("size-1 reducescatterhalfdecode = %g", dst[0])
 		}
 		full := make([]float32, 1)
-		c.AllGather(full, []float32{7})
+		c.AllGatherHalfDecode(full, []tensor.Half{0x4700}) // 7
 		if full[0] != 7 {
-			t.Errorf("size-1 allgather = %g", full[0])
+			t.Errorf("size-1 allgatherhalfdecode = %g", full[0])
 		}
-		c.Barrier()
+		if s := c.AllReduceScalar(2.5); s != 2.5 {
+			t.Errorf("size-1 scalar sum = %g", s)
+		}
 	})
 }
 
 func TestManySequentialCollectivesNoLeak(t *testing.T) {
-	w := NewWorld(3)
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := w.Comm(rank)
-			buf := []float32{1}
-			for i := 0; i < 200; i++ {
-				c.AllReduce(buf)
-				buf[0] = 1
-			}
-		}(r)
-	}
-	wg.Wait()
+	w := newTestWorld(t, 3, nil)
+	w.Run(func(c *Comm) {
+		buf := []tensor.Half{0x3c00}
+		for i := 0; i < 200; i++ {
+			c.AllReduceHalf(buf)
+			buf[0] = 0x3c00
+		}
+	})
 	mt := w.t.(*memTransport)
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
@@ -249,7 +157,7 @@ func TestManySequentialCollectivesNoLeak(t *testing.T) {
 }
 
 func TestCommPanicsOnBadRank(t *testing.T) {
-	w := NewWorld(2)
+	w := newTestWorld(t, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Comm(5) did not panic")
@@ -293,23 +201,16 @@ func TestPaddedLen(t *testing.T) {
 	}
 }
 
-func BenchmarkAllReduce8Ranks(b *testing.B) {
+func BenchmarkAllReduceHalf8Ranks(b *testing.B) {
 	const n = 8
 	const elems = 1 << 12
-	w := NewWorld(n)
-	var wg sync.WaitGroup
-	b.SetBytes(int64(n * elems * 4))
+	w := newTestWorld(b, n, nil)
+	b.SetBytes(int64(n * elems * 2))
 	b.ResetTimer()
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := w.Comm(rank)
-			buf := make([]float32, elems)
-			for i := 0; i < b.N; i++ {
-				c.AllReduce(buf)
-			}
-		}(r)
-	}
-	wg.Wait()
+	w.Run(func(c *Comm) {
+		buf := make([]tensor.Half, elems)
+		for i := 0; i < b.N; i++ {
+			c.AllReduceHalf(buf)
+		}
+	})
 }

@@ -12,59 +12,87 @@ func randFloats(seed uint64, n int) []float32 {
 	return f
 }
 
-// The fused encode+allgather must be bit-identical to encoding on each rank
-// and allgathering the fp16 shards.
-func TestAllGatherEncodeHalfMatchesTwoCall(t *testing.T) {
+// reduceOracle is the half reductions' reference, computed here rather than
+// by any collective: elements [at, at+n) of the rank-order fp32 sum of srcs,
+// rounded to binary16.
+func reduceOracle(srcs [][]tensor.Half, at, n int) []tensor.Half {
+	out := make([]tensor.Half, n)
+	for i := range out {
+		var acc float32
+		for _, src := range srcs {
+			acc += src[at+i].Float32()
+		}
+		out[i] = tensor.HalfFromFloat32(acc)
+	}
+	return out
+}
+
+// AllGatherEncodeHalf must deliver, on every rank, each rank's shard encoded
+// to binary16 and concatenated in rank order.
+func TestAllGatherEncodeHalfMatchesLocalOracle(t *testing.T) {
 	const ranks, n = 4, 37
-	fused := make([][]tensor.Half, ranks)
-	twoCall := make([][]tensor.Half, ranks)
+	got := make([][]tensor.Half, ranks)
 	Run(ranks, func(c *Comm) {
-		src := randFloats(uint64(50+c.Rank()), n)
 		dst := make([]tensor.Half, ranks*n)
-		c.AllGatherEncodeHalf(dst, src)
-		fused[c.Rank()] = dst
+		c.AllGatherEncodeHalf(dst, randFloats(uint64(50+c.Rank()), n))
+		got[c.Rank()] = dst
 	})
-	Run(ranks, func(c *Comm) {
-		src := randFloats(uint64(50+c.Rank()), n)
-		enc := make([]tensor.Half, n)
-		tensor.EncodeHalf(enc, src)
-		dst := make([]tensor.Half, ranks*n)
-		c.AllGatherHalf(dst, enc)
-		twoCall[c.Rank()] = dst
-	})
+	want := make([]tensor.Half, ranks*n)
 	for r := 0; r < ranks; r++ {
-		for i := range fused[r] {
-			if fused[r][i] != twoCall[r][i] {
-				t.Fatalf("rank %d elem %d: fused %#04x != two-call %#04x", r, i, fused[r][i], twoCall[r][i])
+		tensor.EncodeHalf(want[r*n:(r+1)*n], randFloats(uint64(50+r), n))
+	}
+	for r := 0; r < ranks; r++ {
+		for i := range want {
+			if got[r][i] != want[i] {
+				t.Fatalf("rank %d elem %d: %#04x != oracle %#04x", r, i, got[r][i], want[i])
 			}
 		}
 	}
 }
 
-// The fused reduce-scatter+decode must be bit-identical to ReduceScatterHalf
-// followed by DecodeHalf — including the fp16 rounding of the reduced shard.
-func TestReduceScatterHalfDecodeMatchesTwoCall(t *testing.T) {
+// ReduceScatterHalfDecode must deliver rank r's shard of the rank-order fp32
+// sum, rounded through binary16 — including that rounding — as float32.
+func TestReduceScatterHalfDecodeMatchesLocalOracle(t *testing.T) {
 	const ranks, n = 4, 24
-	fused := make([][]float32, ranks)
-	twoCall := make([][]float32, ranks)
+	got := make([][]float32, ranks)
+	srcs := make([][]tensor.Half, ranks)
+	for r := range srcs {
+		srcs[r] = randHalves(uint64(9+r), n)
+	}
 	Run(ranks, func(c *Comm) {
-		src := randHalves(uint64(9+c.Rank()), n)
 		dst := make([]float32, n/ranks)
-		c.ReduceScatterHalfDecode(dst, src)
-		fused[c.Rank()] = dst
-	})
-	Run(ranks, func(c *Comm) {
-		src := randHalves(uint64(9+c.Rank()), n)
-		shard := make([]tensor.Half, n/ranks)
-		c.ReduceScatterHalf(shard, src)
-		dst := make([]float32, n/ranks)
-		tensor.DecodeHalf(dst, shard)
-		twoCall[c.Rank()] = dst
+		c.ReduceScatterHalfDecode(dst, srcs[c.Rank()])
+		got[c.Rank()] = dst
 	})
 	for r := 0; r < ranks; r++ {
-		for i := range fused[r] {
-			if fused[r][i] != twoCall[r][i] {
-				t.Fatalf("rank %d elem %d: fused %g != two-call %g", r, i, fused[r][i], twoCall[r][i])
+		want := halfToF32(reduceOracle(srcs, r*(n/ranks), n/ranks))
+		for i := range want {
+			if got[r][i] != want[i] {
+				t.Fatalf("rank %d elem %d: %g != oracle %g", r, i, got[r][i], want[i])
+			}
+		}
+	}
+}
+
+// AllReduceHalf must leave the whole rank-order fp32 sum, rounded to
+// binary16, in every rank's buffer.
+func TestAllReduceHalfMatchesLocalOracle(t *testing.T) {
+	const ranks, n = 4, 19 // not a multiple of ranks
+	got := make([][]tensor.Half, ranks)
+	srcs := make([][]tensor.Half, ranks)
+	for r := range srcs {
+		srcs[r] = randHalves(uint64(70+r), n)
+	}
+	Run(ranks, func(c *Comm) {
+		buf := randHalves(uint64(70+c.Rank()), n)
+		c.AllReduceHalf(buf)
+		got[c.Rank()] = buf
+	})
+	want := reduceOracle(srcs, 0, n)
+	for r := 0; r < ranks; r++ {
+		for i := range want {
+			if got[r][i] != want[i] {
+				t.Fatalf("rank %d elem %d: %#04x != oracle %#04x", r, i, got[r][i], want[i])
 			}
 		}
 	}

@@ -6,31 +6,27 @@ import (
 	"repro/internal/tensor"
 )
 
-// The fused allgather+decode must be bit-identical to AllGatherHalf followed
-// by DecodeHalf on every rank (the decode is an exact LUT, so equality is
-// exact float32 bits).
-func TestAllGatherHalfDecodeMatchesTwoCall(t *testing.T) {
+// AllGatherHalfDecode must deliver, on every rank, every rank's shard
+// concatenated in rank order and decoded (the decode is an exact LUT, so
+// equality is exact float32 bits).
+func TestAllGatherHalfDecodeMatchesLocalOracle(t *testing.T) {
 	const ranks, n = 4, 37
-	fused := make([][]float32, ranks)
-	twoCall := make([][]float32, ranks)
+	got := make([][]float32, ranks)
 	Run(ranks, func(c *Comm) {
-		src := randHalves(uint64(31+c.Rank()), n)
 		dst := make([]float32, ranks*n)
-		c.AllGatherHalfDecode(dst, src)
-		fused[c.Rank()] = dst
+		c.AllGatherHalfDecode(dst, randHalves(uint64(31+c.Rank()), n))
+		got[c.Rank()] = dst
 	})
-	Run(ranks, func(c *Comm) {
-		src := randHalves(uint64(31+c.Rank()), n)
-		gathered := make([]tensor.Half, ranks*n)
-		c.AllGatherHalf(gathered, src)
-		dst := make([]float32, ranks*n)
-		tensor.DecodeHalf(dst, gathered)
-		twoCall[c.Rank()] = dst
-	})
+	var gathered []tensor.Half
 	for r := 0; r < ranks; r++ {
-		for i := range fused[r] {
-			if fused[r][i] != twoCall[r][i] {
-				t.Fatalf("rank %d elem %d: fused %g != two-call %g", r, i, fused[r][i], twoCall[r][i])
+		gathered = append(gathered, randHalves(uint64(31+r), n)...)
+	}
+	want := make([]float32, ranks*n)
+	tensor.DecodeHalf(want, gathered)
+	for r := 0; r < ranks; r++ {
+		for i := range want {
+			if got[r][i] != want[i] {
+				t.Fatalf("rank %d elem %d: %g != oracle %g", r, i, got[r][i], want[i])
 			}
 		}
 	}
@@ -63,82 +59,29 @@ func TestAllGatherHalfDecodeAsyncMatchesSync(t *testing.T) {
 	}
 }
 
-// With a hierarchical topology installed the collective routes through the
-// two-level variant; results must stay bit-identical to the flat path.
-func TestAllGatherHalfDecodeHierMatchesFlat(t *testing.T) {
-	const ranks, n = 8, 21
-	run := func(topo *Topology) [][]float32 {
-		out := make([][]float32, ranks)
-		Run(ranks, func(c *Comm) {
-			if topo != nil {
-				if err := c.SetTopology(topo); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			src := randHalves(uint64(17+c.Rank()), n)
-			dst := make([]float32, ranks*n)
-			c.AllGatherHalfDecode(dst, src)
-			out[c.Rank()] = dst
-		})
-		return out
-	}
-	flat := run(nil)
-	hier := run(testTopo(2)) // 4 nodes x 2 ranks
-	for r := 0; r < ranks; r++ {
-		for i := range flat[r] {
-			if flat[r][i] != hier[r][i] {
-				t.Fatalf("rank %d elem %d: hier %g != flat %g", r, i, hier[r][i], flat[r][i])
-			}
-		}
-	}
-}
-
-// The fused gather accounts the same fp16 bytes as the unfused
-// AllGatherHalf — decoding at the destination is free on the wire.
+// The gather accounts the fp16 bytes its links carry — decoding at the
+// destination is free on the wire: on one node, a ring of p edges each
+// carrying the other p-1 ranks' n-element binary16 shards.
 func TestAllGatherHalfDecodeAccountsHalfBytes(t *testing.T) {
 	const ranks, n = 4, 64
-	var fusedBytes, plainBytes int64
-	Run(ranks, func(c *Comm) {
-		if err := c.SetTopology(testTopo(ranks)); err != nil {
-			t.Error(err)
-			return
-		}
-		src := randHalves(uint64(c.Rank()), n)
+	var got int64
+	newTestWorld(t, ranks, testTopo(ranks)).Run(func(c *Comm) {
 		dst := make([]float32, ranks*n)
-		c.AllGatherHalfDecode(dst, src)
+		c.AllGatherHalfDecode(dst, randHalves(uint64(c.Rank()), n))
 		if c.Rank() == 0 {
-			fusedBytes = c.Traffic()["allgatherhalfdecode"].Bytes()
+			got = c.Traffic()["allgatherhalfdecode"].Bytes()
 		}
 	})
-	Run(ranks, func(c *Comm) {
-		if err := c.SetTopology(testTopo(ranks)); err != nil {
-			t.Error(err)
-			return
-		}
-		src := randHalves(uint64(c.Rank()), n)
-		dst := make([]tensor.Half, ranks*n)
-		c.AllGatherHalf(dst, src)
-		if c.Rank() == 0 {
-			plainBytes = c.Traffic()["allgatherhalf"].Bytes()
-		}
-	})
-	if fusedBytes == 0 || fusedBytes != plainBytes {
-		t.Fatalf("fused gather accounted %d bytes, unfused %d — want equal fp16 totals", fusedBytes, plainBytes)
+	if want := int64(ranks * (ranks - 1) * n * 2); got != want {
+		t.Fatalf("gather accounted %d bytes, want %d (fp16 shards)", got, want)
 	}
 }
 
-// The engine steady state runs the fused gather every step, so a warm
-// collective must not allocate — with and without a topology installed.
+// The engine steady state runs the gather every step, so a warm collective
+// must not allocate — with and without a topology installed.
 func TestAllGatherHalfDecodeAllocFree(t *testing.T) {
 	for _, topo := range []*Topology{nil, testTopo(1)} {
-		w := NewWorld(1)
-		if topo != nil {
-			if err := w.SetTopology(topo); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c := w.Comm(0)
+		c := newTestWorld(t, 1, topo).Comm(0)
 		src := randHalves(1, 64)
 		dst := make([]float32, 64)
 		c.AllGatherHalfDecode(dst, src) // warm the op pool and arenas

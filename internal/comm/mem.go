@@ -3,9 +3,6 @@ package comm
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/mem"
-	"repro/internal/tensor"
 )
 
 // memTransport is the reference Transport: every rank is a goroutine in this
@@ -34,12 +31,7 @@ type opSlot struct {
 }
 
 func newMemTransport(size int) *memTransport {
-	return &memTransport{collCtx: collCtx{
-		size:     size,
-		fscratch: mem.NewArena[float32](),
-		hscratch: mem.NewArena[tensor.Half](),
-		codec:    tensor.Reference(),
-	}}
+	return &memTransport{collCtx: newCollCtx(size)}
 }
 
 // Size returns the number of ranks in the world.
@@ -53,30 +45,6 @@ func (t *memTransport) Close() error { return nil }
 // hosts reports true for every rank: all goroutine ranks share this process.
 func (t *memTransport) hosts(rank int) bool { return rank >= 0 && rank < t.size }
 
-func (t *memTransport) setCodec(be tensor.Backend) {
-	be = tensor.DefaultBackend(be)
-	t.mu.Lock()
-	t.codec = be
-	t.mu.Unlock()
-}
-
-func (t *memTransport) setTopology(topo *Topology) error {
-	cp, err := normalizeTopology(topo, t.size)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.topo = cp
-	t.mu.Unlock()
-	return nil
-}
-
-func (t *memTransport) topology() *Topology {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.topo
-}
-
 func (t *memTransport) snapshotTraffic(f func(k opKind, st TrafficStats)) {
 	t.mu.Lock()
 	snap := t.traffic
@@ -84,14 +52,6 @@ func (t *memTransport) snapshotTraffic(f func(k opKind, st TrafficStats)) {
 	for k := range snap {
 		f(opKind(k), snap[k])
 	}
-}
-
-func (t *memTransport) resetTraffic() {
-	t.mu.Lock()
-	for k := range t.traffic {
-		t.traffic[k] = TrafficStats{}
-	}
-	t.mu.Unlock()
 }
 
 // getOpLocked pops a pooled op descriptor (or builds one). Caller holds mu.
@@ -123,71 +83,15 @@ func (t *memTransport) putOpLocked(o *op) {
 	t.freeOps = append(t.freeOps, o)
 }
 
-// rendezvous matches rank's seq-th collective with the other ranks':
-// arrive, wait for the last arriver's compute, leave. The ticket-based
-// asynchronous collectives split the same arrive/leave pair across issue and
-// Wait. The returned value is the op's scalar result (0 for data
-// collectives).
-//
-//zinf:hotpath
-func (t *memTransport) rendezvous(rank int, seq uint64, kind opKind, root int, pl payload) float64 {
-	if t.size == 1 {
-		return t.computeSolo(kind, root, pl)
-	}
-	t.mu.Lock()
-	o := t.arriveLocked(rank, seq, kind, root, pl)
-	for !o.computed {
-		o.done.Wait()
-	}
-	res := o.result
-	t.leaveLocked(seq, o)
-	t.mu.Unlock()
-	return res
-}
-
-// issue reserves rank's seq-th collective and registers its arrival,
-// returning immediately; the last rank to arrive (synchronously or
-// asynchronously) performs the data movement.
+// issue registers rank's arrival at its seq-th collective and returns
+// immediately; the last rank to arrive performs the data movement and wakes
+// everyone, and each rank's Ticket.Wait is its departure. A size-1 world
+// takes the same path: its one rank is the last arriver, so the data has
+// moved when issue returns.
 //
 //zinf:hotpath
 func (t *memTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket {
-	if t.size == 1 {
-		t.computeSolo(kind, root, pl)
-		return Ticket{}
-	}
 	t.mu.Lock()
-	o := t.arriveLocked(rank, seq, kind, root, pl)
-	t.mu.Unlock()
-	return Ticket{mt: t, seq: seq, op: o}
-}
-
-// computeSolo runs a size-1 world's collective inline through a transient
-// pooled op, so single-rank semantics (and allocation behaviour) match the
-// multi-rank path. The lock is held across compute, as on the multi-rank
-// path — the compute functions read the codec, whose setCodec writes are
-// only synchronized by mu.
-//
-//zinf:hotpath
-func (t *memTransport) computeSolo(kind opKind, root int, pl payload) float64 {
-	t.mu.Lock()
-	// Deferred unlock: a recovered length-mismatch panic from a compute
-	// function must not wedge the world (the op leaks from the pool, which
-	// is fine). Open-coded defers cost no heap allocation.
-	defer t.mu.Unlock()
-	o := t.getOpLocked(kind, root)
-	o.contrib[0] = pl
-	t.computeMeasured(o)
-	res := o.result
-	t.putOpLocked(o)
-	return res
-}
-
-// arriveLocked registers rank's contribution to the seq-th collective; the
-// last arriver performs the data movement and wakes everyone. Caller holds
-// mu.
-//
-//zinf:hotpath
-func (t *memTransport) arriveLocked(rank int, seq uint64, kind opKind, root int, pl payload) *op {
 	var o *op
 	for i := range t.ops {
 		if t.ops[i].seq == seq {
@@ -214,7 +118,8 @@ func (t *memTransport) arriveLocked(rank int, seq uint64, kind opKind, root int,
 		o.computed = true
 		o.done.Broadcast()
 	}
-	return o
+	t.mu.Unlock()
+	return Ticket{mt: t, seq: seq, op: o}
 }
 
 // leaveLocked records one rank's departure; the last rank out recycles the

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mem"
 	"repro/internal/tensor"
 )
 
@@ -22,36 +21,38 @@ import (
 // our own fabric). Who sends what, as frameContrib frames shipped the moment
 // a collective is issued:
 //
-//	barrier, scalar allreduce/max   every rank → every peer: header only
-//	broadcast(half)                 root → every peer: its buffer
-//	allgather (all four forms)      every rank → every peer: its shard, as
-//	                                fp16 whenever the collective's wire type
-//	                                is fp16 (AllGatherEncodeHalf encodes once
-//	                                at the sender; AllGatherHalfDecode
-//	                                decodes at each receiver)
-//	gather, reducehalfdecode        every non-root → root: its source
-//	reducescatter (all three forms) every rank → owner r: slice r of its
-//	                                source; nothing comes back
-//	allreduce(half)                 as reducescatter over ownedSpan slices;
-//	                                then every owner → every peer: its
-//	                                reduced slice, as a frameReduced frame
+//	scalar allreduce/max        every rank → every peer: header only
+//	broadcasthalf               root → every peer: its buffer
+//	allgatherhalfdecode         every rank → every peer: its fp16 shard,
+//	                            decoded at each receiver
+//	allgatherencodehalf         every rank → every peer: its shard, encoded
+//	                            once at the sender
+//	reducehalfdecode            every non-root → root: its source
+//	reducescatterhalfdecode     every rank → owner r: slice r of its source;
+//	                            nothing comes back
+//	allreducehalf               as the reduce-scatter over ownedSpan slices;
+//	                            then every owner → every peer: its reduced
+//	                            slice, as a frameReduced frame
+//
+// Every payload is binary16: fp16 is what crosses a link, whatever type the
+// collective delivers into.
 //
 // Bit-identity with the in-memory transport is structural: a rank fills its
 // op descriptor with views of those parts — its own in its rank position —
 // and runs the same per-destination kernels the in-memory transport's last
-// arriver runs for every rank (reduceInto, reduceHalfInto,
-// reduceHalfDecodeInto, gatherInto, …): same leaf kernels, same rank order,
-// same codec. The all-reduces are the reduce-scatter kernel over each
-// owner's slice followed by a copy, which is elementwise what
-// computeAllReduce(Half) does over the whole buffer.
+// arriver runs for every rank (reduceHalfInto, reduceHalfDecodeInto,
+// gatherHalfInto, gatherHalfDecodeInto): same leaf kernels, same rank order,
+// same codec. The all-reduce is the reduce-scatter kernel over each owner's
+// slice followed by a copy, which is elementwise what computeAllReduceHalf
+// does over the whole buffer.
 //
 // Deadlock freedom: every connection has a reader goroutine that does
 // nothing but drain frames into an unbounded per-peer mailbox, so a write
 // never waits on the receiving rank's progress, only on its reader. A rank
 // ships its frameContrib frames at issue, before it waits for anything, and
 // completes collectives strictly in sequence order (issue appends to a
-// pending FIFO; Wait/rendezvous advance it head-first through the awaited
-// sequence number, which also makes out-of-order Wait calls safe). By
+// pending FIFO; Wait advances it head-first through the awaited sequence
+// number, which also makes out-of-order Wait calls safe). By
 // induction over sequence numbers every frame a rank waits for has been, or
 // will unconditionally be, written: contrib frames at the sender's issue,
 // reduced frames once the sender holds the contrib frames its peers already
@@ -97,7 +98,7 @@ type peer struct {
 	intra bool // shares this rank's node under the installed topology
 
 	whdr [frameHdrLen]byte // rank goroutine: header being written
-	iov  [3][]byte         // rank goroutine: header + payload sections
+	iov  [2][]byte         // rank goroutine: header + payload
 	vec  net.Buffers
 	sent int64 // wire bytes written to this peer
 
@@ -200,15 +201,10 @@ func NewSockTransport(cfg SockConfig) (Transport, error) {
 		timeout = 15 * time.Second
 	}
 	t := &sockTransport{
-		collCtx: collCtx{
-			size:     cfg.Size,
-			fscratch: mem.NewArena[float32](),
-			hscratch: mem.NewArena[tensor.Half](),
-			codec:    tensor.Reference(),
-		},
-		rank:  cfg.Rank,
-		peers: make([]*peer, cfg.Size),
-		o:     &op{contrib: make([]payload, cfg.Size)},
+		collCtx: newCollCtx(cfg.Size),
+		rank:    cfg.Rank,
+		peers:   make([]*peer, cfg.Size),
+		o:       &op{contrib: make([]payload, cfg.Size)},
 	}
 	if cfg.Size == 1 {
 		return t, nil // solo world: no network at all
@@ -370,7 +366,7 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 func (t *sockTransport) readLoop(p *peer) {
 	defer t.readers.Done()
 	for {
-		f, err := readFrame(p.br, p.rhdr[:], t.fscratch, t.hscratch, maxFrameElems)
+		f, err := readFrame(p.br, p.rhdr[:], t.hscratch, maxFrameElems)
 		if err != nil {
 			p.fail(err)
 			return
@@ -404,19 +400,13 @@ func (t *sockTransport) Close() error {
 // process on the socket transport.
 func (t *sockTransport) hosts(rank int) bool { return rank == t.rank }
 
-// setCodec and setTopology run during World construction, before the rank
-// issues collectives; readers never touch codec, topo or peer.intra, so no
-// locking is needed.
-func (t *sockTransport) setCodec(be tensor.Backend) {
-	t.codec = tensor.DefaultBackend(be)
-}
-
-func (t *sockTransport) setTopology(topo *Topology) error {
-	cp, err := normalizeTopology(topo, t.size)
-	if err != nil {
+// configure runs during World construction, before the rank issues
+// collectives; readers never touch codec, topo or peer.intra, so no locking
+// is needed.
+func (t *sockTransport) configure(codec tensor.Backend, topo *Topology) error {
+	if err := t.collCtx.configure(codec, topo); err != nil {
 		return err
 	}
-	t.topo = cp
 	for _, p := range t.peers {
 		if p != nil {
 			p.intra = t.nodeOf(p.rank) == t.nodeOf(t.rank)
@@ -425,19 +415,11 @@ func (t *sockTransport) setTopology(topo *Topology) error {
 	return nil
 }
 
-func (t *sockTransport) topology() *Topology { return t.topo }
-
-// snapshotTraffic and resetTraffic run on the rank goroutine (via
-// Comm.Traffic etc.), which is also the only goroutine writing t.traffic.
+// snapshotTraffic runs on the rank goroutine (via Comm.Traffic etc.), which
+// is also the only goroutine writing t.traffic.
 func (t *sockTransport) snapshotTraffic(f func(k opKind, st TrafficStats)) {
 	for k := range t.traffic {
 		f(opKind(k), t.traffic[k])
-	}
-}
-
-func (t *sockTransport) resetTraffic() {
-	for k := range t.traffic {
-		t.traffic[k] = TrafficStats{}
 	}
 }
 
@@ -452,25 +434,23 @@ func (t *sockTransport) ownedSpan(n, r int) (lo, hi int) {
 	return min(r*chunk, n), min((r+1)*chunk, n)
 }
 
-// send writes one frame to p — header and payload sections in one vectored
-// write, the payload straight from the caller's memory — and accounts its
-// wire bytes. A write failure panics: a rank that cannot reach a peer
-// cannot make collective progress, and the process exit is what tells the
-// launcher to kill the world.
+// send writes one frame to p — header and payload in one vectored write, the
+// payload straight from the caller's memory — and accounts its wire bytes. A
+// write failure panics: a rank that cannot reach a peer cannot make
+// collective progress, and the process exit is what tells the launcher to
+// kill the world.
 //
 //zinf:hotpath
-func (t *sockTransport) send(p *peer, h frameHdr, fs []float32, hs []tensor.Half) {
-	h.nf, h.nh = len(fs), len(hs)
+func (t *sockTransport) send(p *peer, h frameHdr, hs []tensor.Half) {
+	h.nh = len(hs)
 	putHdr(p.whdr[:], h)
-	fb, hb := f32Bytes(fs), halfBytes(hs)
+	pb := halfBytes(hs)
 	if hostSwaps {
-		t.swapBuf = append(t.swapBuf[:0], fb...)
-		t.swapBuf = append(t.swapBuf, hb...)
-		fb, hb = t.swapBuf[:len(fb)], t.swapBuf[len(fb):]
-		swapBytes(fb, 4)
-		swapBytes(hb, 2)
+		t.swapBuf = append(t.swapBuf[:0], pb...)
+		pb = t.swapBuf
+		swapBytes(pb)
 	}
-	p.iov = [3][]byte{p.whdr[:], fb, hb}
+	p.iov = [2][]byte{p.whdr[:], pb}
 	p.vec = p.iov[:]
 	if _, err := p.vec.WriteTo(p.c); err != nil {
 		panic(fmt.Sprintf("comm: sock: write to rank %d failed at seq %d (%s): %v", p.rank, h.seq, h.kind, err))
@@ -487,23 +467,22 @@ func (t *sockTransport) send(p *peer, h frameHdr, fs []float32, hs []tensor.Half
 // sendAll sends the same frame to every peer.
 //
 //zinf:hotpath
-func (t *sockTransport) sendAll(h frameHdr, fs []float32, hs []tensor.Half) {
+func (t *sockTransport) sendAll(h frameHdr, hs []tensor.Half) {
 	for _, p := range t.peers {
 		if p != nil {
-			t.send(p, h, fs, hs)
+			t.send(p, h, hs)
 		}
 	}
 }
 
-// sendSlices sends every peer r the slice of fs and hs it owns.
+// sendSlices sends every peer r the slice of hs it owns.
 //
 //zinf:hotpath
-func (t *sockTransport) sendSlices(h frameHdr, fs []float32, hs []tensor.Half) {
+func (t *sockTransport) sendSlices(h frameHdr, hs []tensor.Half) {
 	for r, p := range t.peers {
 		if p != nil {
-			flo, fhi := t.ownedSpan(len(fs), r)
-			hlo, hhi := t.ownedSpan(len(hs), r)
-			t.send(p, h, fs[flo:fhi], hs[hlo:hhi])
+			lo, hi := t.ownedSpan(len(hs), r)
+			t.send(p, h, hs[lo:hi])
 		}
 	}
 }
@@ -516,27 +495,27 @@ func (t *sockTransport) ship(so sockOp) {
 	pl := so.pl
 	h := frameHdr{ftype: frameContrib, kind: so.kind, root: so.root, seq: so.seq, bits: math.Float64bits(pl.v)}
 	switch so.kind {
-	case opBarrier, opAllReduceScalar, opAllReduceMax:
-		t.sendAll(h, nil, nil)
-	case opBroadcast, opBroadcastHalf:
+	case opAllReduceScalar, opAllReduceMax:
+		t.sendAll(h, nil)
+	case opBroadcastHalf:
 		if t.rank == so.root {
-			t.sendAll(h, pl.fdst, pl.hdst)
+			t.sendAll(h, pl.hdst)
 		}
-	case opAllGather, opAllGatherHalf, opAllGatherHalfDecode:
-		t.sendAll(h, pl.fsrc, pl.hsrc)
+	case opAllGatherHalfDecode:
+		t.sendAll(h, pl.hsrc)
 	case opAllGatherEncodeHalf:
 		// Round once, into this rank's own slot of dst, and ship the slot.
 		own := pl.hdst[t.rank*len(pl.fsrc) : (t.rank+1)*len(pl.fsrc)]
 		t.codec.EncodeHalf(own, pl.fsrc)
-		t.sendAll(h, nil, own)
-	case opGather, opReduceHalfDecode:
+		t.sendAll(h, own)
+	case opReduceHalfDecode:
 		if t.rank != so.root {
-			t.send(t.peers[so.root], h, pl.fsrc, pl.hsrc)
+			t.send(t.peers[so.root], h, pl.hsrc)
 		}
-	case opReduceScatter, opReduceScatterHalf, opReduceScatterHalfDecode:
-		t.sendSlices(h, pl.fsrc, pl.hsrc)
-	case opAllReduce, opAllReduceHalf:
-		t.sendSlices(h, pl.fdst, pl.hdst)
+	case opReduceScatterHalfDecode:
+		t.sendSlices(h, pl.hsrc)
+	case opAllReduceHalf:
+		t.sendSlices(h, pl.hdst)
 	}
 }
 
@@ -546,68 +525,59 @@ func (t *sockTransport) ship(so sockOp) {
 // collective mismatch; a different shape is a length mismatch.
 //
 //zinf:hotpath
-func (t *sockTransport) take(p *peer, ftype byte, so sockOp, nf, nh int) inFrame {
+func (t *sockTransport) take(p *peer, ftype byte, so sockOp, nh int) inFrame {
 	f := p.pop(ftype)
 	if f.seq != so.seq || f.kind != so.kind || f.root != so.root {
 		panic(fmt.Sprintf("comm: collective mismatch at seq %d: rank %d sent %s(root %d) seq %d, rank %d called %s(root %d)",
 			so.seq, p.rank, f.kind, f.root, f.seq, t.rank, so.kind, so.root))
 	}
-	if len(f.f) != nf || len(f.h) != nh {
-		panic(fmt.Sprintf("comm: %s length mismatch at seq %d: rank %d sent %d float32 + %d half, rank %d expected %d + %d",
-			so.kind, so.seq, p.rank, len(f.f), len(f.h), t.rank, nf, nh))
+	if len(f.h) != nh {
+		panic(fmt.Sprintf("comm: %s length mismatch at seq %d: rank %d sent %d elements, rank %d expected %d",
+			so.kind, so.seq, p.rank, len(f.h), t.rank, nh))
 	}
 	return f
 }
 
 // collect fills the descriptor with one contrib frame from every peer, each
-// carrying nf float32 and nh binary16 elements, as that rank's source.
+// carrying nh binary16 elements, as that rank's source.
 //
 //zinf:hotpath
-func (t *sockTransport) collect(so sockOp, nf, nh int) {
+func (t *sockTransport) collect(so sockOp, nh int) {
 	for r, p := range t.peers {
 		if p != nil {
-			f := t.take(p, frameContrib, so, nf, nh)
-			t.o.contrib[r] = payload{fsrc: f.f, hsrc: f.h, v: math.Float64frombits(f.bits)}
+			f := t.take(p, frameContrib, so, nh)
+			t.o.contrib[r] = payload{hsrc: f.h, v: math.Float64frombits(f.bits)}
 		}
 	}
 }
 
-// unstage returns a consumed frame's staging to the arenas.
-//
-//zinf:hotpath
-func (t *sockTransport) unstage(fs []float32, hs []tensor.Half) {
-	t.fscratch.Put(fs)
-	t.hscratch.Put(hs)
-}
-
-// release returns the peers' staged contributions to the arenas and clears
+// release returns the peers' staged contributions to the arena and clears
 // the descriptor.
 //
 //zinf:hotpath
 func (t *sockTransport) release() {
 	for r := range t.o.contrib {
 		if r != t.rank {
-			t.unstage(t.o.contrib[r].fsrc, t.o.contrib[r].hsrc)
+			t.hscratch.Put(t.o.contrib[r].hsrc)
 		}
 		t.o.contrib[r] = payload{}
 	}
 }
 
-// shareReduced is an all-reduce's second phase: this rank ships the slice it
-// reduced (fs or hs) to every peer and copies every other owner's reduced
-// slice into place in fdst / hdst.
+// shareReduced is the all-reduce's second phase: this rank ships the slice
+// of buf it reduced to every peer and copies every other owner's reduced
+// slice into place.
 //
 //zinf:hotpath
-func (t *sockTransport) shareReduced(so sockOp, fs []float32, hs []tensor.Half) {
-	t.sendAll(frameHdr{ftype: frameReduced, kind: so.kind, root: so.root, seq: so.seq}, fs, hs)
+func (t *sockTransport) shareReduced(so sockOp, buf []tensor.Half) {
+	lo, hi := t.ownedSpan(len(buf), t.rank)
+	t.sendAll(frameHdr{ftype: frameReduced, kind: so.kind, root: so.root, seq: so.seq}, buf[lo:hi])
 	for r, p := range t.peers {
 		if p != nil {
-			flo, fhi := t.ownedSpan(len(so.pl.fdst), r)
-			hlo, hhi := t.ownedSpan(len(so.pl.hdst), r)
-			f := t.take(p, frameReduced, so, fhi-flo, hhi-hlo)
-			copy(so.pl.fdst[flo:fhi], f.f)
-			copy(so.pl.hdst[hlo:hhi], f.h)
-			t.unstage(f.f, f.h)
+			rlo, rhi := t.ownedSpan(len(buf), r)
+			f := t.take(p, frameReduced, so, rhi-rlo)
+			copy(buf[rlo:rhi], f.h)
+			t.hscratch.Put(f.h)
 		}
 	}
 }
@@ -622,81 +592,42 @@ func (t *sockTransport) complete(so sockOp) float64 {
 	w, o, me, pl := &t.collCtx, t.o, t.rank, so.pl
 	own := &o.contrib[me]
 	switch so.kind {
-	case opBarrier:
-		t.collect(so, 0, 0)
 	case opAllReduceScalar, opAllReduceMax:
-		t.collect(so, 0, 0)
+		t.collect(so, 0)
 		own.v = pl.v
 		computeFns[so.kind](w, o)
-	case opBroadcast, opBroadcastHalf:
+	case opBroadcastHalf:
 		if me != so.root {
-			f := t.take(t.peers[so.root], frameContrib, so, len(pl.fdst), len(pl.hdst))
-			copy(pl.fdst, f.f)
+			f := t.take(t.peers[so.root], frameContrib, so, len(pl.hdst))
 			copy(pl.hdst, f.h)
-			t.unstage(f.f, f.h)
+			t.hscratch.Put(f.h)
 		}
-	case opAllGather:
-		t.collect(so, len(pl.fsrc), 0)
-		own.fsrc = pl.fsrc
-		gatherInto(o, pl.fdst)
-	case opAllGatherHalf:
-		t.collect(so, 0, len(pl.hsrc))
-		own.hsrc = pl.hsrc
-		gatherHalfInto(o, pl.hdst)
 	case opAllGatherEncodeHalf:
 		n := len(pl.fsrc)
-		t.collect(so, 0, n)
+		t.collect(so, n)
 		own.hsrc = pl.hdst[me*n : (me+1)*n] // encoded in place by ship
 		gatherHalfInto(o, pl.hdst)
 	case opAllGatherHalfDecode:
-		t.collect(so, 0, len(pl.hsrc))
+		t.collect(so, len(pl.hsrc))
 		own.hsrc = pl.hsrc
 		w.gatherHalfDecodeInto(o, pl.fdst)
-	case opGather:
-		if me == so.root {
-			if len(pl.fdst) != t.size*len(pl.fsrc) {
-				panic("comm: gather root dst length mismatch")
-			}
-			t.collect(so, len(pl.fsrc), 0)
-			own.fsrc = pl.fsrc
-			gatherInto(o, pl.fdst)
-		}
 	case opReduceHalfDecode:
 		if me == so.root {
-			t.collect(so, 0, len(pl.hsrc))
+			t.collect(so, len(pl.hsrc))
 			own.hsrc = pl.hsrc
 			w.reduceHalfDecodeInto(o, pl.fdst, 0)
 		}
-	case opReduceScatter:
-		n := len(pl.fdst)
-		t.collect(so, n, 0)
-		own.fsrc = pl.fsrc[me*n : (me+1)*n]
-		reduceInto(o, pl.fdst, 0)
-	case opReduceScatterHalf:
-		n := len(pl.hdst)
-		t.collect(so, 0, n)
-		own.hsrc = pl.hsrc[me*n : (me+1)*n]
-		w.reduceHalfInto(o, pl.hdst, 0)
 	case opReduceScatterHalfDecode:
 		n := len(pl.fdst)
-		t.collect(so, 0, n)
+		t.collect(so, n)
 		own.hsrc = pl.hsrc[me*n : (me+1)*n]
 		w.reduceHalfDecodeInto(o, pl.fdst, 0)
-	case opAllReduce:
-		lo, hi := t.ownedSpan(len(pl.fdst), me)
-		t.collect(so, hi-lo, 0)
-		own.fsrc = pl.fdst[lo:hi]
-		sum := t.fscratch.Get(hi - lo) // reduceInto's dst may not alias an addend
-		reduceInto(o, sum, 0)
-		copy(pl.fdst[lo:hi], sum)
-		t.fscratch.Put(sum)
-		t.shareReduced(so, pl.fdst[lo:hi], nil)
 	case opAllReduceHalf:
 		lo, hi := t.ownedSpan(len(pl.hdst), me)
-		t.collect(so, 0, hi-lo)
+		t.collect(so, hi-lo)
 		own.hsrc = pl.hdst[lo:hi]
 		w.reduceHalfInto(o, pl.hdst[lo:hi], 0)
-		t.shareReduced(so, nil, pl.hdst[lo:hi])
+		t.shareReduced(so, pl.hdst)
 	}
 	res := o.result
 	o.result = 0
@@ -705,37 +636,24 @@ func (t *sockTransport) complete(so sockOp) float64 {
 	return res
 }
 
-// enqueue registers this rank's seq-th collective: its contribution ships
+// issue registers this rank's seq-th collective: its contribution ships
 // immediately (so peers can complete — and it can overlap compute — without
-// waiting for this rank to Wait), and the op joins the pending FIFO.
+// waiting for this rank to Wait), and the op joins the pending FIFO that
+// Ticket.Wait advances.
 //
 //zinf:hotpath
-func (t *sockTransport) enqueue(seq uint64, kind opKind, root int, pl payload) {
+func (t *sockTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket {
 	start := time.Now()
 	so := sockOp{seq: seq, kind: kind, root: root, pl: pl}
 	t.ship(so)
 	t.pending = append(t.pending, so)
 	t.traffic[kind].MeasSeconds += time.Since(start).Seconds()
-}
-
-// rendezvous performs rank's seq-th collective synchronously.
-//
-//zinf:hotpath
-func (t *sockTransport) rendezvous(rank int, seq uint64, kind opKind, root int, pl payload) float64 {
-	t.enqueue(seq, kind, root, pl)
-	return t.advance(seq)
-}
-
-// issue starts rank's seq-th collective; Ticket.Wait advances through it.
-//
-//zinf:hotpath
-func (t *sockTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket {
-	t.enqueue(seq, kind, root, pl)
 	return Ticket{st: t, seq: seq}
 }
 
 // advance completes pending collectives in sequence order through target
-// and returns the last scalar result. Already-completed targets are no-ops,
+// and returns the last one's scalar result (a synchronous scalar collective
+// waits at once, so that is its own). Already-completed targets are no-ops,
 // which is what makes out-of-order Wait calls safe.
 //
 //zinf:hotpath

@@ -69,21 +69,16 @@ func closeWorlds(worlds []*World) {
 	}
 }
 
-// runRanks runs fn once per world on its own goroutine, as that world's
-// hosted rank (every rank of an in-memory world when there is only one).
+// runRanks runs fn on every rank the worlds host, each on its own goroutine
+// (every rank of the one in-memory world, or each socket world's one rank).
 func runRanks(worlds []*World, fn func(c *Comm)) {
 	var wg sync.WaitGroup
-	for i, w := range worlds {
-		for r := 0; r < w.Size(); r++ {
-			if len(worlds) > 1 && r != i {
-				continue
-			}
-			wg.Add(1)
-			go func(c *Comm) {
-				defer wg.Done()
-				fn(c)
-			}(w.Comm(r))
-		}
+	for _, w := range worlds {
+		wg.Add(1)
+		go func(w *World) {
+			defer wg.Done()
+			w.Run(fn)
+		}(w)
 	}
 	wg.Wait()
 }
@@ -133,42 +128,23 @@ func filledH(n int) []tensor.Half {
 func oraclePayload(kind opKind, rank, size, n, root int) (pl payload, keep bool) {
 	salt := int(kind) * 17
 	switch kind {
-	case opBroadcast:
-		if rank == root {
-			return payload{fdst: oracleF(rank, n, salt)}, true
-		}
-		return payload{fdst: filledF(n)}, false
 	case opBroadcastHalf:
 		if rank == root {
 			return payload{hdst: oracleH(rank, n, salt)}, true
 		}
 		return payload{hdst: filledH(n)}, false
-	case opAllGather:
-		return payload{fdst: filledF(size * n), fsrc: oracleF(rank, n, salt)}, false
-	case opAllGatherHalf:
-		return payload{hdst: filledH(size * n), hsrc: oracleH(rank, n, salt)}, false
 	case opAllGatherEncodeHalf:
 		return payload{hdst: filledH(size * n), fsrc: oracleF(rank, n, salt)}, false
 	case opAllGatherHalfDecode:
 		return payload{fdst: filledF(size * n), hsrc: oracleH(rank, n, salt)}, false
-	case opReduceScatter:
-		return payload{fdst: filledF(n), fsrc: oracleF(rank, size*n, salt)}, false
-	case opReduceScatterHalf:
-		return payload{hdst: filledH(n), hsrc: oracleH(rank, size*n, salt)}, false
 	case opReduceScatterHalfDecode:
 		return payload{fdst: filledF(n), hsrc: oracleH(rank, size*n, salt)}, false
-	case opAllReduce:
-		return payload{fdst: oracleF(rank, n, salt)}, false
 	case opAllReduceHalf:
 		return payload{hdst: oracleH(rank, n, salt)}, false
-	case opGather:
-		return payload{fdst: filledF(size * n), fsrc: oracleF(rank, n, salt)}, rank != root
 	case opReduceHalfDecode:
 		return payload{fdst: filledF(n), hsrc: oracleH(rank, n, salt)}, rank != root
-	case opAllReduceScalar, opAllReduceMax:
-		return payload{v: math.Sin(float64(rank*7+n)) * 1e3}, false
 	}
-	return payload{}, false // barrier
+	return payload{v: math.Sin(float64(rank*7+n)) * 1e3}, false // the scalar kinds
 }
 
 // oracleModes are the three ways a rank may drive a batch of collectives.
@@ -190,14 +166,14 @@ func oracleTrajectory(c *Comm, lengths []int) (sig []uint64, problems []string) 
 			rootOf := func(k opKind) int { return (int(k) + n) % size }
 			for k := opKind(0); k < opKindCount; k++ {
 				pls[k], keep[k] = oraclePayload(k, rank, size, n, rootOf(k))
+				tk := c.issue(k, rootOf(k), pls[k])
 				switch mode {
 				case "sync":
-					sig = append(sig, math.Float64bits(c.rendezvous(k, rootOf(k), pls[k])))
+					sig = append(sig, math.Float64bits(tk.wait()))
 				case "async":
-					tk := c.async(k, rootOf(k), pls[k])
 					tk.Wait()
 				default:
-					tickets[k] = c.async(k, rootOf(k), pls[k])
+					tickets[k] = tk
 				}
 			}
 			for k := opKindCount; k > 0; k-- {
@@ -247,7 +223,7 @@ func runOracle(t *testing.T, worlds []*World, lengths []int) ([][]uint64, []map[
 	problems := make([][]string, size)
 	runRanks(worlds, func(c *Comm) {
 		sigs[c.Rank()], problems[c.Rank()] = oracleTrajectory(c, lengths)
-		c.Barrier() // every rank's last collective is accounted before any snapshot
+		c.AllReduceScalar(0) // every rank's last collective is accounted before any snapshot
 		traffic[c.Rank()] = modeledTraffic(c)
 	})
 	for _, ps := range problems {
@@ -258,20 +234,11 @@ func runOracle(t *testing.T, worlds []*World, lengths []int) ([][]uint64, []map[
 	return sigs, traffic
 }
 
-func memWorld(t *testing.T, size int, topo *Topology) []*World {
-	t.Helper()
-	w, err := New(WorldOptions{Size: size, Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*World{w}
-}
-
 // assertSockMatchesMem runs the oracle trajectory over both transports and
 // requires byte-equal destinations and equal modeled traffic on every rank.
 func assertSockMatchesMem(t *testing.T, size int, topo *Topology, lengths []int) {
 	t.Helper()
-	memSig, memTraffic := runOracle(t, memWorld(t, size, topo), lengths)
+	memSig, memTraffic := runOracle(t, []*World{newTestWorld(t, size, topo)}, lengths)
 	socks := openSockWorld(t, size, topo)
 	defer closeWorlds(socks)
 	sockSig, sockTraffic := runOracle(t, socks, lengths)
@@ -336,15 +303,15 @@ func TestSockTrafficPerRank(t *testing.T) {
 	defer closeWorlds(worlds)
 	totals := make([]TrafficStats, 4)
 	runRanks(worlds, func(c *Comm) {
-		buf := oracleF(c.Rank(), 19, 0)
-		c.AllReduce(buf)
+		buf := oracleH(c.Rank(), 19, 0)
+		c.AllReduceHalf(buf)
 		shard := make([]float32, 5)
 		c.ReduceScatterHalfDecode(shard, oracleH(c.Rank(), 20, 1))
-		c.Broadcast(buf, 3)
-		c.Barrier()
+		c.BroadcastHalf(buf, 3)
+		c.AllReduceScalar(0)
 		totals[c.Rank()] = c.TrafficTotal()
 	})
-	peersOf := func(r int) []*peer { return worlds[r].Transport().(*sockTransport).peers }
+	peersOf := func(r int) []*peer { return worlds[r].t.(*sockTransport).peers }
 	for a := 0; a < 4; a++ {
 		var intra, inter int64
 		for b, p := range peersOf(a) {
@@ -384,9 +351,9 @@ func TestSockCollectiveMismatchPanics(t *testing.T) {
 	runRanks(worlds, func(c *Comm) {
 		defer func() { msgs[c.Rank()] = fmt.Sprint(recover()) }()
 		if c.Rank() == 0 {
-			c.AllReduce([]float32{1})
+			c.AllReduceHalf([]tensor.Half{1})
 		} else {
-			c.Barrier()
+			c.AllReduceScalar(0)
 		}
 	})
 	for r, m := range msgs {
@@ -401,7 +368,7 @@ func TestSockCollectiveMismatchPanics(t *testing.T) {
 func TestSockCloseJoinsReaders(t *testing.T) {
 	before := runtime.NumGoroutine()
 	worlds := openSockWorld(t, 4, nil) // 12 reader goroutines
-	runRanks(worlds, func(c *Comm) { c.Barrier() })
+	runRanks(worlds, func(c *Comm) { c.AllReduceScalar(0) })
 	closeWorlds(worlds)
 	// Close waited for each reader's deferred Done; give the last few the
 	// instant between that call and their exit.
@@ -419,7 +386,7 @@ func TestSockCloseJoinsReaders(t *testing.T) {
 func TestSockPeerLossFailsBounded(t *testing.T) {
 	worlds := openSockWorld(t, 4, nil)
 	defer closeWorlds(worlds)
-	runRanks(worlds, func(c *Comm) { c.Barrier() })
+	runRanks(worlds, func(c *Comm) { c.AllReduceScalar(0) })
 	worlds[3].Close()
 	done := make(chan string, 3)
 	for r := 0; r < 3; r++ {
@@ -469,7 +436,7 @@ func TestSockSteadyStateZeroAllocs(t *testing.T) {
 		for i := 0; i < warmup; i++ {
 			iter()
 		}
-		c.Barrier()
+		c.AllReduceScalar(0)
 		if c.Rank() == 0 {
 			runtime.GC()
 		}
@@ -478,11 +445,11 @@ func TestSockSteadyStateZeroAllocs(t *testing.T) {
 			if c.Rank() == 0 {
 				runtime.ReadMemStats(&ms0)
 			}
-			c.Barrier() // nobody enters the window before ms0 is read
+			c.AllReduceScalar(0) // nobody enters the window before ms0 is read
 			for i := 0; i < perWindow; i++ {
 				iter()
 			}
-			c.Barrier() // every rank's window lands before ms1 is read
+			c.AllReduceScalar(0) // every rank's window lands before ms1 is read
 			if c.Rank() == 0 {
 				runtime.ReadMemStats(&ms1)
 				minAllocs = min(minAllocs, ms1.Mallocs-ms0.Mallocs)

@@ -1,25 +1,24 @@
 package comm
 
-// Topology-aware communication (paper Sec. 6.1): the flat goroutine fabric
-// models every rank one hop from every other, which makes the paper's
-// bandwidth-centric argument unreproducible — an owner-rank broadcast and a
-// per-parameter 1/dp allgather move the same bytes over the same (single)
-// link class. A Topology groups ranks into nodes with distinct intra-node
-// and inter-node link bandwidth/latency; the hot collectives then decompose
-// hierarchically — an intra-node phase followed by an inter-node phase among
-// node leaders — and every collective's byte flow and simulated transfer
-// cost are accounted per link class.
+// Topology-aware accounting (paper Sec. 6.1): the goroutine fabric and the
+// loopback socket mesh put every rank one hop from every other, which makes
+// the paper's bandwidth-centric argument unreproducible — an owner-rank
+// broadcast and a per-parameter 1/dp allgather move the same bytes over the
+// same (single) link class. A Topology groups ranks into nodes with distinct
+// intra-node and inter-node link bandwidth/latency, and every collective's
+// byte flow and simulated transfer cost are accounted per link class, as the
+// hierarchical algorithm a real fabric would run — an intra-node phase, then
+// an inter-node phase among node leaders — would incur them.
 //
 // Two properties are contractual:
 //
-//   - Hierarchical collectives are bit-identical to the flat paths. Pure
-//     data movement (broadcast/allgather/gather) decomposes into staged
-//     copies whose final contents equal the flat concatenation; reductions
-//     always accumulate in global rank order regardless of decomposition
+//   - A topology never changes bytes, only TrafficStats. It is a cost model
+//     and nothing else: both transports move data the same way with or
+//     without one, and reductions always accumulate in global rank order
 //     (the deterministic-reduction configuration of real collective
-//     libraries), so the decomposition governs which links carry which
-//     phase's bytes — and therefore the simulated cost — never the
-//     arithmetic.
+//     libraries), so the decomposition governs which links are charged for
+//     which phase's bytes — and therefore the simulated cost — never the
+//     data path or the arithmetic.
 //
 //   - Accounting is allocation-free: per-kind counters live in a fixed
 //     array inside the collective execution context, and the cost model is
@@ -65,9 +64,9 @@ type Topology struct {
 	// microseconds. The defaults are zero: the model is bandwidth-centric
 	// like the paper's, and latency is opt-in.
 	IntraLatencyUS, InterLatencyUS float64
-	// Flat keeps the single-phase (flat) algorithms and cost shapes while
-	// still classifying each transfer by the link it crosses — the
-	// "topology-oblivious" ablation baseline.
+	// Flat charges the single-phase (flat ring / star) algorithms' cost
+	// shapes while still classifying each transfer by the link it crosses —
+	// the "topology-oblivious" ablation baseline.
 	Flat bool
 }
 
@@ -194,12 +193,23 @@ func ValidateTopology(t *Topology, size int) error {
 	return err
 }
 
-// SetTopology installs the topology on this communicator's world (see
-// World.SetTopology).
-//
-// Deprecated: configure via WorldOptions.Topology. On sealed worlds this
-// verifies the configured topology against the installed one.
-func (c *Comm) SetTopology(t *Topology) error { return c.world.SetTopology(t) }
+// CheckTopology reports whether want describes the fabric this
+// communicator's world was built on: nil if want normalizes to the installed
+// topology, an error naming both otherwise. Engine configurations that
+// restate the topology are checked with it, so a disagreement between the
+// engine's recipe and the world it was handed is an error, not a silent
+// choice of one.
+func (c *Comm) CheckTopology(want *Topology) error {
+	want, err := normalizeTopology(want, c.Size())
+	if err != nil {
+		return err
+	}
+	have := c.Topology()
+	if (want == nil) != (have == nil) || (want != nil && *want != *have) {
+		return fmt.Errorf("comm: world has topology %s, engine configured %s", have, want)
+	}
+	return nil
+}
 
 // Topology returns the installed topology (nil = flat).
 func (c *Comm) Topology() *Topology { return c.world.t.topology() }
@@ -216,7 +226,7 @@ func (w *collCtx) nodes() int {
 	return w.size / w.topo.NodeSize
 }
 
-// hier reports whether collectives should decompose hierarchically.
+// hier reports whether the cost model charges the hierarchical algorithms.
 //
 //zinf:hotpath
 func (w *collCtx) hier() bool {
@@ -332,9 +342,6 @@ func (c *Comm) TrafficTotal() TrafficStats {
 	})
 	return tot
 }
-
-// ResetTraffic zeroes the accumulated traffic counters.
-func (c *Comm) ResetTraffic() { c.world.t.resetTraffic() }
 
 // ---------------------------------------------------------------------------
 // Cost model. All helpers run inside the transport's compute serialization
@@ -455,30 +462,6 @@ func (w *collCtx) accountBroadcast(st *TrafficStats, M int64, root int) {
 	w.phase(st, (k-1)*M, 0, N*(k-1)*M, 0, 1, 0) // intra distribution in every node
 }
 
-// accountGather models a gather of S bytes per rank to root (the root acts
-// as its node's leader): flat star into the root; hierarchical gathers at
-// each leader then funnels node chunks over the root's uplink.
-//
-//zinf:hotpath
-func (w *collCtx) accountGather(st *TrafficStats, S int64, root int) {
-	p, N := int64(w.size), int64(w.nodes())
-	if p == 1 || S == 0 {
-		return
-	}
-	k := p / N
-	if !w.hier() {
-		remote := (p - k) * S
-		hopsInter := 0
-		if N > 1 {
-			hopsInter = 1
-		}
-		w.phase(st, (p-1)*S, remote, (k-1)*S, remote, 1, hopsInter)
-		return
-	}
-	w.phase(st, (k-1)*S, 0, N*(k-1)*S, 0, 1, 0)   // intra gather at leaders
-	w.phase(st, 0, (N-1)*k*S, 0, (N-1)*k*S, 0, 1) // leaders funnel into the root's uplink
-}
-
 // accountReduceRoot models a reduce of M contribution bytes per rank to
 // root: flat star of raw contributions into the root; hierarchical reduces
 // raw contributions at each node leader intra, then ships one M-sized node
@@ -548,30 +531,18 @@ func (w *collCtx) account(kind opKind, root int, pl payload) {
 	if w.size == 1 {
 		return
 	}
-	const f32, f16 = 4, 2
+	const f16 = 2
 	switch kind {
-	case opBarrier:
-		w.accountScalar(st)
-	case opBroadcast:
-		w.accountBroadcast(st, int64(len(pl.fdst))*f32, root)
 	case opBroadcastHalf:
 		w.accountBroadcast(st, int64(len(pl.hdst))*f16, root)
-	case opAllGather:
-		w.accountAllGather(st, int64(len(pl.fsrc))*f32)
-	case opAllGatherHalf, opAllGatherHalfDecode:
+	case opAllGatherHalfDecode:
 		w.accountAllGather(st, int64(len(pl.hsrc))*f16)
 	case opAllGatherEncodeHalf:
 		w.accountAllGather(st, int64(len(pl.fsrc))*f16) // moves encoded fp16 shards
-	case opReduceScatter:
-		w.accountReduceScatter(st, int64(len(pl.fsrc))*f32)
-	case opReduceScatterHalf, opReduceScatterHalfDecode:
+	case opReduceScatterHalfDecode:
 		w.accountReduceScatter(st, int64(len(pl.hsrc))*f16)
-	case opAllReduce:
-		w.accountAllReduce(st, int64(len(pl.fdst))*f32)
 	case opAllReduceHalf:
 		w.accountAllReduce(st, int64(len(pl.hdst))*f16)
-	case opGather:
-		w.accountGather(st, int64(len(pl.fsrc))*f32, root)
 	case opReduceHalfDecode:
 		w.accountReduceRoot(st, int64(len(pl.hsrc))*f16, root)
 	case opAllReduceScalar, opAllReduceMax:

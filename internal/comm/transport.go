@@ -12,7 +12,8 @@ import (
 // collective ops, and executes the data movement. Two implementations exist:
 //
 //   - memTransport (the reference): all ranks are goroutines in one process
-//     sharing an in-memory rendezvous — NewWorld/Run build it implicitly.
+//     sharing an in-memory rendezvous — New builds it when WorldOptions
+//     names no transport.
 //   - sockTransport: each process hosts one rank and frames flow over TCP —
 //     built with NewSockTransport and launched by cmd/zinf-launch.
 //
@@ -32,31 +33,23 @@ type Transport interface {
 	// true for every rank on the in-memory transport, true only for the
 	// process's own rank on the socket transport.
 	hosts(rank int) bool
-	// rendezvous runs rank's seq-th collective synchronously and returns
-	// the scalar result (0 for data collectives).
-	rendezvous(rank int, seq uint64, kind opKind, root int, pl payload) float64
-	// issue starts rank's seq-th collective asynchronously; the returned
-	// ticket's Wait completes it. Buffers in pl stay untouched until Wait.
+	// issue registers rank's seq-th collective; the returned ticket's Wait
+	// completes it. Buffers in pl stay untouched until Wait.
 	issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket
-	// setCodec/setTopology configure the collective execution context; they
-	// must not be called while collectives are in flight.
-	setCodec(be tensor.Backend)
-	setTopology(t *Topology) error
+	// configure fixes the collective execution context's codec backend and
+	// topology. New calls it once, before any rank can issue a collective.
+	configure(codec tensor.Backend, topo *Topology) error
 	// topology returns the installed (normalized) topology, nil when flat.
 	topology() *Topology
 	// snapshotTraffic visits every collective kind's traffic counters.
 	snapshotTraffic(f func(k opKind, st TrafficStats))
-	resetTraffic()
 }
 
-// World is a group of communicating ranks over a Transport. Worlds built
-// with New are sealed: the fabric (transport, topology, codec backend) is
-// fixed at construction and the deprecated mutating setters only verify.
-// Worlds built with NewWorld/Run keep the legacy mutate-after-construct
-// behaviour for one release.
+// World is a group of communicating ranks over a Transport. It is immutable:
+// the fabric (transport, topology, codec backend) is fixed by New, and
+// engines read it from their communicator.
 type World struct {
-	t      Transport
-	sealed bool
+	t Transport
 }
 
 // WorldOptions configures New. The zero value of each field keeps the
@@ -72,15 +65,16 @@ type WorldOptions struct {
 	// Topology, when set, groups ranks into nodes (see Topology); it is
 	// validated against the world size and installed before any rank runs.
 	Topology *Topology
-	// CodecBackend selects the binary16-conversion backend for the *Half
-	// collectives (nil = serial reference; all backends are bit-identical).
+	// CodecBackend selects the binary16-conversion backend the collectives
+	// encode and decode through (nil = serial reference; all backends are
+	// bit-identical). It alone selects the collectives' codec: an engine's
+	// Backend selects the engine's and the model's kernels, not the
+	// fabric's.
 	CodecBackend tensor.Backend
 }
 
-// New builds a sealed World: transport, topology and codec backend are fixed
-// once it returns, so ranks can start immediately with no mutate-after-
-// construct window. This is the constructor the training entry points use;
-// NewWorld/Run remain for the legacy mutable construction.
+// New builds a World: transport, topology and codec backend are fixed once
+// it returns, so ranks can start immediately. It is the only constructor.
 func New(opts WorldOptions) (*World, error) {
 	t := opts.Transport
 	if t == nil {
@@ -91,21 +85,10 @@ func New(opts WorldOptions) (*World, error) {
 	} else if opts.Size != 0 && opts.Size != t.Size() {
 		return nil, fmt.Errorf("comm: WorldOptions.Size %d != transport size %d", opts.Size, t.Size())
 	}
-	t.setCodec(tensor.DefaultBackend(opts.CodecBackend))
-	if err := t.setTopology(opts.Topology); err != nil {
+	if err := t.configure(tensor.DefaultBackend(opts.CodecBackend), opts.Topology); err != nil {
 		return nil, err
 	}
-	return &World{t: t, sealed: true}, nil
-}
-
-// NewWorld creates the legacy mutable in-memory world for size ranks. It
-// panics if size < 1. Prefer New: worlds built here accept the deprecated
-// SetTopology/SetCodecBackend mutations until ranks are running.
-func NewWorld(size int) *World {
-	if size < 1 {
-		panic("comm: world size must be >= 1")
-	}
-	return &World{t: newMemTransport(size)}
+	return &World{t: t}, nil
 }
 
 // Size returns the number of ranks in the world.
@@ -113,53 +96,10 @@ func NewWorld(size int) *World {
 //zinf:hotpath
 func (w *World) Size() int { return w.t.Size() }
 
-// Transport returns the world's data plane.
-func (w *World) Transport() Transport { return w.t }
-
 // Close releases the transport's resources. Training code should close a
 // world it constructed around a socket transport; in-memory worlds need no
 // cleanup.
 func (w *World) Close() error { return w.t.Close() }
-
-// SetCodecBackend selects the compute backend the binary16 collectives
-// convert through (nil restores the serial reference backend). All backends
-// are bit-identical, so this only changes wall-clock time.
-//
-// Deprecated: configure the backend via WorldOptions.CodecBackend. On a
-// sealed world this is a no-op — the codec was fixed at construction (every
-// backend computes identical bytes, so there is nothing to verify).
-func (w *World) SetCodecBackend(be tensor.Backend) {
-	if w.sealed {
-		return
-	}
-	w.t.setCodec(tensor.DefaultBackend(be))
-}
-
-// SetTopology installs (a copy of) the topology on the world. A nil
-// topology is the flat single-node fabric. It must not be called while
-// collectives are in flight.
-//
-// Deprecated: configure the topology via WorldOptions.Topology. On a sealed
-// world this verifies instead of mutating: the call succeeds when t
-// normalizes to the installed topology (engines re-announce their configured
-// topology at construction) and errors on any mismatch.
-func (w *World) SetTopology(t *Topology) error {
-	if !w.sealed {
-		return w.t.setTopology(t)
-	}
-	want, err := normalizeTopology(t, w.Size())
-	if err != nil {
-		return err
-	}
-	have := w.t.topology()
-	switch {
-	case want == nil && have == nil:
-		return nil
-	case want == nil || have == nil || *want != *have:
-		return fmt.Errorf("comm: sealed world has topology %s, engine configured %s", have, want)
-	}
-	return nil
-}
 
 // Comm returns the communicator handle for the given rank. Each rank
 // goroutine must use its own handle; handles are not safe for concurrent use
@@ -175,21 +115,34 @@ func (w *World) Comm(rank int) *Comm {
 	return &Comm{world: w, rank: rank}
 }
 
-// Run spawns fn on one goroutine per rank, passing each its communicator,
-// and waits for all of them to return. It is the standard SPMD entry point:
+// Run spawns fn on one goroutine per rank this world hosts — every rank of
+// an in-memory world, the process's own rank of a socket world — passing
+// each its communicator, and waits for all of them to return.
+func (w *World) Run(fn func(c *Comm)) {
+	var wg sync.WaitGroup
+	for r := 0; r < w.Size(); r++ {
+		if !w.t.hosts(r) {
+			continue
+		}
+		wg.Add(1)
+		go func(c *Comm) {
+			defer wg.Done()
+			fn(c)
+		}(w.Comm(r))
+	}
+	wg.Wait()
+}
+
+// Run builds a flat in-memory world of size ranks and runs fn on it (see
+// World.Run). It is the standard SPMD entry point and panics if size < 1:
 //
 //	comm.Run(4, func(c *comm.Comm) { ... })
 func Run(size int, fn func(c *Comm)) {
-	w := NewWorld(size)
-	var wg sync.WaitGroup
-	wg.Add(size)
-	for r := 0; r < size; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			fn(w.Comm(rank))
-		}(r)
+	w, err := New(WorldOptions{Size: size})
+	if err != nil {
+		panic(err)
 	}
-	wg.Wait()
+	w.Run(fn)
 }
 
 // Comm is one rank's handle on the world.
@@ -208,34 +161,3 @@ func (c *Comm) Rank() int { return c.rank }
 //
 //zinf:hotpath
 func (c *Comm) Size() int { return c.world.Size() }
-
-// World returns the world this communicator belongs to.
-func (c *Comm) World() *World { return c.world }
-
-// SetCodecBackend selects the world's binary16-conversion backend.
-//
-// Deprecated: configure via WorldOptions.CodecBackend (see
-// World.SetCodecBackend for the sealed-world semantics).
-func (c *Comm) SetCodecBackend(be tensor.Backend) { c.world.SetCodecBackend(be) }
-
-// rendezvous runs this rank's next collective synchronously through the
-// transport.
-//
-//zinf:hotpath
-func (c *Comm) rendezvous(kind opKind, root int, pl payload) float64 {
-	seq := c.seq
-	c.seq++
-	return c.world.t.rendezvous(c.rank, seq, kind, root, pl)
-}
-
-// async starts this rank's next collective asynchronously through the
-// transport. The semantics — including rank-order accumulation — are
-// identical to the synchronous rendezvous, so asynchronous and synchronous
-// paths are bit-identical.
-//
-//zinf:hotpath
-func (c *Comm) async(kind opKind, root int, pl payload) Ticket {
-	seq := c.seq
-	c.seq++
-	return c.world.t.issue(c.rank, seq, kind, root, pl)
-}

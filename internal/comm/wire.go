@@ -1,7 +1,10 @@
 package comm
 
-// Wire protocol (version 2) of the socket transport: length-prefixed binary
-// frames over TCP, little-endian throughout.
+// Wire protocol (version 3) of the socket transport: length-prefixed binary
+// frames over TCP, little-endian throughout. Version 3 renumbered the
+// collective kinds and dropped the float32 payload section of version 2 —
+// every collective's wire type is binary16 — so a version-2 peer is refused
+// at the handshake.
 //
 // Bootstrap frames, exchanged once per connection:
 //
@@ -21,21 +24,20 @@ package comm
 //	off  4  u8   frame type (contrib | reduced)
 //	off  5  u8   collective kind
 //	off  6  u16  root rank
-//	off  8  u32  float32 elements in the payload
+//	off  8  u32  reserved, zero
 //	off 12  u32  binary16 elements in the payload
 //	off 16  u64  sequence number
 //	off 24  u64  float64 bits (the sender's scalar contribution)
 //
-// The payload is the float32 section followed by the binary16 section, each
-// the in-memory bytes of the sender's slice: header and payload leave in one
-// vectored write straight from the caller's buffer, and the receiver reads
-// the payload straight into arena staging of the element type — no
+// The payload is the in-memory bytes of the sender's binary16 slice: header
+// and payload leave in one vectored write straight from the caller's buffer,
+// and the receiver reads the payload straight into arena staging — no
 // per-element conversion on either side. Big-endian hosts swap bytes in
 // place after a read and through a scratch copy before a write (hostSwaps,
 // decided at init), so the wire stays little-endian.
 //
-// A header is outside input: its counts are checked against maxFrameElems
-// and against the payload length before anything is sized from them.
+// A header is outside input: its count is checked against maxFrameElems and
+// against the payload length before anything is sized from it.
 
 import (
 	"encoding/binary"
@@ -51,7 +53,7 @@ import (
 
 const (
 	wireMagic   = 0x5A494E46 // "ZINF"
-	wireVersion = 2
+	wireVersion = 3
 
 	// frameContrib carries a rank's input to a collective and is shipped when
 	// the collective is issued; frameReduced carries an owner's reduced slice
@@ -63,9 +65,9 @@ const (
 
 	frameHdrLen = 32
 
-	// maxFrameElems bounds the element counts a frame header may claim
-	// (2^28 float32 = 1 GiB): the most a corrupt or hostile header can make
-	// the reader stage.
+	// maxFrameElems bounds the element count a frame header may claim
+	// (2^28 binary16 = 512 MiB): the most a corrupt or hostile header can
+	// make the reader stage.
 	maxFrameElems = 1 << 28
 	// maxAddrLen bounds a bootstrap address ("host:port").
 	maxAddrLen = 255
@@ -77,7 +79,7 @@ var (
 	errBadFrameType = errors.New("comm: sock: unknown frame type")
 	errBadFrameKind = errors.New("comm: sock: unknown collective kind")
 	errFrameTooBig  = errors.New("comm: sock: frame element count exceeds the limit")
-	errFrameLen     = errors.New("comm: sock: frame payload length does not match header counts")
+	errFrameLen     = errors.New("comm: sock: frame payload length does not match header count")
 )
 
 // hostSwaps is true on big-endian hosts, where payload bytes need swapping
@@ -87,66 +89,55 @@ var hostSwaps = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 0
 }()
 
-// f32Bytes and halfBytes view a slice's backing memory as bytes.
+// halfBytes views a slice's backing memory as bytes.
 //
-//zinf:hotpath
-func f32Bytes(xs []float32) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*4)
-}
-
 //zinf:hotpath
 func halfBytes(xs []tensor.Half) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*2)
 }
 
-// swapBytes reverses each width-byte element of b in place (width 2 or 4):
-// the big-endian fallback's only per-element loop.
+// swapBytes reverses each 2-byte element of b in place: the big-endian
+// fallback's only per-element loop.
 //
 //zinf:hotpath
-func swapBytes(b []byte, width int) {
-	if width == 2 {
-		for i := 0; i+1 < len(b); i += 2 {
-			b[i], b[i+1] = b[i+1], b[i]
-		}
-		return
-	}
-	for i := 0; i+3 < len(b); i += 4 {
-		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
+func swapBytes(b []byte) {
+	for i := 0; i+1 < len(b); i += 2 {
+		b[i], b[i+1] = b[i+1], b[i]
 	}
 }
 
 // frameHdr is a decoded collective-frame header.
 type frameHdr struct {
-	ftype  byte
-	kind   opKind
-	root   int
-	nf, nh int    // float32 / binary16 elements in the payload
-	seq    uint64 // the sender's sequence number for this collective
-	bits   uint64 // float64 bits of the sender's scalar
+	ftype byte
+	kind  opKind
+	root  int
+	nh    int    // binary16 elements in the payload
+	seq   uint64 // the sender's sequence number for this collective
+	bits  uint64 // float64 bits of the sender's scalar
 }
 
 // wireLen returns the frame's total bytes on the wire.
 //
 //zinf:hotpath
-func (h frameHdr) wireLen() int64 { return int64(frameHdrLen + h.nf*4 + h.nh*2) }
+func (h frameHdr) wireLen() int64 { return int64(frameHdrLen + h.nh*2) }
 
 // putHdr encodes h into b[:frameHdrLen].
 //
 //zinf:hotpath
 func putHdr(b []byte, h frameHdr) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(h.nf*4+h.nh*2))
+	binary.LittleEndian.PutUint32(b[0:], uint32(h.nh*2))
 	b[4] = h.ftype
 	b[5] = byte(h.kind)
 	binary.LittleEndian.PutUint16(b[6:], uint16(h.root))
-	binary.LittleEndian.PutUint32(b[8:], uint32(h.nf))
+	binary.LittleEndian.PutUint32(b[8:], 0)
 	binary.LittleEndian.PutUint32(b[12:], uint32(h.nh))
 	binary.LittleEndian.PutUint64(b[16:], h.seq)
 	binary.LittleEndian.PutUint64(b[24:], h.bits)
 }
 
 // parseHdr decodes and validates b[:frameHdrLen]. Nothing is allocated from
-// a header it rejects: counts above maxElems and a payload length that
-// disagrees with the counts are errors.
+// a header it rejects: a count above maxElems, a payload length that
+// disagrees with the count and a non-zero reserved field are errors.
 //
 //zinf:hotpath
 func parseHdr(b []byte, maxElems int) (frameHdr, error) {
@@ -158,37 +149,36 @@ func parseHdr(b []byte, maxElems int) (frameHdr, error) {
 		bits:  binary.LittleEndian.Uint64(b[24:]),
 	}
 	plen := uint64(binary.LittleEndian.Uint32(b[0:]))
-	nf := uint64(binary.LittleEndian.Uint32(b[8:]))
+	reserved := binary.LittleEndian.Uint32(b[8:])
 	nh := uint64(binary.LittleEndian.Uint32(b[12:]))
 	switch {
 	case h.ftype != frameContrib && h.ftype != frameReduced:
 		return frameHdr{}, errBadFrameType
 	case h.kind >= opKindCount:
 		return frameHdr{}, errBadFrameKind
-	case nf > uint64(maxElems) || nh > uint64(maxElems):
+	case nh > uint64(maxElems):
 		return frameHdr{}, errFrameTooBig
-	case plen != nf*4+nh*2:
+	case plen != nh*2 || reserved != 0:
 		return frameHdr{}, errFrameLen
 	}
-	h.nf, h.nh = int(nf), int(nh)
+	h.nh = int(nh)
 	return h, nil
 }
 
 // inFrame is one received frame: its header plus the payload staged in the
-// transport's arenas, released by the rank goroutine once consumed.
+// transport's arena, released by the rank goroutine once consumed.
 type inFrame struct {
 	frameHdr
-	f []float32
 	h []tensor.Half
 }
 
 // readFrame reads one frame from r. hb is the caller's header scratch
 // (frameHdrLen bytes, owned by the connection so that nothing escapes per
-// frame); the payload is read straight into staging drawn from fa and ha
-// after the header has been validated against maxElems.
+// frame); the payload is read straight into staging drawn from ha after the
+// header has been validated against maxElems.
 //
 //zinf:hotpath
-func readFrame(r io.Reader, hb []byte, fa *mem.Arena[float32], ha *mem.Arena[tensor.Half], maxElems int) (inFrame, error) {
+func readFrame(r io.Reader, hb []byte, ha *mem.Arena[tensor.Half], maxElems int) (inFrame, error) {
 	if _, err := io.ReadFull(r, hb); err != nil {
 		return inFrame{}, err
 	}
@@ -196,19 +186,14 @@ func readFrame(r io.Reader, hb []byte, fa *mem.Arena[float32], ha *mem.Arena[ten
 	if err != nil {
 		return inFrame{}, err
 	}
-	f := inFrame{frameHdr: h, f: fa.Get(h.nf), h: ha.Get(h.nh)}
-	fb, hbytes := f32Bytes(f.f), halfBytes(f.h)
-	if _, err = io.ReadFull(r, fb); err == nil {
-		_, err = io.ReadFull(r, hbytes)
-	}
-	if err != nil {
-		fa.Put(f.f)
+	f := inFrame{frameHdr: h, h: ha.Get(h.nh)}
+	pb := halfBytes(f.h)
+	if _, err = io.ReadFull(r, pb); err != nil {
 		ha.Put(f.h)
 		return inFrame{}, err
 	}
 	if hostSwaps {
-		swapBytes(fb, 4)
-		swapBytes(hbytes, 2)
+		swapBytes(pb)
 	}
 	return f, nil
 }

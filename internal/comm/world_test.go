@@ -2,7 +2,6 @@ package comm
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -116,65 +115,30 @@ func TestWorldOptionsConstruction(t *testing.T) {
 	}
 }
 
-// TestSealedWorldShims pins the deprecation semantics: on a sealed
-// (options-built) world SetCodecBackend is a no-op and SetTopology only
-// verifies; on a legacy NewWorld world both still mutate.
-func TestSealedWorldShims(t *testing.T) {
-	sealed, err := New(WorldOptions{Size: 2, Topology: &Topology{NodeSize: 2}})
-	if err != nil {
-		t.Fatal(err)
+// TestCheckTopology: an engine recipe that restates the topology must agree
+// with the world it runs on — the same topology (even non-normalized) passes,
+// a different one, or flat against installed either way round, errors.
+func TestCheckTopology(t *testing.T) {
+	onTopo := newTestWorld(t, 2, &Topology{NodeSize: 2}).Comm(0)
+	if err := onTopo.CheckTopology(&Topology{NodeSize: 2}); err != nil {
+		t.Errorf("matching topology rejected: %v", err)
 	}
-	defer sealed.Close()
-	// Verify-equal: configuring the same topology (even non-normalized)
-	// succeeds; a different one errors; nil (flat) vs installed errors.
-	if err := sealed.SetTopology(&Topology{NodeSize: 2}); err != nil {
-		t.Errorf("matching topology rejected on sealed world: %v", err)
+	if err := onTopo.CheckTopology(&Topology{NodeSize: 1}); err == nil {
+		t.Error("conflicting topology accepted")
 	}
-	if err := sealed.SetTopology(&Topology{NodeSize: 1}); err == nil {
-		t.Error("conflicting topology accepted on sealed world")
+	if err := onTopo.CheckTopology(&Topology{NodeSize: 3}); err == nil {
+		t.Error("topology that cannot cover the world accepted")
 	}
-	if err := sealed.SetTopology(nil); err == nil {
-		t.Error("flat topology accepted on sealed world with topology installed")
+	if err := onTopo.CheckTopology(nil); err == nil {
+		t.Error("flat accepted on a world with a topology installed")
 	}
-	flat, err := New(WorldOptions{Size: 2})
-	if err != nil {
-		t.Fatal(err)
+	onFlat := newTestWorld(t, 2, nil).Comm(0)
+	if err := onFlat.CheckTopology(nil); err != nil {
+		t.Errorf("flat-on-flat check failed: %v", err)
 	}
-	defer flat.Close()
-	if err := flat.SetTopology(nil); err != nil {
-		t.Errorf("flat-on-flat verify failed: %v", err)
-	}
-	if err := flat.SetTopology(&Topology{NodeSize: 2}); err == nil {
-		t.Error("topology accepted on sealed flat world")
-	}
-	// SetCodecBackend on a sealed world is a silent no-op (the codec was
-	// fixed at construction); collectives still work.
-	sealed.SetCodecBackend(nil)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := sealed.Comm(rank)
-			buf := []float32{float32(rank + 1)}
-			c.AllReduce(buf)
-			if buf[0] != 3 {
-				t.Errorf("rank %d allreduce = %g", rank, buf[0])
-			}
-		}(r)
-	}
-	wg.Wait()
-
-	// Legacy worlds keep mutate semantics.
-	legacy := NewWorld(2)
-	if err := legacy.SetTopology(&Topology{NodeSize: 2}); err != nil {
-		t.Errorf("legacy SetTopology failed: %v", err)
-	}
-	if topo := legacy.Comm(0).Topology(); topo == nil || topo.NodeSize != 2 {
-		t.Errorf("legacy topology not installed: %+v", topo)
-	}
-	if err := legacy.SetTopology(nil); err != nil {
-		t.Errorf("legacy topology clear failed: %v", err)
+	err := onFlat.CheckTopology(&Topology{NodeSize: 2})
+	if err == nil || !strings.Contains(err.Error(), "world has topology flat, engine configured 1x2") {
+		t.Errorf("topology on a flat world: error %v does not name both fabrics", err)
 	}
 }
 

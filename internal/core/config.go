@@ -26,7 +26,6 @@
 package core
 
 import (
-	"repro/internal/comm"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 	"repro/internal/zero"
@@ -95,11 +94,6 @@ type Config struct {
 	// the SPMD collective sequence — while the owner-local NVMe read
 	// prefetcher keeps working.
 	Partition zero.Partitioning
-	// Topology, when set, is installed on the communicator's world: ranks
-	// group into nodes, collectives decompose hierarchically and the
-	// fabric's traffic accounting distinguishes intra- from inter-node
-	// links. Results are bit-identical with or without a topology.
-	Topology *comm.Topology
 }
 
 func (c *Config) setDefaults() {

@@ -72,12 +72,22 @@ func runDDP(t *testing.T, mcfg model.Config) trajectory {
 
 func runInfinity(t *testing.T, mcfg model.Config, ecfg Config) trajectory {
 	t.Helper()
+	return runInfinityOn(t, mcfg, ecfg, nil)
+}
+
+// runInfinityOn is runInfinity on a world built with the given topology.
+func runInfinityOn(t *testing.T, mcfg model.Config, ecfg Config, topo *comm.Topology) trajectory {
+	t.Helper()
+	w, err := comm.New(comm.WorldOptions{Size: testRanks, Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ecfg.LossScale = 256
 	ecfg.Seed = 42
 	tokens, targets := makeBatches(mcfg, testSteps, testRanks, testBatch)
 	var out trajectory
 	var mu sync.Mutex
-	comm.Run(testRanks, func(c *comm.Comm) {
+	w.Run(func(c *comm.Comm) {
 		g := model.MustGPT(mcfg)
 		e, err := NewInfinityEngine(ecfg, c, g)
 		if err != nil {

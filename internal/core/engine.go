@@ -96,7 +96,6 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 		Overlap:          cfg.Overlap,
 		Backend:          cfg.Backend,
 		Partition:        cfg.Partition,
-		Topology:         cfg.Topology,
 	}, c, g, at)
 	if err != nil {
 		if e.nvme != nil {

@@ -17,21 +17,22 @@ func TestPartitionBroadcastBitIdenticalToDDP(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		topo *comm.Topology
 	}{
-		{"gpu-gpu", Config{Partition: zero.PartitionBroadcast}},
+		{"gpu-gpu", Config{Partition: zero.PartitionBroadcast}, nil},
 		{"cpu-cpu+overlap", Config{Partition: zero.PartitionBroadcast,
-			Params: zero.OnCPU, Optimizer: zero.OnCPU, Overlap: true, PrefetchDepth: 2}},
+			Params: zero.OnCPU, Optimizer: zero.OnCPU, Overlap: true, PrefetchDepth: 2}, nil},
 		{"gpu-gpu+overlap+topology", Config{Partition: zero.PartitionBroadcast,
-			Overlap: true, PrefetchDepth: 2, Topology: topo}},
+			Overlap: true, PrefetchDepth: 2}, topo},
 		{"nvme-nvme+prefetch", Config{Partition: zero.PartitionBroadcast,
-			Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 3}},
-		{"slice+topology", Config{Overlap: true, PrefetchDepth: 2, Topology: topo}},
+			Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 3}, nil},
+		{"slice+topology", Config{Overlap: true, PrefetchDepth: 2}, topo},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mcfg := testModelCfg(false)
 			ddp := runDDP(t, mcfg)
-			got := runInfinity(t, mcfg, tc.cfg)
+			got := runInfinityOn(t, mcfg, tc.cfg, tc.topo)
 			assertSame(t, tc.name, ddp, got)
 		})
 	}
@@ -45,9 +46,9 @@ func TestStatsReportCommTrafficAndSlicingWins(t *testing.T) {
 	topo := &comm.Topology{NodeSize: 2, IntraGBps: 100, InterGBps: 10}
 	mcfg := testModelCfg(false)
 
-	slice := runInfinity(t, mcfg, Config{Overlap: true, PrefetchDepth: 2, Topology: topo})
-	bcast := runInfinity(t, mcfg, Config{Partition: zero.PartitionBroadcast,
-		Overlap: true, PrefetchDepth: 2, Topology: topo})
+	slice := runInfinityOn(t, mcfg, Config{Overlap: true, PrefetchDepth: 2}, topo)
+	bcast := runInfinityOn(t, mcfg, Config{Partition: zero.PartitionBroadcast,
+		Overlap: true, PrefetchDepth: 2}, topo)
 
 	ag, ok := slice.stats.CommTraffic["allgatherhalfdecode"]
 	if !ok || ag.Ops == 0 || ag.Bytes() == 0 || ag.Seconds <= 0 {

@@ -53,7 +53,7 @@ func trainLosses(name string, ranks, steps int) ([]float64, error) {
 		}
 		mk = newInfinity(cfg)
 	}
-	run, err := trainSPMD(equivModel(name == "infinity-nvme-ckpt"), ranks, steps, 7000, mk)
+	run, err := trainSPMD(equivModel(name == "infinity-nvme-ckpt"), ranks, steps, 7000, nil, mk)
 	return run.losses, err
 }
 
@@ -63,7 +63,7 @@ func trainLosses(name string, ranks, steps int) ([]float64, error) {
 // 0's record, or the first error (a budget violation surfaces as an error
 // wrapping mem.ErrFragmented / mem.ErrOutOfMemory).
 func runInfinityBudget(mcfg model.Config, budget, chunk int64) (spmdRun, error) {
-	return trainSPMD(mcfg, 2, 2, 6200, newInfinity(core.Config{
+	return trainSPMD(mcfg, 2, 2, 6200, nil, newInfinity(core.Config{
 		Params: zero.OnCPU, Optimizer: zero.OnCPU, GPUMemory: budget, PreFragment: chunk}))
 }
 

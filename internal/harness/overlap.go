@@ -25,12 +25,12 @@ func SetOverlap(depth int, enabled bool) {
 // runOverlapVariant trains one engine variant and captures per-step wall
 // time plus the engine's overlap counters from rank 0.
 func runOverlapVariant(name string, depth int, async bool, ranks, steps int) (spmdRun, error) {
-	mk := newZ3(zero.Config{PrefetchDepth: depth, Overlap: async, Partition: fabricPart, Topology: fabricTopo})
+	mk := newZ3(zero.Config{PrefetchDepth: depth, Overlap: async, Partition: fabricPart})
 	if name != "zero3" { // infinity-nvme
 		mk = newInfinity(core.Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-			PrefetchDepth: depth, Overlap: async, Partition: fabricPart, Topology: fabricTopo})
+			PrefetchDepth: depth, Overlap: async, Partition: fabricPart})
 	}
-	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 7000, mk)
+	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 7000, fabricTopo, mk)
 }
 
 func init() {

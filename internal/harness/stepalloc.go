@@ -33,7 +33,11 @@ func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 	minAllocs := ^uint64(0)
 	var mu sync.Mutex
 	var firstErr error
-	comm.Run(ranks, func(c *comm.Comm) {
+	w, err := comm.New(comm.WorldOptions{Size: ranks, CodecBackend: backend})
+	if err != nil {
+		return 0, err
+	}
+	w.Run(func(c *comm.Comm) {
 		m := zero.NewAllocFreeStub(4, 51)
 		e, err := zero.NewZ3Engine(zero.Config{LossScale: 1, Seed: 11, Backend: backend,
 			Overlap: true, PrefetchDepth: 2, Partition: fabricPart}, c, m)
@@ -62,11 +66,11 @@ func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 }
 
 func runStepAllocVariant(name string, ranks, steps int) (spmdRun, error) {
-	mk := newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart, Topology: fabricTopo})
+	mk := newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart})
 	if name != "zero3" { // infinity-gpu
-		mk = newInfinity(core.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart, Topology: fabricTopo})
+		mk = newInfinity(core.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart})
 	}
-	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 9000, mk)
+	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 9000, fabricTopo, mk)
 }
 
 func init() {

@@ -54,10 +54,16 @@ type spmdRun struct {
 
 func (r spmdRun) lastLoss() float64 { return r.losses[len(r.losses)-1] }
 
-// trainSPMD builds one engine per goroutine rank with mk and trains it for
-// steps on synthetic batches of 2 sequences seeded seed+100*step+rank. It
-// returns rank 0's record, or the first error of any rank.
-func trainSPMD(mcfg model.Config, ranks, steps int, seed uint64, mk func(*comm.Comm, *model.GPT) (engine, error)) (spmdRun, error) {
+// trainSPMD builds one engine per goroutine rank with mk, on an in-memory
+// world with the given topology (nil = flat) and the selected backend as the
+// collectives' codec, and trains it for steps on synthetic batches of 2
+// sequences seeded seed+100*step+rank. It returns rank 0's record, or the
+// first error of any rank.
+func trainSPMD(mcfg model.Config, ranks, steps int, seed uint64, topo *comm.Topology, mk func(*comm.Comm, *model.GPT) (engine, error)) (spmdRun, error) {
+	w, err := comm.New(comm.WorldOptions{Size: ranks, Topology: topo, CodecBackend: backend})
+	if err != nil {
+		return spmdRun{}, err
+	}
 	var out spmdRun
 	var mu sync.Mutex
 	var firstErr error
@@ -68,7 +74,7 @@ func trainSPMD(mcfg model.Config, ranks, steps int, seed uint64, mk func(*comm.C
 		}
 		mu.Unlock()
 	}
-	comm.Run(ranks, func(c *comm.Comm) {
+	w.Run(func(c *comm.Comm) {
 		e, err := mk(c, model.MustGPT(mcfg))
 		if err != nil {
 			fail(err)

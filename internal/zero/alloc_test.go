@@ -106,7 +106,7 @@ func allocFloor(t *testing.T, newStep func(c *comm.Comm) (step func(), perStep f
 		}
 		// Settle the heap once; the barrier keeps every rank's warm-up tail
 		// out of the first window.
-		c.Barrier()
+		c.AllReduceScalar(0)
 		if c.Rank() == 0 {
 			runtime.GC()
 		}
@@ -116,10 +116,10 @@ func allocFloor(t *testing.T, newStep func(c *comm.Comm) (step func(), perStep f
 				runtime.ReadMemStats(&ms0)
 			}
 			// Nobody enters the window before ms0 is read.
-			c.Barrier()
+			c.AllReduceScalar(0)
 			step()
 			// Every rank's step lands before ms1 is read.
-			c.Barrier()
+			c.AllReduceScalar(0)
 			if c.Rank() == 0 {
 				runtime.ReadMemStats(&ms1)
 				if d := ms1.Mallocs - ms0.Mallocs; d < minAllocs {

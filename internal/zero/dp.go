@@ -81,12 +81,6 @@ func NewDPEngine(cfg Config, c *comm.Comm, g Model) (*DPEngine, error) {
 	e.rt = module.NewRuntime(nil)
 	e.rt.SetBackend(cfg.Backend)
 	e.rt.SetStepArena(mem.NewStepArena())
-	c.SetCodecBackend(cfg.Backend)
-	if cfg.Topology != nil {
-		if err := c.SetTopology(cfg.Topology); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.DynamicLossScale {
 		e.scaler = optim.NewLossScaler(cfg.LossScale)
 	} else {

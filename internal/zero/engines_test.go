@@ -46,11 +46,21 @@ type runOutput struct {
 // observations.
 func runEngine(t *testing.T, mcfg model.Config, ecfg Config, ckpt bool) runOutput {
 	t.Helper()
+	return runEngineOn(t, mcfg, ecfg, ckpt, nil)
+}
+
+// runEngineOn is runEngine on a world built with the given topology.
+func runEngineOn(t *testing.T, mcfg model.Config, ecfg Config, ckpt bool, topo *comm.Topology) runOutput {
+	t.Helper()
+	w, err := comm.New(comm.WorldOptions{Size: testRanks, Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mcfg.CheckpointActivations = ckpt
 	tokens, targets := makeBatches(mcfg, testSteps, testRanks, testBatch)
 	var out runOutput
 	var mu sync.Mutex
-	comm.Run(testRanks, func(c *comm.Comm) {
+	w.Run(func(c *comm.Comm) {
 		g := model.MustGPT(mcfg)
 		var step func(tok, tgt []int) StepResult
 		var full func() map[string][]float32

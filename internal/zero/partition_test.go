@@ -19,18 +19,19 @@ func TestPartitionStrategiesBitIdenticalToDDP(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		topo *comm.Topology
 	}{
 		{"broadcast/sync", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Partition: PartitionBroadcast}},
+			Partition: PartitionBroadcast}, nil},
 		{"broadcast/overlap", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Partition: PartitionBroadcast, Overlap: true, PrefetchDepth: 2}},
+			Partition: PartitionBroadcast, Overlap: true, PrefetchDepth: 2}, nil},
 		{"slice/overlap+topology", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Overlap: true, PrefetchDepth: 2, Topology: topo}},
+			Overlap: true, PrefetchDepth: 2}, topo},
 		{"broadcast/overlap+topology", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Partition: PartitionBroadcast, Overlap: true, PrefetchDepth: 2, Topology: topo}},
+			Partition: PartitionBroadcast, Overlap: true, PrefetchDepth: 2}, topo},
 	}
 	for _, tc := range cases {
-		got := runEngine(t, mcfg, tc.cfg, false)
+		got := runEngineOn(t, mcfg, tc.cfg, false, tc.topo)
 		assertSameTrajectory(t, tc.name, ddp, got)
 	}
 }

@@ -30,7 +30,6 @@ package zero
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
@@ -174,20 +173,17 @@ type Config struct {
 	// parameter allgathers. Results are bit-identical to the synchronous
 	// path.
 	Overlap bool
-	// Backend is the compute backend kernels dispatch through (nil selects
-	// the serial reference backend). Every backend is bit-identical, so
-	// this is purely a speed knob.
+	// Backend is the compute backend the engine's and the model's kernels
+	// dispatch through (nil selects the serial reference backend). Every
+	// backend is bit-identical, so this is purely a speed knob. The
+	// collectives' fp16 codec is the world's (comm.WorldOptions.CodecBackend).
 	Backend tensor.Backend
 	// Partition selects the stage-3 parameter-partitioning strategy
 	// (Fig. 6c): 1/dp slicing (default) or owner-rank broadcast. Both train
 	// bit-identically; they differ in which links the gathers and gradient
-	// reductions keep busy.
+	// reductions keep busy (the communicator's world carries the topology
+	// that tells the links apart).
 	Partition Partitioning
-	// Topology, when set, is installed on the communicator's world: ranks
-	// group into nodes, collectives decompose hierarchically and the
-	// fabric's traffic/cost accounting distinguishes intra- from inter-node
-	// links. Results are bit-identical with or without a topology.
-	Topology *comm.Topology
 }
 
 func (c *Config) setDefaults() {

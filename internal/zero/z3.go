@@ -179,12 +179,6 @@ func NewShardedEngine(cfg Config, c *comm.Comm, g Model, at Attachments) (*Shard
 	if e.ckpt != nil {
 		e.rt.SetCheckpointStore(e.ckpt)
 	}
-	c.SetCodecBackend(cfg.Backend)
-	if cfg.Topology != nil {
-		if err := c.SetTopology(cfg.Topology); err != nil {
-			return nil, err
-		}
-	}
 	owners := make(map[*module.Param]module.Module)
 	module.Walk(g, func(m module.Module) {
 		for _, p := range m.Params() {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,17 +56,22 @@ func trainRank(c *zeroinf.Comm, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineCon
 // runMem trains a world over the in-memory transport.
 func runMem(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, batch int) []rankOutcome {
 	t.Helper()
+	w, err := zeroinf.NewWorld(zeroinf.WorldOptions{Size: ranks, Topology: ecfg.Topology})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]rankOutcome, ranks)
-	zeroinf.SPMD(ranks, func(c *zeroinf.Comm) {
+	w.Run(func(c *zeroinf.Comm) {
 		out[c.Rank()] = trainRank(c, mcfg, ecfg, steps, batch, 1)
 	})
 	return out
 }
 
-// runSock trains the same world with one socket transport per rank over
-// loopback TCP — each rank builds its own sealed World, exactly as a
-// zinf-launch worker process does.
-func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, batch int) []rankOutcome {
+// openSockWorlds bootstraps one socket transport per rank over loopback TCP
+// and builds each rank its own World from opts (Size and Transport filled
+// in) — exactly as a zinf-launch worker process does. The worlds are closed
+// when the test ends.
+func openSockWorlds(t *testing.T, ranks int, opts zeroinf.WorldOptions) []*zeroinf.World {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -73,11 +79,8 @@ func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.Eng
 	}
 	addr := l.Addr().String()
 	l.Close()
-	be, err := zeroinf.BackendByName(ecfg.Backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]rankOutcome, ranks)
+	worlds := make([]*zeroinf.World, ranks)
+	errs := make([]error, ranks)
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
@@ -87,22 +90,57 @@ func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.Eng
 				Rank: rank, Size: ranks, Coord: addr, DialTimeout: 20 * time.Second,
 			})
 			if err != nil {
-				out[rank] = rankOutcome{err: err}
+				errs[rank] = err
 				return
 			}
-			w, err := zeroinf.NewWorld(zeroinf.WorldOptions{
-				Size: ranks, Transport: tr, Topology: ecfg.Topology, CodecBackend: be,
-			})
-			if err != nil {
+			o := opts
+			o.Size, o.Transport = ranks, tr
+			if worlds[rank], errs[rank] = zeroinf.NewWorld(o); errs[rank] != nil {
 				tr.Close()
-				out[rank] = rankOutcome{err: err}
-				return
 			}
-			defer w.Close()
-			out[rank] = trainRank(w.Comm(rank), mcfg, ecfg, steps, batch, 1)
 		}(r)
 	}
 	wg.Wait()
+	t.Cleanup(func() {
+		for _, w := range worlds {
+			if w != nil {
+				w.Close()
+			}
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("sock rank %d: %v", r, err)
+		}
+	}
+	return worlds
+}
+
+// runWorlds runs fn on every rank the worlds host, each on its own goroutine.
+func runWorlds(worlds []*zeroinf.World, fn func(c *zeroinf.Comm)) {
+	var wg sync.WaitGroup
+	for _, w := range worlds {
+		wg.Add(1)
+		go func(w *zeroinf.World) {
+			defer wg.Done()
+			w.Run(fn)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// runSock trains the same world with one socket transport per rank.
+func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, batch int) []rankOutcome {
+	t.Helper()
+	be, err := zeroinf.BackendByName(ecfg.Backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := openSockWorlds(t, ranks, zeroinf.WorldOptions{Topology: ecfg.Topology, CodecBackend: be})
+	out := make([]rankOutcome, ranks)
+	runWorlds(worlds, func(c *zeroinf.Comm) {
+		out[c.Rank()] = trainRank(c, mcfg, ecfg, steps, batch, 1)
+	})
 	return out
 }
 
@@ -197,7 +235,7 @@ func TestSockTransportTrainsBitIdentical(t *testing.T) {
 
 // TestTrainWorkerModeMatchesSPMD checks the zeroinf.Train worker-mode entry
 // point (TrainOptions.Comm) against the classic SPMD path on a shared
-// sealed in-memory world: same losses, every rank reporting.
+// in-memory world: same losses, every rank reporting.
 func TestTrainWorkerModeMatchesSPMD(t *testing.T) {
 	mcfg := zeroinf.ModelConfig{Vocab: 32, Hidden: 32, Heads: 4, Seq: 8, Layers: 1}
 	ecfg := zeroinf.EngineConfig{Stage: zeroinf.Stage3, LossScale: 1024, DynamicLossScale: true, Seed: 7}
@@ -250,5 +288,61 @@ func TestTrainWorkerModeMatchesSPMD(t *testing.T) {
 		Model: mcfg, Engine: ecfg, Comm: w.Comm(0), Ranks: 3, Steps: 1, BatchPerRank: 1,
 	}); err == nil {
 		t.Error("worker mode accepted mismatched Ranks")
+	}
+}
+
+// TestNewEngineChecksTopologyAgainstWorld: the fabric is the world's. An
+// engine recipe that restates a topology must agree with the world the
+// communicator belongs to — on either transport — and one that names none
+// accepts the world's.
+func TestNewEngineChecksTopologyAgainstWorld(t *testing.T) {
+	mcfg := zeroinf.ModelConfig{Vocab: 32, Hidden: 32, Heads: 4, Seq: 8, Layers: 1}
+	twoByOne := &zeroinf.Topology{NodeSize: 1}
+	oneByTwo := &zeroinf.Topology{NodeSize: 2}
+	for _, tc := range []struct {
+		name          string
+		world, engine *zeroinf.Topology
+		want          string // substring of the error; "" = the engine is built
+	}{
+		{"match", oneByTwo, &zeroinf.Topology{Nodes: 1, NodeSize: 2, IntraGBps: 100}, ""},
+		{"mismatch", oneByTwo, twoByOne, "world has topology 1x2:intra=100:inter=12.5, engine configured 2x1:intra=100:inter=12.5"},
+		{"engine-names-none", oneByTwo, nil, ""},
+		{"world-is-flat", nil, oneByTwo, "world has topology flat, engine configured 1x2:intra=100:inter=12.5"},
+	} {
+		for _, transport := range []string{"mem", "sock"} {
+			t.Run(tc.name+"/"+transport, func(t *testing.T) {
+				var worlds []*zeroinf.World
+				if transport == "sock" {
+					worlds = openSockWorlds(t, 2, zeroinf.WorldOptions{Topology: tc.world})
+				} else {
+					w, err := zeroinf.NewWorld(zeroinf.WorldOptions{Size: 2, Topology: tc.world})
+					if err != nil {
+						t.Fatal(err)
+					}
+					worlds = []*zeroinf.World{w}
+				}
+				errs := make([]error, 2)
+				runWorlds(worlds, func(c *zeroinf.Comm) {
+					g, err := zeroinf.NewModel(mcfg)
+					if err != nil {
+						errs[c.Rank()] = err
+						return
+					}
+					e, err := zeroinf.NewEngine(zeroinf.EngineConfig{Stage: zeroinf.Stage3, Topology: tc.engine}, c, g)
+					if err == nil {
+						e.Close()
+					}
+					errs[c.Rank()] = err
+				})
+				for r, err := range errs {
+					switch {
+					case tc.want == "" && err != nil:
+						t.Errorf("rank %d: %v", r, err)
+					case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+						t.Errorf("rank %d: error %v, want one containing %q", r, err, tc.want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -61,8 +61,9 @@ type (
 	// bit-identical, differing only in speed.
 	ComputeBackend = tensor.Backend
 	// Topology groups ranks into nodes with distinct intra-/inter-node
-	// link bandwidth and latency: collectives decompose hierarchically and
-	// the fabric accounts achieved aggregate bandwidth per collective.
+	// link bandwidth and latency: a cost model under which the fabric
+	// accounts each collective's bytes per link class and its achieved
+	// aggregate bandwidth. It never changes what a collective delivers.
 	Topology = comm.Topology
 	// Partitioning selects the Fig. 6c parameter-partitioning strategy for
 	// stage-3/Infinity engines: 1/dp slicing or owner-rank broadcast.
@@ -111,7 +112,7 @@ func NewModel(cfg ModelConfig) (*GPT, error) { return model.NewGPT(cfg) }
 
 // SyntheticBatch produces a deterministic toy next-token-prediction batch.
 func SyntheticBatch(seed uint64, cfg ModelConfig, batch int) (tokens, targets []int) {
-	return model.SyntheticBatch(newRNG(seed), cfg, batch)
+	return model.SyntheticBatch(tensor.NewRNG(seed), cfg, batch)
 }
 
 // SPMD spawns fn on one goroutine per rank and waits — the standard entry
@@ -126,8 +127,8 @@ func SPMD(ranks int, fn func(c *Comm)) { comm.Run(ranks, fn) }
 type (
 	// World owns a transport plus the installed codec and topology.
 	World = comm.World
-	// WorldOptions configures a World at construction; the world is sealed
-	// (immutable) once built.
+	// WorldOptions configures a World at construction; the world is
+	// immutable once built.
 	WorldOptions = comm.WorldOptions
 	// Transport is the pluggable rank-to-rank data plane.
 	Transport = comm.Transport
@@ -135,7 +136,7 @@ type (
 	SockConfig = comm.SockConfig
 )
 
-// NewWorld builds a sealed world from options. A nil Transport selects the
+// NewWorld builds a world from options. A nil Transport selects the
 // in-memory reference transport over opts.Size goroutine ranks.
 func NewWorld(opts WorldOptions) (*World, error) { return comm.New(opts) }
 
@@ -187,6 +188,8 @@ type EngineConfig struct {
 	// Backend selects the compute backend by name: "" or "reference" for
 	// the serial baseline, "parallel" for the blocked multi-goroutine
 	// kernels. Training trajectories are bit-identical across backends.
+	// Train also hands it to the world it builds as the collectives' codec
+	// backend; a caller-built world chooses its own (WorldOptions).
 	Backend string
 
 	// Partition selects the stage-3/Infinity parameter-partitioning
@@ -194,9 +197,12 @@ type EngineConfig struct {
 	// PartitionBroadcast (owner-rank). Trajectories are bit-identical;
 	// achieved aggregate bandwidth differs (Stats.CommTraffic).
 	Partition Partitioning
-	// Topology, when set, groups ranks into nodes: collectives decompose
-	// hierarchically and the fabric models intra- vs inter-node link cost.
-	// Bit-identical to the flat fabric.
+	// Topology, when set, groups ranks into nodes and the fabric models
+	// intra- vs inter-node link cost (Stats.CommTraffic); training is
+	// bit-identical to the flat fabric. The fabric belongs to the world:
+	// Train builds its world with this topology, and NewEngine on a
+	// caller-built world (worker mode) requires it to match the world's.
+	// Nil accepts whatever the world has.
 	Topology *Topology
 
 	// CheckpointDir, together with CheckpointEvery, enables crash-consistent
@@ -236,11 +242,17 @@ type RankState interface {
 	LoadRankState(r io.Reader) error
 }
 
-// NewEngine constructs the configured engine for one rank.
+// NewEngine constructs the configured engine for one rank. The fabric is
+// c's world's: a cfg.Topology that disagrees with it is an error.
 func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 	be, err := tensor.ByName(cfg.Backend)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Topology != nil {
+		if err := c.CheckTopology(cfg.Topology); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Infinity {
 		e, err := core.NewInfinityEngine(core.Config{
@@ -259,7 +271,6 @@ func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 			PreFragment:        cfg.PreFragment,
 			Backend:            be,
 			Partition:          cfg.Partition,
-			Topology:           cfg.Topology,
 		}, c, g)
 		if err != nil {
 			return nil, err
@@ -278,7 +289,6 @@ func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 		Overlap:          cfg.Overlap,
 		Backend:          be,
 		Partition:        cfg.Partition,
-		Topology:         cfg.Topology,
 	}
 	if cfg.Stage == Stage3 {
 		e, err := zero.NewShardedEngine(zc, c, g, zero.Attachments{})
@@ -413,6 +423,19 @@ func Train(opts TrainOptions) (TrainResult, error) {
 	}
 	if opts.DataSeed == 0 {
 		opts.DataSeed = 1
+	}
+	var world *World
+	if opts.Comm == nil {
+		// The fabric is the world's: Engine.Topology and the codec half of
+		// Engine.Backend are fixed here, before any rank runs.
+		be, err := tensor.ByName(opts.Engine.Backend)
+		if err != nil {
+			return TrainResult{}, err
+		}
+		world, err = comm.New(WorldOptions{Size: opts.Ranks, Topology: opts.Engine.Topology, CodecBackend: be})
+		if err != nil {
+			return TrainResult{}, err
+		}
 	}
 	startStep := 0
 	var set *ckpt.Set
@@ -561,7 +584,7 @@ func Train(opts TrainOptions) (TrainResult, error) {
 	if opts.Comm != nil {
 		body(opts.Comm)
 	} else {
-		SPMD(opts.Ranks, body)
+		world.Run(body)
 	}
 	if writer != nil {
 		res.CheckpointErr = writer.Drain()
@@ -571,5 +594,3 @@ func Train(opts TrainOptions) (TrainResult, error) {
 	}
 	return res, firstErr
 }
-
-func newRNG(seed uint64) *rngAlias { return rngNew(seed) }
