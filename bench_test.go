@@ -40,7 +40,6 @@ func BenchmarkFig5bSuperlinearScaling(b *testing.B) { benchExperiment(b, "fig5b"
 func BenchmarkFig5cSingleNode(b *testing.B)         { benchExperiment(b, "fig5c") }
 func BenchmarkFig6aMaxSizePerStrategy(b *testing.B) { benchExperiment(b, "fig6a") }
 func BenchmarkFig6bTilingAnalytic(b *testing.B)     { benchExperiment(b, "fig6b-analytic") }
-func BenchmarkFig6bTilingFunctional(b *testing.B)   { benchExperiment(b, "fig6b-functional") }
 func BenchmarkFig6cGradientOffload(b *testing.B)    { benchExperiment(b, "fig6c") }
 func BenchmarkFig6dOverlapAblation(b *testing.B)    { benchExperiment(b, "fig6d") }
 func BenchmarkFig6eActCkptOffload(b *testing.B)     { benchExperiment(b, "fig6e") }

@@ -1,4 +1,6 @@
-// Command zinf-bench regenerates the paper's tables and figures.
+// Command zinf-bench regenerates the paper's tables and figures. Each
+// experiment runs a fixed recipe that already contrasts the variants it is
+// about; only the compute backend, which never changes a bit, is selectable.
 //
 // Usage:
 //
@@ -11,42 +13,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	zeroinf "repro"
-	"repro/internal/cliconfig"
 	"repro/internal/harness"
 )
 
 func main() {
-	c := cliconfig.CommonDefaults()
-	// The fig6b-engine experiment always contrasts dense vs tiled, so bench
-	// tiles by default (values below 2 fall back to 4 in the harness).
-	c.Tiling = 4
-	cliconfig.AddCommon(flag.CommandLine, &c)
+	backend := flag.String("backend", "reference",
+		"compute backend: "+strings.Join(zeroinf.Backends(), "|")+" (bit-identical, parallel uses all cores)")
 	run := flag.String("run", "", "experiment id to run, or 'all'")
 	jsonOut := flag.String("json", "",
 		"write the run's machine-readable records (BENCH_*.json style) to this path ('-' = stdout)")
 	flag.Parse()
 
-	be, err := zeroinf.BackendByName(c.Backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	topo, err := zeroinf.ParseTopology(c.Topology)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	part, err := zeroinf.ParsePartitioning(c.Partition)
+	be, err := zeroinf.BackendByName(*backend)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	harness.SetBackend(be)
-	harness.SetOverlap(c.Prefetch, c.Overlap)
-	harness.SetTiling(c.Tiling)
-	harness.SetFabric(topo, part)
 
 	if *run == "" {
 		fmt.Println("Available experiments (use -run <id> or -run all):")
@@ -85,7 +71,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		if err := harness.WriteRecords(w, c.Backend); err != nil {
+		if err := harness.WriteRecords(w, *backend); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,80 +1,33 @@
-// Memory-centric tiling demo (paper Sec. 5.1.3, Figure 6b): a linear
-// operator too large for any contiguous region of a pre-fragmented device
-// OOMs when gathered whole, but trains when expressed as a mathematically
-// equivalent sequence of tiles. The second half runs the same protocol
-// through the public API on the real ZeRO-Infinity engine: a dense GPT
-// OOMs under a pre-fragmented GPU budget, the ModelConfig.Tiling model
-// trains.
+// Memory-centric tiling demo (paper Sec. 5.1.3, Figure 6b), run through the
+// public API on the real ZeRO-Infinity engine: under a GPU budget
+// pre-fragmented into chunks smaller than the largest projection, the dense
+// GPT OOMs gathering it, while the ModelConfig.Tiling model — the same
+// layers as mathematically equivalent sequences of tiles — trains.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 
 	zeroinf "repro"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/model"
-	"repro/internal/module"
-	"repro/internal/tensor"
 )
 
 func main() {
 	const (
-		in, out = 64, 512
-		rows    = 4
-		budget  = 1 << 20
-		chunk   = 16 << 10 // contiguous chunks: 16 KiB
+		budget = 1 << 20
+		chunk  = 4 << 10 // contiguous chunks: 4 KiB
 	)
-	x := tensor.New(tensor.FP32, rows, in)
-	tensor.NewRNG(3).FillNormal(x.Float32s(), 1)
-
-	fmt.Printf("device: %s budget, pre-fragmented into %s chunks (Fig. 6b protocol)\n",
+	fmt.Printf("device: %s budget, pre-fragmented into %s chunks (Fig. 6b protocol)\n\n",
 		mem.FormatBytes(budget), mem.FormatBytes(chunk))
-	fmt.Printf("operator: %d→%d linear, fp16 weight = %s\n\n",
-		in, out, mem.FormatBytes(int64(in*out*2)))
-
-	var reference *tensor.Tensor
-	for _, tiles := range []int{1, 4, 16} {
-		alloc := mem.NewAllocator(budget)
-		alloc.PreFragment(chunk)
-		hooks := core.NewAllocHooks(alloc, 99)
-		rt := module.NewRuntime(hooks)
-		op := model.NewTiledLinear("op", in, out, tiles, true, 0.2)
-
-		var y *tensor.Tensor
-		err := core.RunUnderBudget(func() {
-			y = rt.Forward(op, x)
-			rt.Backward(op, y.Clone())
-		})
-		switch {
-		case errors.Is(err, mem.ErrFragmented):
-			fmt.Printf("tiles=%-3d max alloc %-8s → OOM: %v\n",
-				tiles, mem.FormatBytes(op.MaxParamBytes()), err)
-		case err != nil:
-			fmt.Printf("tiles=%-3d failed: %v\n", tiles, err)
-		default:
-			match := ""
-			if reference == nil {
-				reference = y
-			} else if tensor.MaxAbsDiff(reference, y) == 0 {
-				match = " (output identical to previous tiling)"
-			}
-			fmt.Printf("tiles=%-3d max alloc %-8s → trains; peak live %s%s\n",
-				tiles, mem.FormatBytes(op.MaxParamBytes()),
-				mem.FormatBytes(hooks.PeakLive), match)
-		}
-	}
-
-	fmt.Println("\nreal engine (ModelConfig.Tiling), same protocol on a whole GPT:")
 	for _, tiles := range []int{1, 4} {
 		res, err := zeroinf.Train(zeroinf.TrainOptions{
 			Model: zeroinf.ModelConfig{Vocab: 16, Hidden: 32, Heads: 2, Seq: 6, Layers: 1, Tiling: tiles},
 			Engine: zeroinf.EngineConfig{
 				Infinity: true, Params: zeroinf.OnCPU, Optimizer: zeroinf.OnCPU,
 				LossScale: 256, Seed: 42,
-				GPUMemory: budget, PreFragment: 4 << 10,
+				GPUMemory: budget, PreFragment: chunk,
 			},
 			Ranks: 2, Steps: 2, BatchPerRank: 2,
 		})
@@ -99,11 +52,6 @@ func main() {
 
 	fmt.Println("\nanalytic Figure 6b (2 GB chunks, paper-scale hidden sizes):")
 	for _, tiles := range []int64{1, 4, 16, 64} {
-		fmt.Printf("  tiling %-3d → max hidden %d\n", tiles, maxHidden(tiles))
+		fmt.Printf("  tiling %-3d → max hidden %d\n", tiles, fig6b(tiles))
 	}
-}
-
-func maxHidden(tiles int64) int64 {
-	// Defer to the perf model used by the harness.
-	return fig6b(tiles)
 }

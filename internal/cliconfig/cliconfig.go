@@ -1,6 +1,6 @@
 // Package cliconfig centralizes the engine/fabric flag surface shared by
-// the zinf command-line tools (zinf-train, zinf-bench, zinf-launch), so a
-// flag's name, default, and help text are defined once, and provides the
+// the zinf command-line tools that build engines (zinf-train, zinf-launch),
+// so a flag's name, default, and help text are defined once, and provides the
 // JSON wire form of a resolved training configuration — how zinf-launch
 // ships an EngineConfig to its worker processes.
 package cliconfig
@@ -15,9 +15,9 @@ import (
 	zeroinf "repro"
 )
 
-// Common is the flag block shared by every tool that builds engines or
-// configures the harness fabric: compute backend, fabric topology,
-// parameter partitioning, overlap/prefetch, and memory-centric tiling.
+// Common is the flag block shared by every tool that builds engines:
+// compute backend, fabric topology, parameter partitioning,
+// overlap/prefetch, and memory-centric tiling.
 type Common struct {
 	Backend   string
 	Topology  string
@@ -27,9 +27,7 @@ type Common struct {
 	Tiling    int
 }
 
-// CommonDefaults returns the shared defaults. Tools with divergent
-// defaults adjust the returned struct before registering (zinf-bench tiles
-// at 4 because its fig6b experiment always contrasts dense vs tiled).
+// CommonDefaults returns the shared defaults.
 func CommonDefaults() Common {
 	return Common{Backend: "reference", Partition: "slice", Prefetch: 2, Overlap: true, Tiling: 1}
 }
@@ -40,7 +38,7 @@ func AddCommon(fs *flag.FlagSet, c *Common) {
 	fs.StringVar(&c.Backend, "backend", c.Backend,
 		"compute backend: "+strings.Join(zeroinf.Backends(), "|")+" (bit-identical, parallel uses all cores)")
 	fs.StringVar(&c.Topology, "topology", c.Topology,
-		"multi-node fabric spec <nodes>x<ranksPerNode>[:intra=GB/s][:inter=GB/s][:lintra=µs][:linter=µs][:flat]; "+
+		"multi-node fabric spec <nodes>x<ranksPerNode>[:intra=GB/s][:inter=GB/s]; "+
 			"collectives are charged per link class and achieved aggregate bandwidth is reported (\"\" = flat)")
 	fs.StringVar(&c.Partition, "partition", c.Partition,
 		"stage-3/infinity parameter partitioning (Fig. 6c): slice (1/dp, all links) | broadcast (owner-rank)")

@@ -74,7 +74,7 @@ func exampleConfig() zeroinf.EngineConfig {
 		LossScale: 2048, DynamicLossScale: true, Seed: 99, ClipNorm: 1.5,
 		Backend:       "parallel",
 		Partition:     zeroinf.PartitionBroadcast,
-		Topology:      &zeroinf.Topology{Nodes: 2, NodeSize: 2, IntraGBps: 50, InterLatencyUS: 3},
+		Topology:      &zeroinf.Topology{Nodes: 2, NodeSize: 2, IntraGBps: 50, InterGBps: 10},
 		CheckpointDir: "/tmp/ckpt", CheckpointEvery: 5,
 	}
 }

@@ -160,7 +160,7 @@ func (w *collCtx) computeMeasured(o *op) {
 	preIntra, preInter := st.IntraBytes, st.InterBytes
 	start := time.Now()
 	computeFns[o.kind](w, o)
-	w.account(o.kind, o.root, o.contrib[0])
+	w.account(o.kind, o.contrib[0])
 	st.MeasSeconds += time.Since(start).Seconds()
 	st.MeasIntraBytes += st.IntraBytes - preIntra
 	st.MeasInterBytes += st.InterBytes - preInter

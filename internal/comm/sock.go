@@ -632,7 +632,7 @@ func (t *sockTransport) complete(so sockOp) float64 {
 	res := o.result
 	o.result = 0
 	t.release()
-	t.account(so.kind, so.root, pl)
+	t.account(so.kind, pl)
 	return res
 }
 

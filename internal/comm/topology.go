@@ -5,7 +5,7 @@ package comm
 // the paper's bandwidth-centric argument unreproducible — an owner-rank
 // broadcast and a per-parameter 1/dp allgather move the same bytes over the
 // same (single) link class. A Topology groups ranks into nodes with distinct
-// intra-node and inter-node link bandwidth/latency, and every collective's
+// intra-node and inter-node link bandwidths, and every collective's
 // byte flow and simulated transfer cost are accounted per link class, as the
 // hierarchical algorithm a real fabric would run — an intra-node phase, then
 // an inter-node phase among node leaders — would incur them.
@@ -28,10 +28,10 @@ package comm
 // The cost model is a store-and-forward switch model: each rank has one
 // link to its node switch (intra class) and each node one uplink to the
 // global switch (inter class). A phase's simulated time is the busiest
-// link's bytes over its class bandwidth plus the phase's sequential hop
-// count times the class latency; a collective's time is the sum of its
-// phases. Achieved aggregate bandwidth — the Fig. 6c metric — is total
-// bytes crossing links divided by total simulated time.
+// link's bytes over its class bandwidth (the model is bandwidth-centric like
+// the paper's); a collective's time is the sum of its phases. Achieved
+// aggregate bandwidth — the Fig. 6c metric — is total bytes crossing links
+// divided by total simulated time.
 //
 // Alongside the model, TrafficStats carries measured counters: wall-clock
 // seconds spent moving each kind's data and the bytes observed on the
@@ -41,7 +41,7 @@ package comm
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -60,14 +60,6 @@ type Topology struct {
 	Nodes int
 	// IntraGBps / InterGBps are the link bandwidths in GB/s (1e9 bytes/s).
 	IntraGBps, InterGBps float64
-	// IntraLatencyUS / InterLatencyUS are per-hop latencies in
-	// microseconds. The defaults are zero: the model is bandwidth-centric
-	// like the paper's, and latency is opt-in.
-	IntraLatencyUS, InterLatencyUS float64
-	// Flat charges the single-phase (flat ring / star) algorithms' cost
-	// shapes while still classifying each transfer by the link it crosses —
-	// the "topology-oblivious" ablation baseline.
-	Flat bool
 }
 
 // Default link parameters (NVLink-class intra, IB-class inter).
@@ -91,23 +83,16 @@ func (t *Topology) String() string {
 	if t == nil {
 		return "flat"
 	}
-	n := t.Nodes
-	s := fmt.Sprintf("%dx%d:intra=%g:inter=%g", n, t.NodeSize, t.IntraGBps, t.InterGBps)
-	if t.IntraLatencyUS > 0 || t.InterLatencyUS > 0 {
-		s += fmt.Sprintf(":lintra=%g:linter=%g", t.IntraLatencyUS, t.InterLatencyUS)
-	}
-	if t.Flat {
-		s += ":flat"
-	}
-	return s
+	return fmt.Sprintf("%dx%d:intra=%g:inter=%g", t.Nodes, t.NodeSize, t.IntraGBps, t.InterGBps)
 }
 
 // ParseTopology parses a topology spec of the form
 //
-//	<nodes>x<ranksPerNode>[:intra=<GB/s>][:inter=<GB/s>][:lintra=<µs>][:linter=<µs>][:flat]
+//	<nodes>x<ranksPerNode>[:intra=<GB/s>][:inter=<GB/s>]
 //
-// e.g. "4x2" or "2x4:intra=100:inter=10:linter=5". The empty spec returns a
-// nil topology (the flat single-node fabric).
+// e.g. "4x2" or "2x4:intra=100:inter=10"; a bandwidth must be finite and
+// positive. The empty spec returns a nil topology (the flat single-node
+// fabric).
 func ParseTopology(spec string) (*Topology, error) {
 	if spec == "" {
 		return nil, nil
@@ -124,10 +109,6 @@ func ParseTopology(spec string) (*Topology, error) {
 	}
 	t := &Topology{Nodes: n, NodeSize: k}
 	for _, opt := range parts[1:] {
-		if opt == "flat" {
-			t.Flat = true
-			continue
-		}
 		kv := strings.SplitN(opt, "=", 2)
 		if len(kv) != 2 {
 			return nil, fmt.Errorf("comm: topology %q: bad option %q", spec, opt)
@@ -136,30 +117,26 @@ func ParseTopology(spec string) (*Topology, error) {
 		if err != nil || v < 0 {
 			return nil, fmt.Errorf("comm: topology %q: bad value %q", spec, opt)
 		}
-		switch kv[0] {
-		case "intra", "inter":
-			// An explicit 0 would silently become the default in
-			// setDefaults — reject it instead of simulating a link the
-			// user zeroed out.
-			if v == 0 {
-				return nil, fmt.Errorf("comm: topology %q: %s bandwidth must be positive", spec, kv[0])
-			}
-			if kv[0] == "intra" {
-				t.IntraGBps = v
-			} else {
-				t.InterGBps = v
-			}
-		case "lintra":
-			t.IntraLatencyUS = v
-		case "linter":
-			t.InterLatencyUS = v
-		default:
+		if kv[0] != "intra" && kv[0] != "inter" {
 			return nil, fmt.Errorf("comm: topology %q: unknown option %q", spec, kv[0])
+		}
+		// An explicit 0 would silently become the default in setDefaults —
+		// reject it instead of simulating a link the user zeroed out.
+		if !finitePositive(v) {
+			return nil, fmt.Errorf("comm: topology %q: %s bandwidth must be positive and finite, got %s", spec, kv[0], kv[1])
+		}
+		if kv[0] == "intra" {
+			t.IntraGBps = v
+		} else {
+			t.InterGBps = v
 		}
 	}
 	t.setDefaults()
 	return t, nil
 }
+
+// finitePositive reports whether a link bandwidth is usable.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // normalizeTopology validates t against a world of size ranks and returns
 // the installed form: a defensive copy with defaulted bandwidths and the
@@ -171,6 +148,9 @@ func normalizeTopology(t *Topology, size int) (*Topology, error) {
 	}
 	cp := *t
 	cp.setDefaults()
+	if !finitePositive(cp.IntraGBps) || !finitePositive(cp.InterGBps) {
+		return nil, fmt.Errorf("comm: topology bandwidths intra=%g inter=%g must be positive and finite", cp.IntraGBps, cp.InterGBps)
+	}
 	if cp.NodeSize < 1 {
 		return nil, fmt.Errorf("comm: topology node size %d < 1", cp.NodeSize)
 	}
@@ -229,9 +209,7 @@ func (w *collCtx) nodes() int {
 // hier reports whether the cost model charges the hierarchical algorithms.
 //
 //zinf:hotpath
-func (w *collCtx) hier() bool {
-	return w.topo != nil && !w.topo.Flat && w.nodes() > 1
-}
+func (w *collCtx) hier() bool { return w.nodes() > 1 }
 
 // nodeOf returns the node index owning rank.
 //
@@ -255,7 +233,7 @@ type TrafficStats struct {
 	// crossing).
 	IntraBytes, InterBytes int64
 	// Seconds is the simulated transfer time under the topology's link
-	// bandwidths and latencies (0 when no topology is installed).
+	// bandwidths (0 when no topology is installed).
 	Seconds float64
 	// MeasIntraBytes / MeasInterBytes are the bytes observed moving on the
 	// transport, classified by the same intra/inter link taxonomy: on the
@@ -349,27 +327,23 @@ func (c *Comm) TrafficTotal() TrafficStats {
 
 // phase charges one collective phase: perIntra/perInter are the busiest
 // intra/inter link's bytes, totIntra/totInter the bytes crossing each class
-// in the phase, and intraHops/interHops the phase's sequential hop counts.
+// in the phase.
 //
 //zinf:hotpath
-func (w *collCtx) phase(st *TrafficStats, perIntra, perInter, totIntra, totInter int64, intraHops, interHops int) {
+func (w *collCtx) phase(st *TrafficStats, perIntra, perInter, totIntra, totInter int64) {
 	st.IntraBytes += totIntra
 	st.InterBytes += totInter
 	if w.topo == nil {
 		return
 	}
-	t := w.topo
-	st.Seconds += float64(perIntra)/(t.IntraGBps*1e9) +
-		float64(perInter)/(t.InterGBps*1e9) +
-		float64(intraHops)*t.IntraLatencyUS*1e-6 +
-		float64(interHops)*t.InterLatencyUS*1e-6
+	st.Seconds += float64(perIntra)/(w.topo.IntraGBps*1e9) + float64(perInter)/(w.topo.InterGBps*1e9)
 }
 
 // accountAllGather models an allgather of S contribution bytes per rank:
-// flat is a p-ring (every link carries (p-1)S, the N node uplinks included
-// when the ring spans nodes); hierarchical is intra-node gather at the
-// leaders, an inter-node ring among leaders over kS node chunks, then an
-// intra-node ring distributing the (N-1)kS remote bytes.
+// on one node a p-ring (every link carries (p-1)S); across nodes an
+// intra-node gather at the leaders, an inter-node ring among leaders over kS
+// node chunks, then an intra-node ring distributing the (N-1)kS remote
+// bytes.
 //
 //zinf:hotpath
 func (w *collCtx) accountAllGather(st *TrafficStats, S int64) {
@@ -377,26 +351,18 @@ func (w *collCtx) accountAllGather(st *TrafficStats, S int64) {
 	if p == 1 || S == 0 {
 		return
 	}
-	k := p / N
 	if !w.hier() {
-		inter := int64(0)
-		hopsInter := 0
-		intraEdges := p // a single-node ring's p edges are all intra
-		if N > 1 {
-			intraEdges = p - N // N of the ring's edges cross node boundaries
-			inter = N * (p - 1) * S
-			hopsInter = int(p - 1)
-		}
-		w.phase(st, (p-1)*S, (p-1)*S*min64(N-1, 1), intraEdges*(p-1)*S, inter, int(p-1), hopsInter)
+		w.phase(st, (p-1)*S, 0, p*(p-1)*S, 0)
 		return
 	}
-	w.phase(st, (k-1)*S, 0, N*(k-1)*S, 0, 1, 0)                  // intra gather at leaders
-	w.phase(st, 0, (N-1)*k*S, 0, N*(N-1)*k*S, 0, int(N-1))       // inter ring among leaders
-	w.phase(st, (N-1)*k*S, 0, N*(k-1)*(N-1)*k*S, 0, int(k-1), 0) // intra distribution
+	k := p / N
+	w.phase(st, (k-1)*S, 0, N*(k-1)*S, 0)           // intra gather at leaders
+	w.phase(st, 0, (N-1)*k*S, 0, N*(N-1)*k*S)       // inter ring among leaders
+	w.phase(st, (N-1)*k*S, 0, N*(k-1)*(N-1)*k*S, 0) // intra distribution
 }
 
 // accountReduceScatter models a reduce-scatter of M contribution bytes per
-// rank (shard m = M/p): flat is a p-ring over m chunks; hierarchical is an
+// rank (shard m = M/p): on one node a p-ring over m chunks; across nodes an
 // intra-node reduce-scatter over M followed by an inter-node reduce-scatter
 // of the node partials among same-slot ranks (each node uplink carries
 // (N-1)M/N).
@@ -407,22 +373,14 @@ func (w *collCtx) accountReduceScatter(st *TrafficStats, M int64) {
 	if p == 1 || M == 0 {
 		return
 	}
-	k := p / N
-	m := M / p
 	if !w.hier() {
-		inter := int64(0)
-		hopsInter := 0
-		intraEdges := p // a single-node ring's p edges are all intra
-		if N > 1 {
-			intraEdges = p - N // N of the ring's edges cross node boundaries
-			inter = N * (p - 1) * m
-			hopsInter = int(p - 1)
-		}
-		w.phase(st, (p-1)*m, (p-1)*m*min64(N-1, 1), intraEdges*(p-1)*m, inter, int(p-1), hopsInter)
+		m := M / p
+		w.phase(st, (p-1)*m, 0, p*(p-1)*m, 0)
 		return
 	}
-	w.phase(st, (k-1)*M/k, 0, N*(k-1)*M, 0, int(k-1), 0) // intra reduce-scatter
-	w.phase(st, 0, (N-1)*M/N, 0, (N-1)*M, 0, int(N-1))   // inter reduce-scatter of node partials
+	k := p / N
+	w.phase(st, (k-1)*M/k, 0, N*(k-1)*M, 0) // intra reduce-scatter
+	w.phase(st, 0, (N-1)*M/N, 0, (N-1)*M)   // inter reduce-scatter of node partials
 }
 
 // accountAllReduce models an allreduce of M bytes per rank as
@@ -437,58 +395,36 @@ func (w *collCtx) accountAllReduce(st *TrafficStats, M int64) {
 	w.accountAllGather(st, M/int64(w.size))
 }
 
-// accountBroadcast models a broadcast of M bytes from root: flat is a star
-// from the root (its link carries (p-1)M, the remote share crossing its node
-// uplink); hierarchical sends M once to each remote node leader over the
-// root's uplink, then each node distributes intra.
+// accountRooted models the two rooted collectives over M bytes per rank: a
+// broadcast from the root, or (up) a reduction into it. On one node both
+// are a star through the root's link. Across nodes a broadcast sends M once
+// to each remote node leader over the root's uplink, then each node
+// distributes intra; a reduction first reduces raw contributions at each
+// node leader intra, then ships one M-sized node partial per remote node
+// into the root's uplink.
 //
 //zinf:hotpath
-func (w *collCtx) accountBroadcast(st *TrafficStats, M int64, root int) {
+func (w *collCtx) accountRooted(st *TrafficStats, M int64, up bool) {
 	p, N := int64(w.size), int64(w.nodes())
 	if p == 1 || M == 0 {
 		return
 	}
-	k := p / N
 	if !w.hier() {
-		remote := (p - k) * M // transfers leaving the root's node
-		hopsInter := 0
-		if N > 1 {
-			hopsInter = 1
-		}
-		w.phase(st, (p-1)*M, remote, (k-1)*M, remote, 1, hopsInter)
-		return
-	}
-	w.phase(st, 0, (N-1)*M, 0, (N-1)*M, 0, 1)   // root's uplink to the other leaders
-	w.phase(st, (k-1)*M, 0, N*(k-1)*M, 0, 1, 0) // intra distribution in every node
-}
-
-// accountReduceRoot models a reduce of M contribution bytes per rank to
-// root: flat star of raw contributions into the root; hierarchical reduces
-// raw contributions at each node leader intra, then ships one M-sized node
-// partial per remote node over the root's uplink.
-//
-//zinf:hotpath
-func (w *collCtx) accountReduceRoot(st *TrafficStats, M int64, root int) {
-	p, N := int64(w.size), int64(w.nodes())
-	if p == 1 || M == 0 {
+		w.phase(st, (p-1)*M, 0, (p-1)*M, 0)
 		return
 	}
 	k := p / N
-	if !w.hier() {
-		remote := (p - k) * M
-		hopsInter := 0
-		if N > 1 {
-			hopsInter = 1
-		}
-		w.phase(st, (p-1)*M, remote, (k-1)*M, remote, 1, hopsInter)
-		return
+	if up {
+		w.phase(st, (k-1)*M, 0, N*(k-1)*M, 0) // intra raw reduction at leaders
 	}
-	w.phase(st, (k-1)*M, 0, N*(k-1)*M, 0, 1, 0) // intra raw reduction at leaders
-	w.phase(st, 0, (N-1)*M, 0, (N-1)*M, 0, 1)   // node partials into the root's uplink
+	w.phase(st, 0, (N-1)*M, 0, (N-1)*M) // the root's uplink to or from the other leaders
+	if !up {
+		w.phase(st, (k-1)*M, 0, N*(k-1)*M, 0) // intra distribution in every node
+	}
 }
 
 // accountScalar models the 8-byte scalar collectives: a reduction tree up
-// and down (bytes negligible, latency two tree traversals).
+// and down (bytes negligible).
 //
 //zinf:hotpath
 func (w *collCtx) accountScalar(st *TrafficStats) {
@@ -499,25 +435,7 @@ func (w *collCtx) accountScalar(st *TrafficStats) {
 	const sz = 8
 	intra := 2 * (p - N) * sz
 	inter := 2 * (N - 1) * sz
-	hops := 2 * bits.Len(uint(p-1))
-	if w.topo == nil {
-		st.IntraBytes += intra
-		st.InterBytes += inter
-		return
-	}
-	interHops := 0
-	if N > 1 {
-		interHops = 2
-	}
-	w.phase(st, intra, inter, intra, inter, hops, interHops)
-}
-
-//zinf:hotpath
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	w.phase(st, intra, inter, intra, inter)
 }
 
 // account records one completed collective's modeled traffic and simulated
@@ -525,7 +443,7 @@ func min64(a, b int64) int64 {
 // every rank). Runs inside the transport's compute serialization.
 //
 //zinf:hotpath
-func (w *collCtx) account(kind opKind, root int, pl payload) {
+func (w *collCtx) account(kind opKind, pl payload) {
 	st := &w.traffic[kind]
 	st.Ops++
 	if w.size == 1 {
@@ -534,7 +452,7 @@ func (w *collCtx) account(kind opKind, root int, pl payload) {
 	const f16 = 2
 	switch kind {
 	case opBroadcastHalf:
-		w.accountBroadcast(st, int64(len(pl.hdst))*f16, root)
+		w.accountRooted(st, int64(len(pl.hdst))*f16, false)
 	case opAllGatherHalfDecode:
 		w.accountAllGather(st, int64(len(pl.hsrc))*f16)
 	case opAllGatherEncodeHalf:
@@ -544,7 +462,7 @@ func (w *collCtx) account(kind opKind, root int, pl payload) {
 	case opAllReduceHalf:
 		w.accountAllReduce(st, int64(len(pl.hdst))*f16)
 	case opReduceHalfDecode:
-		w.accountReduceRoot(st, int64(len(pl.hsrc))*f16, root)
+		w.accountRooted(st, int64(len(pl.hsrc))*f16, true)
 	case opAllReduceScalar, opAllReduceMax:
 		w.accountScalar(st)
 	}

@@ -1,16 +1,19 @@
 package comm
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseTopology throws arbitrary specs at the parser: it must never
-// panic, and any spec it accepts must survive a String() → reparse round
-// trip with an identical rendering (so configs logged by one run can be
-// replayed by the next).
+// panic, any topology it accepts must have finite, positive bandwidths, and
+// it must survive a String() → reparse round trip with an identical
+// rendering (so configs logged by one run can be replayed by the next).
 func FuzzParseTopology(f *testing.F) {
 	f.Add("")
 	f.Add("4x2")
-	f.Add("2x4:intra=100:inter=10:linter=5")
-	f.Add("8x16:intra=300:inter=25:lintra=1.5:linter=5:flat")
+	f.Add("2x2:intra=NaN")
+	f.Add("2x2:inter=Inf")
 	f.Add("2x2:intra=0")
 	f.Add("x:::=")
 	f.Fuzz(func(t *testing.T, spec string) {
@@ -26,6 +29,11 @@ func FuzzParseTopology(f *testing.F) {
 				t.Fatalf("ParseTopology(%q) = nil, nil for a non-empty spec", spec)
 			}
 			return
+		}
+		for _, bw := range []float64{topo.IntraGBps, topo.InterGBps} {
+			if !(bw > 0) || math.IsInf(bw, 0) {
+				t.Fatalf("ParseTopology(%q) accepted bandwidth %g", spec, bw)
+			}
 		}
 		rendered := topo.String()
 		again, err := ParseTopology(rendered)

@@ -23,12 +23,11 @@ func TestParseTopology(t *testing.T) {
 	if topo, err := ParseTopology(""); err != nil || topo != nil {
 		t.Fatalf("empty spec: %v %v", topo, err)
 	}
-	topo, err := ParseTopology("2x4:intra=200:inter=25:lintra=1:linter=5:flat")
+	topo, err := ParseTopology("2x4:intra=200:inter=25")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Nodes != 2 || topo.NodeSize != 4 || topo.IntraGBps != 200 || topo.InterGBps != 25 ||
-		topo.IntraLatencyUS != 1 || topo.InterLatencyUS != 5 || !topo.Flat {
+	if topo.Nodes != 2 || topo.NodeSize != 4 || topo.IntraGBps != 200 || topo.InterGBps != 25 {
 		t.Fatalf("parsed %+v", topo)
 	}
 	if !strings.Contains(topo.String(), "2x4") {
@@ -134,9 +133,8 @@ func halfToF32(h []tensor.Half) []float32 {
 }
 
 // A topology never changes bytes, only TrafficStats: every collective,
-// synchronous and asynchronous, delivers on every multi-node topology — and
-// on the flat-algorithms ablation of one — exactly what it delivers on the
-// flat single-node fabric, while the accounting does tell the fabrics apart
+// synchronous and asynchronous, delivers on every topology exactly what it
+// delivers on the flat single-node fabric, while the accounting does tell the fabrics apart
 // (simulated time exists only under a topology, and which link class the
 // bytes are charged to follows the node grouping).
 func TestTopologyNeverChangesBytesOnlyTraffic(t *testing.T) {
@@ -155,8 +153,6 @@ func TestTopologyNeverChangesBytesOnlyTraffic(t *testing.T) {
 		{"2x2", testTopo(2), true},
 		{"4x1", testTopo(1), true},
 		{"1x4", testTopo(4), false},
-		{"2x2-flat-algos", &Topology{NodeSize: 2, Flat: true}, true},
-		{"2x2-latency", &Topology{NodeSize: 2, IntraLatencyUS: 1, InterLatencyUS: 10}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, traffic := collectiveOutputs(t, ranks, tc.topo)
@@ -264,34 +260,6 @@ func TestSlicedGatherBeatsOwnerBroadcastBandwidth(t *testing.T) {
 	}
 	if ag.Seconds >= bc.Seconds {
 		t.Fatalf("sliced allgather %.3gs not faster than owner broadcast %.3gs", ag.Seconds, bc.Seconds)
-	}
-}
-
-// Hierarchical decomposition must beat the flat-algorithms ablation of the
-// same topology when inter-node links are the scarce resource.
-func TestHierarchicalBeatsFlatAlgorithmsOnSlowInterconnect(t *testing.T) {
-	const ranks, full = 8, 1 << 12
-	measure := func(flat bool) TrafficStats {
-		topo := &Topology{NodeSize: 4, IntraGBps: 100, InterGBps: 5, Flat: flat}
-		var st TrafficStats
-		runTopo(t, ranks, topo, func(c *Comm) {
-			buf := randHalves(3, full)
-			if c.Rank() != 0 {
-				buf = make([]tensor.Half, full)
-			}
-			for i := 0; i < 4; i++ {
-				c.BroadcastHalf(buf, 0)
-			}
-			if c.Rank() == 0 {
-				st = c.Traffic()["broadcasthalf"]
-			}
-		})
-		return st
-	}
-	hier := measure(false)
-	flat := measure(true)
-	if hier.Seconds >= flat.Seconds {
-		t.Fatalf("hierarchical broadcast %.3gs not faster than flat %.3gs", hier.Seconds, flat.Seconds)
 	}
 }
 

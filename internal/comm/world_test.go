@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,9 @@ func TestParseTopologyErrorPaths(t *testing.T) {
 		{"2x2:intra=0", "bandwidth must be positive"},
 		{"2x2:inter=0", "bandwidth must be positive"},
 		{"2x2:=", "bad value"},
+		{"2x2:intra=NaN", "intra bandwidth must be positive and finite, got NaN"},
+		{"2x2:inter=Inf", "inter bandwidth must be positive and finite, got Inf"},
+		{"2x2:inter=+Inf", "inter bandwidth must be positive and finite, got +Inf"},
 	} {
 		_, err := ParseTopology(tc.spec)
 		if err == nil {
@@ -39,10 +43,6 @@ func TestParseTopologyErrorPaths(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("spec %q: error %q does not mention %q", tc.spec, err, tc.want)
 		}
-	}
-	// Latency zero is explicitly allowed (latency is opt-in).
-	if _, err := ParseTopology("2x2:lintra=0:linter=0"); err != nil {
-		t.Errorf("zero latencies rejected: %v", err)
 	}
 }
 
@@ -99,6 +99,10 @@ func TestWorldOptionsConstruction(t *testing.T) {
 	}
 	if _, err := New(WorldOptions{Size: 2, Topology: &Topology{NodeSize: 3}}); err == nil {
 		t.Error("indivisible topology accepted")
+	}
+	if _, err := New(WorldOptions{Size: 2, Topology: &Topology{NodeSize: 2, IntraGBps: math.NaN()}}); err == nil ||
+		!strings.Contains(err.Error(), "intra=NaN") {
+		t.Errorf("NaN intra bandwidth: error %v", err)
 	}
 	// A transport's world size wins over a contradicting Size.
 	tr := newMemTransport(2)

@@ -10,9 +10,7 @@ import (
 )
 
 // Ablation benchmarks over the infinity offload engine's design knobs: the
-// prefetch depth (overlap-centric design), the pinned staging pool size
-// (pinned memory management layer), and the I/O worker count (DeepNVMe
-// parallelization). Run with:
+// prefetch depth (overlap-centric design) and the state placement. Run with:
 //
 //	go test -bench=Ablate -benchmem ./internal/core/
 func benchInfinitySteps(b *testing.B, cfg Config) {
@@ -45,28 +43,6 @@ func BenchmarkAblatePrefetchDepth(b *testing.B) {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			benchInfinitySteps(b, Config{
 				Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: depth,
-			})
-		})
-	}
-}
-
-func BenchmarkAblatePinnedBuffers(b *testing.B) {
-	for _, bufs := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("bufs%d", bufs), func(b *testing.B) {
-			benchInfinitySteps(b, Config{
-				Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-				PrefetchDepth: 2, PinnedBuffers: bufs,
-			})
-		})
-	}
-}
-
-func BenchmarkAblateNVMeWorkers(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			benchInfinitySteps(b, Config{
-				Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-				PrefetchDepth: 2, NVMeWorkers: w,
 			})
 		})
 	}

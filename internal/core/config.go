@@ -63,15 +63,6 @@ type Config struct {
 	// NVMeDir, when non-empty, backs the per-rank NVMe store with a real
 	// temp file in that directory; otherwise an in-memory store is used.
 	NVMeDir string
-	// NVMeCapacity overrides the computed store size in bytes.
-	NVMeCapacity int64
-	// NVMeWorkers is the I/O parallelism of the DeepNVMe-style engine.
-	NVMeWorkers int
-
-	// PinnedBuffers / PinnedBufBytes size the reusable pinned staging pool
-	// (paper Sec. 6.3). Zero values are auto-sized from the model.
-	PinnedBuffers  int
-	PinnedBufBytes int
 
 	// GPUMemory, when positive, enforces a contiguous-allocator budget for
 	// gathered parameters (fp16 bytes). PreFragment additionally applies
@@ -104,12 +95,6 @@ func (c *Config) setDefaults() {
 		c.LossScale = 1
 	}
 	c.Backend = tensor.DefaultBackend(c.Backend)
-	if c.NVMeWorkers == 0 {
-		c.NVMeWorkers = 4
-	}
-	if c.PinnedBuffers == 0 {
-		c.PinnedBuffers = 4
-	}
 }
 
 // Stats summarizes one engine's activity for the experiment harness.

@@ -193,8 +193,7 @@ func TestPrefetchDepthExceedingPoolDoesNotDeadlock(t *testing.T) {
 			g := model.MustGPT(mcfg)
 			e, err := NewInfinityEngine(Config{
 				Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-				PrefetchDepth: 16, PinnedBuffers: 3,
-				LossScale: 32, Seed: 5,
+				PrefetchDepth: 16, LossScale: 32, Seed: 5,
 			}, c, g)
 			if err != nil {
 				t.Error(err)
@@ -230,14 +229,20 @@ func TestPrefetcherIssuesAndHits(t *testing.T) {
 	}
 }
 
-// The pinned memory management layer: a fixed small pool streams the entire
+// The pinned memory management layer: a fixed small pool — four buffers,
+// each one rank's largest [master|m|v] record — streams the entire
 // offloaded state, so pinned bytes stay constant while NVMe traffic is far
 // larger (paper Sec. 6.3).
 func TestPinnedPoolBoundedWhileStreaming(t *testing.T) {
 	mcfg := testModelCfg(false)
 	got := runInfinity(t, mcfg, Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe})
-	if got.stats.PinnedBytes == 0 {
-		t.Fatal("no pinned pool in use")
+	largest := 0
+	for i, p := range module.AllParams(model.MustGPT(mcfg)) {
+		largest = max(largest, zero.ShardLen(zero.PartitionSlice, i, p.Len(), 0, testRanks))
+	}
+	if want := int64(4 * 12 * largest); got.stats.PinnedBytes != want {
+		t.Fatalf("pinned bytes %d, want 4 buffers x 12 B x %d-element largest shard = %d",
+			got.stats.PinnedBytes, largest, want)
 	}
 	if got.stats.NVMeBytesRead < 4*got.stats.PinnedBytes {
 		t.Fatalf("NVMe read %d not >> pinned %d; reuse not demonstrated",

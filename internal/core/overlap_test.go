@@ -59,12 +59,12 @@ func TestOverlapStagesComposeOnNVMe(t *testing.T) {
 	}
 }
 
-// Overlap with a pinned pool barely larger than the speculation depth must
-// not deadlock (the same budget invariant as the NVMe-only prefetcher).
+// Overlap with a speculation depth far beyond the four-buffer pinned pool
+// must not deadlock (the same budget invariant as the NVMe-only prefetcher).
 func TestOverlapRespectsPinnedBudget(t *testing.T) {
 	mcfg := testModelCfg(false)
 	got := runInfinity(t, mcfg, Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-		PrefetchDepth: 16, PinnedBuffers: 3, Overlap: true})
+		PrefetchDepth: 16, Overlap: true})
 	ddp := runDDP(t, mcfg)
 	assertSame(t, "tight-pool-overlap", ddp, got)
 }

@@ -68,6 +68,14 @@ type inflightRead struct {
 	born int
 }
 
+// The tier's staging geometry is fixed, like the paper's pinned-memory
+// layer (Sec. 6.3): pinnedBuffers reusable buffers, each sized to the
+// largest optimizer record, and nvmeWorkers parallel I/O workers.
+const (
+	pinnedBuffers = 4
+	nvmeWorkers   = 4
+)
+
 // newNVMeTier sizes and opens the store and pinned pool for this rank's
 // shards of g's parameters.
 func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvmeTier, error) {
@@ -92,9 +100,6 @@ func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvme
 		}
 		maxRegion = max(maxRegion, s*12)
 	}
-	if cfg.NVMeCapacity > 0 {
-		capacity = cfg.NVMeCapacity
-	}
 	var err error
 	if cfg.NVMeDir != "" {
 		t.store, err = nvme.NewTempFileStore(cfg.NVMeDir, capacity)
@@ -105,15 +110,11 @@ func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvme
 		return nil, fmt.Errorf("core: open nvme store: %w", err)
 	}
 	t.vol = nvme.NewVolume(t.store)
-	t.io = nvme.NewEngine(t.store, nvme.Options{Workers: cfg.NVMeWorkers})
-	bufBytes := cfg.PinnedBufBytes
-	if bufBytes == 0 {
-		bufBytes = maxRegion
-	}
-	t.pinned = mem.NewPinnedPool(cfg.PinnedBuffers, bufBytes)
+	t.io = nvme.NewEngine(t.store, nvme.Options{Workers: nvmeWorkers})
+	t.pinned = mem.NewPinnedPool(pinnedBuffers, maxRegion)
 	if t.params {
 		// Speculative reads must never hold the whole pinned pool.
-		t.depth = min(cfg.PrefetchDepth, cfg.PinnedBuffers-1)
+		t.depth = min(cfg.PrefetchDepth, pinnedBuffers-1)
 	}
 	return t, nil
 }

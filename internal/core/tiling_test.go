@@ -8,72 +8,8 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mem"
 	"repro/internal/model"
-	"repro/internal/module"
-	"repro/internal/tensor"
 	"repro/internal/zero"
 )
-
-// The Fig. 6b protocol, functionally: under a pre-fragmented allocator the
-// dense operator OOMs with ErrFragmented while the tiled one trains, and
-// both produce identical outputs.
-func TestFig6bFunctionalTilingUnderFragmentation(t *testing.T) {
-	const in, out, rows = 64, 256, 4
-	const chunk = 8 << 10 // 8 KiB contiguous chunks
-	denseBytes := int64(in * out * 2)
-	if denseBytes <= chunk {
-		t.Fatal("test sizing wrong: dense must exceed chunk")
-	}
-
-	x := tensor.New(tensor.FP32, rows, in)
-	tensor.NewRNG(11).FillNormal(x.Float32s(), 1)
-
-	// Dense fails.
-	alloc := mem.NewAllocator(1 << 20)
-	alloc.PreFragment(chunk)
-	hooks := NewAllocHooks(alloc, 77)
-	rt := module.NewRuntime(hooks)
-	dense := model.NewTiledLinear("op", in, out, 1, true, 0.2)
-	err := RunUnderBudget(func() { rt.Forward(dense, x) })
-	if err == nil {
-		t.Fatal("dense gather under fragmentation succeeded")
-	}
-	if !errors.Is(err, mem.ErrFragmented) {
-		t.Fatalf("want ErrFragmented, got %v", err)
-	}
-
-	// Tiled succeeds (per-tile fp16 footprint fits in one chunk).
-	alloc2 := mem.NewAllocator(1 << 20)
-	alloc2.PreFragment(chunk)
-	hooks2 := NewAllocHooks(alloc2, 77)
-	rt2 := module.NewRuntime(hooks2)
-	tiled := model.NewTiledLinear("op", in, out, 8, true, 0.2)
-	if tiled.MaxParamBytes() > chunk {
-		t.Fatal("test sizing wrong: tile must fit in chunk")
-	}
-	var yTiled *tensor.Tensor
-	err = RunUnderBudget(func() {
-		yTiled = rt2.Forward(tiled, x)
-		rt2.Backward(tiled, yTiled.Clone())
-	})
-	if err != nil {
-		t.Fatalf("tiled run failed: %v", err)
-	}
-
-	// Same values as an unbudgeted dense run with the same param names.
-	ref := model.NewTiledLinear("op", in, out, 8, true, 0.2)
-	for _, p := range module.AllParams(ref) {
-		p.SetData(model.InitValues(p, 77))
-	}
-	yRef := module.NewRuntime(nil).Forward(ref, x)
-	if d := tensor.MaxAbsDiff(yTiled, yRef); d != 0 {
-		t.Fatalf("budgeted tiled output differs by %g", d)
-	}
-	// Sequential fetch-and-release: peak live is at most a couple of tiles,
-	// far below the dense footprint.
-	if hooks2.PeakLive >= denseBytes {
-		t.Fatalf("peak live %d not below dense %d", hooks2.PeakLive, denseBytes)
-	}
-}
 
 // runZero trains a zero-package engine (DP family or Z3) on the shared
 // batches and returns rank 0's observations.
@@ -185,36 +121,39 @@ func TestTilingCutsMaxLiveParamBytes(t *testing.T) {
 
 // The real-engine Fig. 6b: a dense GPT OOMs (ErrFragmented) gathering its
 // projections under a pre-fragmented GPU budget; the tiled model — same
-// budget, same fragmentation — trains.
+// budget, same fragmentation — trains, with the loss of the unbudgeted
+// tiled step: a budget accounts bytes and changes no value.
 func TestFig6bRealEngineDenseOOMsTiledTrains(t *testing.T) {
 	mcfg := model.Config{Vocab: 16, Hidden: 32, Heads: 2, Seq: 6, Layers: 1}
 	tokens, targets := makeBatches(mcfg, 1, 2, testBatch)
-	budget := Config{Params: zero.OnCPU, Optimizer: zero.OnCPU,
-		GPUMemory: 1 << 20, PreFragment: 4 << 10, LossScale: 256, Seed: 42}
+	free := Config{Params: zero.OnCPU, Optimizer: zero.OnCPU, LossScale: 256, Seed: 42}
+	budget := free
+	budget.GPUMemory, budget.PreFragment = 1<<20, 4<<10
 
-	run := func(mcfg model.Config) error {
+	run := func(mcfg model.Config, cfg Config) (loss float64, err error) {
 		var mu sync.Mutex
-		var firstErr error
 		comm.Run(2, func(c *comm.Comm) {
 			g := model.MustGPT(mcfg)
-			e, err := NewInfinityEngine(budget, c, g)
-			if err != nil {
-				t.Error(err)
+			e, nerr := NewInfinityEngine(cfg, c, g)
+			if nerr != nil {
+				t.Error(nerr)
 				return
 			}
 			defer e.Close()
-			if _, serr := e.Step(tokens[0][c.Rank()], targets[0][c.Rank()], testBatch); serr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = serr
-				}
-				mu.Unlock()
+			res, serr := e.Step(tokens[0][c.Rank()], targets[0][c.Rank()], testBatch)
+			mu.Lock()
+			defer mu.Unlock()
+			if serr != nil && err == nil {
+				err = serr
+			}
+			if c.Rank() == 0 {
+				loss = res.Loss
 			}
 		})
-		return firstErr
+		return loss, err
 	}
 
-	if err := run(mcfg); err == nil {
+	if _, err := run(mcfg, budget); err == nil {
 		t.Fatal("dense model trained under the fragmented budget")
 	} else if !errors.Is(err, mem.ErrFragmented) {
 		t.Fatalf("dense model failed for the wrong reason: %v", err)
@@ -222,7 +161,15 @@ func TestFig6bRealEngineDenseOOMsTiledTrains(t *testing.T) {
 
 	tcfg := mcfg
 	tcfg.Tiling = 4
-	if err := run(tcfg); err != nil {
+	budgeted, err := run(tcfg, budget)
+	if err != nil {
 		t.Fatalf("tiled model failed under the fragmented budget: %v", err)
+	}
+	unbudgeted, err := run(tcfg, free)
+	if err != nil {
+		t.Fatalf("tiled model failed without a budget: %v", err)
+	}
+	if budgeted != unbudgeted {
+		t.Fatalf("budgeted tiled loss %.17g, unbudgeted %.17g", budgeted, unbudgeted)
 	}
 }

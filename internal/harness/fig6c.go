@@ -42,7 +42,7 @@ func runFig6cVariant(part zero.Partitioning, topo *comm.Topology, ranks, steps i
 		gatherK, reduceK = "broadcasthalf", "reducehalfdecode"
 	}
 	run, err := trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 2}, ranks, steps, 6000, topo,
-		newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: part}))
+		newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: true, Partition: part}))
 	tr := run.stats.CommTraffic
 	return fig6cRun{
 		losses: run.losses,
@@ -60,9 +60,6 @@ func init() {
 		Run: func(w io.Writer) error {
 			const ranks, steps = 8, 3
 			topo := fig6cTopology()
-			if fabricTopo != nil {
-				topo = fabricTopo
-			}
 			slice, err := runFig6cVariant(zero.PartitionSlice, topo, ranks, steps)
 			if err != nil {
 				return fmt.Errorf("slice: %w", err)

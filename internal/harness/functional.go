@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -10,9 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/model"
-	"repro/internal/module"
 	"repro/internal/nvme"
-	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
@@ -57,6 +54,10 @@ func trainLosses(name string, ranks, steps int) ([]float64, error) {
 	return run.losses, err
 }
 
+// tilingFactor is the memory-centric tiling factor of the fig6b-engine
+// experiment's tiled model.
+const tilingFactor = 4
+
 // runInfinityBudget trains mcfg on the real ZeRO-Infinity engine (CPU
 // placements) for a few steps, optionally under a pre-fragmented GPU
 // working-set budget — the real-engine Fig. 6b protocol. It returns rank
@@ -78,11 +79,8 @@ func init() {
 			if err != nil {
 				return err
 			}
-			engines := []string{"zero1", "zero2", "zero-offload", "zero3",
-				"infinity-cpu", "infinity-nvme", "infinity-nvme-ckpt"}
-			if overlapEnabled {
-				engines = append(engines, "zero3-overlap", "infinity-overlap")
-			}
+			engines := []string{"zero1", "zero2", "zero-offload", "zero3", "infinity-cpu",
+				"infinity-nvme", "infinity-nvme-ckpt", "zero3-overlap", "infinity-overlap"}
 			t := newTable(w)
 			t.row("engine", "loss[0]", "loss[last]", "vs DDP")
 			t.row("ddp", fmt.Sprintf("%.9f", ref[0]), fmt.Sprintf("%.9f", ref[len(ref)-1]), "reference")
@@ -103,44 +101,6 @@ func init() {
 					t.flush()
 					return fmt.Errorf("engine %s diverged from DDP", name)
 				}
-			}
-			t.flush()
-			return nil
-		},
-	})
-
-	register(Experiment{
-		ID:    "fig6b-functional",
-		Title: "Figure 6b (functional): memory-centric tiling under pre-fragmented memory",
-		Claim: "dense operator OOMs with fragmentation; tiled equivalent trains with identical outputs",
-		Run: func(w io.Writer) error {
-			const in, out, rows = 64, 256, 4
-			const chunk = 8 << 10
-			x := tensor.New(tensor.FP32, rows, in)
-			tensor.NewRNG(11).FillNormal(x.Float32s(), 1)
-
-			t := newTable(w)
-			t.row("tiles", "max param alloc", "result")
-			for _, tiles := range []int{1, 2, 8} {
-				alloc := mem.NewAllocator(1 << 20)
-				alloc.PreFragment(chunk)
-				hooks := core.NewAllocHooks(alloc, 77)
-				rt := module.NewRuntime(hooks)
-				rt.SetBackend(backend)
-				op := model.NewTiledLinear("op", in, out, tiles, true, 0.2)
-				err := core.RunUnderBudget(func() {
-					y := rt.Forward(op, x)
-					rt.Backward(op, y.Clone())
-				})
-				res := "trains"
-				if err != nil {
-					if errors.Is(err, mem.ErrFragmented) {
-						res = "OOM (fragmented)"
-					} else {
-						res = "OOM"
-					}
-				}
-				t.row(tiles, mem.FormatBytes(op.MaxParamBytes()), res)
 			}
 			t.flush()
 			return nil

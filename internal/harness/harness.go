@@ -9,9 +9,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"repro/internal/comm"
 	"repro/internal/tensor"
-	"repro/internal/zero"
 )
 
 // backend is the compute backend the functional experiments build their
@@ -22,38 +20,6 @@ var backend = tensor.Reference()
 // SetBackend selects the compute backend for subsequent experiment runs
 // (nil restores the serial reference backend).
 func SetBackend(be tensor.Backend) { backend = tensor.DefaultBackend(be) }
-
-// tilingFactor is the memory-centric tiling factor the real-engine Fig. 6b
-// experiment and the tiled functional runs use (zinf-bench's -tiling flag).
-var tilingFactor = 4
-
-// SetTiling selects the tiling factor for subsequent experiment runs
-// (values below 2 restore the default of 4; it must divide the experiment
-// models' hidden and vocab sizes).
-func SetTiling(t int) {
-	if t < 2 {
-		t = 4
-	}
-	tilingFactor = t
-}
-
-// fabricTopo/fabricPart configure the communication fabric the functional
-// experiments (stepalloc, overlap) build their engines on, set by
-// zinf-bench's -topology/-partition flags. The fig6c experiment ignores the
-// partition knob (it inherently contrasts both strategies) but honours a
-// custom topology. Defaults — flat fabric, 1/dp slicing — keep the
-// committed bench baselines comparable.
-var (
-	fabricTopo *comm.Topology
-	fabricPart zero.Partitioning
-)
-
-// SetFabric selects the topology (nil = flat) and partitioning strategy for
-// subsequent experiment runs.
-func SetFabric(topo *comm.Topology, part zero.Partitioning) {
-	fabricTopo = topo
-	fabricPart = part
-}
 
 // Experiment regenerates one paper artifact.
 type Experiment struct {

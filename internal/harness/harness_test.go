@@ -11,8 +11,8 @@ func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{
 		"equiv", "fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c",
 		"fig5a", "fig5b", "fig5c", "fig6a", "fig6b-analytic", "fig6b-engine",
-		"fig6b-functional", "fig6c", "fig6c-sim", "fig6d", "fig6e", "nvme-bw",
-		"overlap", "stepalloc", "tab1", "tab2", "tab3",
+		"fig6c", "fig6c-sim", "fig6d", "fig6e", "nvme-bw", "overlap",
+		"stepalloc", "tab1", "tab2", "tab3",
 	}
 	all := All()
 	if len(all) != len(want) {
@@ -61,23 +61,24 @@ func TestAnalyticAndSimExperimentsProduceOutput(t *testing.T) {
 // The functional experiments are slower; run them too (they double as
 // integration tests across comm+model+zero+core+nvme).
 func TestFunctionalExperiments(t *testing.T) {
-	for _, id := range []string{"equiv", "fig6b-engine", "fig6b-functional", "nvme-bw", "overlap"} {
+	for _, id := range []string{"equiv", "fig6b-engine", "nvme-bw", "overlap"} {
 		e, _ := ByID(id)
 		var buf bytes.Buffer
 		if err := Run(&buf, e); err != nil {
 			t.Fatalf("%s: %v\n%s", id, err, buf.String())
 		}
-		if id == "equiv" && !strings.Contains(buf.String(), "BIT-IDENTICAL") {
-			t.Fatalf("equiv output missing verdicts:\n%s", buf.String())
+		if id == "equiv" && (!strings.Contains(buf.String(), "BIT-IDENTICAL") ||
+			!strings.Contains(buf.String(), "infinity-overlap")) {
+			t.Fatalf("equiv output missing verdicts or overlap rows:\n%s", buf.String())
 		}
-		if id == "fig6b-functional" || id == "fig6b-engine" {
+		if id == "fig6b-engine" {
 			out := buf.String()
 			if !strings.Contains(out, "OOM (fragmented)") || !strings.Contains(out, "trains") {
 				t.Fatalf("%s did not show both outcomes:\n%s", id, out)
 			}
-		}
-		if id == "fig6b-engine" && !strings.Contains(buf.String(), "reduction") {
-			t.Fatalf("fig6b-engine missing max-live reduction line:\n%s", buf.String())
+			if !strings.Contains(out, "reduction") {
+				t.Fatalf("%s missing max-live reduction line:\n%s", id, out)
+			}
 		}
 	}
 }

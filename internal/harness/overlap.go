@@ -9,28 +9,19 @@ import (
 	"repro/internal/zero"
 )
 
-// Overlap knobs, set by zinf-bench's -prefetch / -overlap flags.
-var (
-	overlapDepth   = 2
-	overlapEnabled = true
-)
-
-// SetOverlap configures the read-ahead depth and async-reduce toggle the
-// overlap experiments run with.
-func SetOverlap(depth int, enabled bool) {
-	overlapDepth = depth
-	overlapEnabled = enabled
-}
+// overlapDepth is the read-ahead depth of every overlapped engine the
+// functional experiments build.
+const overlapDepth = 2
 
 // runOverlapVariant trains one engine variant and captures per-step wall
 // time plus the engine's overlap counters from rank 0.
 func runOverlapVariant(name string, depth int, async bool, ranks, steps int) (spmdRun, error) {
-	mk := newZ3(zero.Config{PrefetchDepth: depth, Overlap: async, Partition: fabricPart})
+	mk := newZ3(zero.Config{PrefetchDepth: depth, Overlap: async})
 	if name != "zero3" { // infinity-nvme
 		mk = newInfinity(core.Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-			PrefetchDepth: depth, Overlap: async, Partition: fabricPart})
+			PrefetchDepth: depth, Overlap: async})
 	}
-	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 7000, fabricTopo, mk)
+	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 7000, nil, mk)
 }
 
 func init() {
@@ -39,10 +30,6 @@ func init() {
 		Title: "Fig. 6d (real engines): overlap-centric async collectives + gather prefetch",
 		Claim: "overlapping communication with compute speeds up the step without changing a single bit",
 		Run: func(w io.Writer) error {
-			if !overlapEnabled {
-				fmt.Fprintln(w, "overlap disabled (-overlap=false); nothing to ablate")
-				return nil
-			}
 			const ranks, steps = 4, 6
 			for _, engine := range []string{"zero3", "infinity-nvme"} {
 				sync, err := runOverlapVariant(engine, 0, false, ranks, steps)

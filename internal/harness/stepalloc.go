@@ -25,9 +25,7 @@ import (
 // engine+comm+tensor hot path's own allocation count, which must be zero.
 // The minimum over windows filters the Go runtime's sporadic bookkeeping
 // allocations exactly as TestSteadyStateZeroAllocs does; a real engine
-// leak recurs every step and survives the minimum. The stub run keeps the
-// flat fabric (a -topology spec need not divide its 2 ranks) but honours
-// the partitioning strategy.
+// leak recurs every step and survives the minimum.
 func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 	const ranks = 2
 	minAllocs := ^uint64(0)
@@ -40,7 +38,7 @@ func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 	w.Run(func(c *comm.Comm) {
 		m := zero.NewAllocFreeStub(4, 51)
 		e, err := zero.NewZ3Engine(zero.Config{LossScale: 1, Seed: 11, Backend: backend,
-			Overlap: true, PrefetchDepth: 2, Partition: fabricPart}, c, m)
+			Overlap: true, PrefetchDepth: 2}, c, m)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -66,11 +64,11 @@ func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 }
 
 func runStepAllocVariant(name string, ranks, steps int) (spmdRun, error) {
-	mk := newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart})
+	mk := newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: true})
 	if name != "zero3" { // infinity-gpu
-		mk = newInfinity(core.Config{PrefetchDepth: overlapDepth, Overlap: overlapEnabled, Partition: fabricPart})
+		mk = newInfinity(core.Config{PrefetchDepth: overlapDepth, Overlap: true})
 	}
-	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 9000, fabricTopo, mk)
+	return trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 4}, ranks, steps, 9000, nil, mk)
 }
 
 func init() {

@@ -88,8 +88,8 @@ const (
 	PartitionBroadcast = zero.PartitionBroadcast
 )
 
-// ParseTopology parses a "<nodes>x<ranksPerNode>[:intra=..][:inter=..]
-// [:lintra=..][:linter=..][:flat]" spec ("" = flat fabric).
+// ParseTopology parses a "<nodes>x<ranksPerNode>[:intra=..][:inter=..]"
+// spec with finite, positive GB/s bandwidths ("" = flat fabric).
 func ParseTopology(spec string) (*Topology, error) { return comm.ParseTopology(spec) }
 
 // ParsePartitioning resolves a partitioning-strategy name
