@@ -20,10 +20,11 @@ type stateEngine struct {
 	close func()
 }
 
-// There is one rank-state codec, so a file names no tier: state written by
-// ZeRO-3 resumes on ZeRO-Infinity and back — resident shards or NVMe regions
-// streamed raw — and training continues bit-identically to the run that was
-// never interrupted.
+// There is one rank-state codec, so a file names no tier and no engine
+// body: state written by ZeRO-3 resumes on ZeRO-Infinity and back — resident
+// shards or NVMe regions streamed raw — and on the replicated body's ZeRO-2,
+// whose files are ZeRO-3's byte for byte, and training continues
+// bit-identically to the run that was never interrupted.
 func TestRankStateCrossesTiers(t *testing.T) {
 	mcfg := testModelCfg(false)
 	const total, split = 6, 3
@@ -32,6 +33,16 @@ func TestRankStateCrossesTiers(t *testing.T) {
 	engines := map[string]func(t *testing.T, c *comm.Comm) (stateEngine, error){
 		"zero3": func(t *testing.T, c *comm.Comm) (stateEngine, error) {
 			e, err := zero.NewZ3Engine(zero.Config{LossScale: 1024, DynamicLossScale: true, Seed: 13}, c, model.MustGPT(mcfg))
+			if err != nil {
+				return stateEngine{}, err
+			}
+			return stateEngine{
+				step: func(tok, tgt []int) float64 { return e.Step(tok, tgt, testBatch).Loss },
+				save: e.SaveRankState, load: e.LoadRankState, full: e.FullParams, close: func() {},
+			}, nil
+		},
+		"zero2": func(t *testing.T, c *comm.Comm) (stateEngine, error) {
+			e, err := zero.NewDPEngine(zero.Config{Stage: zero.Stage2, LossScale: 1024, DynamicLossScale: true, Seed: 13}, c, model.MustGPT(mcfg))
 			if err != nil {
 				return stateEngine{}, err
 			}
@@ -104,11 +115,22 @@ func TestRankStateCrossesTiers(t *testing.T) {
 		{"infinity-cpu", "zero3"},
 		{"zero3", "infinity-nvme"},
 		{"infinity-nvme", "zero3"},
+		{"zero2", "zero3"},
+		{"zero3", "zero2"},
+		{"zero2", "infinity-nvme"},
 	} {
 		t.Run(tc.writer+"→"+tc.reader, func(t *testing.T) {
 			_, states := run(t, tc.writer, 0, split, nil)
 			got, _ := run(t, tc.reader, split, total, states)
 			assertSame(t, tc.writer+"→"+tc.reader, want, got)
 		})
+	}
+
+	_, z2 := run(t, "zero2", 0, split, nil)
+	_, z3 := run(t, "zero3", 0, split, nil)
+	for r := range z3 {
+		if !bytes.Equal(z2[r].Bytes(), z3[r].Bytes()) {
+			t.Errorf("rank %d: zero2 state (%d B) differs from zero3 state (%d B)", r, z2[r].Len(), z3[r].Len())
+		}
 	}
 }

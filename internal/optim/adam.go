@@ -3,9 +3,12 @@
 // forward/backward, fp32 master parameters, momentum and variance for the
 // update (20 bytes of state per parameter), plus dynamic loss scaling.
 //
-// Adam is elementwise, so a partitioned update over shards is exactly equal
-// to a replicated update — the property ZeRO stages 1-3 exploit and the
-// engine-equivalence tests verify.
+// The optimizer is one pure function, StepVec (StepVecOn on a chosen
+// compute backend), over caller-owned master, gradient, momentum and
+// variance vectors; the engines keep that state in their tiers and count
+// the steps themselves. Adam is elementwise, so a partitioned update over
+// shards is exactly equal to a replicated update — the property ZeRO stages
+// 1-3 exploit and the engine-equivalence tests verify.
 package optim
 
 import (
@@ -38,54 +41,11 @@ const BytesPerParam = 20
 // states".
 const OptimizerStateBytesPerParam = 16
 
-// Adam updates one flat fp32 vector (typically one rank's shard of the
-// model). The zero value is unusable; use NewAdam.
-type Adam struct {
-	cfg  AdamConfig
-	step int
-	m, v []float32
-	be   tensor.Backend
-}
-
-// NewAdam creates optimizer state for n elements on the reference backend.
-func NewAdam(n int, cfg AdamConfig) *Adam {
-	return &Adam{cfg: cfg, m: make([]float32, n), v: make([]float32, n), be: tensor.Reference()}
-}
-
-// WithBackend sets the compute backend the update runs on (nil selects the
-// reference backend) and returns a for chaining.
-func (a *Adam) WithBackend(be tensor.Backend) *Adam {
-	a.be = tensor.DefaultBackend(be)
-	return a
-}
-
-// Len returns the number of elements managed.
-func (a *Adam) Len() int { return len(a.m) }
-
-// StepCount returns the number of applied steps.
-func (a *Adam) StepCount() int { return a.step }
-
-// Config returns the hyperparameters.
-func (a *Adam) Config() AdamConfig { return a.cfg }
-
-// Step applies one Adam update to params given grads. Slices must have
-// length Len().
-//
-//zinf:hotpath
-func (a *Adam) Step(params, grads []float32) {
-	if len(params) != len(a.m) || len(grads) != len(a.m) {
-		panic("optim: Adam.Step length mismatch")
-	}
-	a.step++
-	StepVecOn(a.be, a.cfg, a.step, params, grads, a.m, a.v)
-}
-
 // StepVec applies the Adam update as a pure function over externally-owned
-// state vectors — the form used when optimizer states are streamed through
-// CPU staging buffers from NVMe (infinity offload engine). step is the
-// 1-based update count. The arithmetic is float64 per element for bias
-// correction and float32 for state; it is deterministic, so sharded and
-// replicated updates agree exactly.
+// state vectors — resident in a tier, or streamed through CPU staging
+// buffers from NVMe. step is the 1-based update count. The arithmetic is
+// float64 per element for bias correction and float32 for state; it is
+// deterministic, so sharded and replicated updates agree exactly.
 //
 //zinf:hotpath
 func StepVec(cfg AdamConfig, step int, params, grads, m, v []float32) {
@@ -212,20 +172,6 @@ func StepVecScalar(cfg AdamConfig, step int, params, grads, m, v []float32) {
 	bc1 := 1 - math.Pow(cfg.Beta1, float64(step))
 	bc2 := 1 - math.Pow(cfg.Beta2, float64(step))
 	adamChunkScalar(cfg, bc1, bc2, params, grads, m, v, 0, len(grads))
-}
-
-// State exposes the momentum and variance vectors for offload/serialization.
-func (a *Adam) State() (m, v []float32) { return a.m, a.v }
-
-// LoadState restores momentum/variance and the step counter (for round
-// trips through CPU/NVMe offload).
-func (a *Adam) LoadState(m, v []float32, step int) {
-	if len(m) != len(a.m) || len(v) != len(a.v) {
-		panic("optim: LoadState length mismatch")
-	}
-	copy(a.m, m)
-	copy(a.v, v)
-	a.step = step
 }
 
 // LossScaler implements dynamic loss scaling for fp16 training: the loss is

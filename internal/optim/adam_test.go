@@ -13,36 +13,33 @@ func TestAdamDescendsQuadratic(t *testing.T) {
 	c := make([]float32, n)
 	x := make([]float32, n)
 	tensor.NewRNG(1).FillNormal(c, 1)
-	a := NewAdam(n, AdamConfig{LR: 0.05, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8})
-	g := make([]float32, n)
-	for it := 0; it < 500; it++ {
+	cfg := AdamConfig{LR: 0.05, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	g, m, v := make([]float32, n), make([]float32, n), make([]float32, n)
+	for step := 1; step <= 500; step++ {
 		for i := range g {
 			g[i] = x[i] - c[i]
 		}
-		a.Step(x, g)
+		StepVec(cfg, step, x, g, m, v)
 	}
 	for i := range x {
 		if math.Abs(float64(x[i]-c[i])) > 0.05 {
 			t.Fatalf("x[%d]=%g did not converge to %g", i, x[i], c[i])
 		}
 	}
-	if a.StepCount() != 500 {
-		t.Fatalf("step count %d", a.StepCount())
-	}
 }
 
 func TestAdamFirstStepIsLR(t *testing.T) {
 	// With bias correction, the very first Adam step moves by ~lr*sign(g).
-	a := NewAdam(1, AdamConfig{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-12})
-	x := []float32{0}
-	a.Step(x, []float32{3.7})
+	cfg := AdamConfig{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-12}
+	x, m, v := []float32{0}, []float32{0}, []float32{0}
+	StepVec(cfg, 1, x, []float32{3.7}, m, v)
 	if math.Abs(float64(x[0])+0.1) > 1e-6 {
 		t.Fatalf("first step moved to %g, want ~-0.1", x[0])
 	}
 }
 
-// The ZeRO property: updating shards independently equals updating the full
-// vector, exactly.
+// The ZeRO property: updating shards independently, each over its own
+// moment vectors, equals updating the full vector, exactly.
 func TestAdamShardedEqualsReplicated(t *testing.T) {
 	const n, shards = 24, 4
 	cfg := DefaultAdamConfig()
@@ -50,23 +47,20 @@ func TestAdamShardedEqualsReplicated(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	params := make([]float32, n)
 	rng.FillNormal(params, 1)
+	m, v := make([]float32, n), make([]float32, n)
 	shardParams := make([][]float32, shards)
+	shardM, shardV := make([][]float32, shards), make([][]float32, shards)
 	for s := 0; s < shards; s++ {
 		shardParams[s] = append([]float32(nil), params[s*n/shards:(s+1)*n/shards]...)
-	}
-
-	full := NewAdam(n, cfg)
-	partial := make([]*Adam, shards)
-	for s := range partial {
-		partial[s] = NewAdam(n/shards, cfg)
+		shardM[s], shardV[s] = make([]float32, n/shards), make([]float32, n/shards)
 	}
 
 	g := make([]float32, n)
-	for it := 0; it < 10; it++ {
+	for step := 1; step <= 10; step++ {
 		rng.FillNormal(g, 1)
-		full.Step(params, g)
+		StepVec(cfg, step, params, g, m, v)
 		for s := 0; s < shards; s++ {
-			partial[s].Step(shardParams[s], g[s*n/shards:(s+1)*n/shards])
+			StepVec(cfg, step, shardParams[s], g[s*n/shards:(s+1)*n/shards], shardM[s], shardV[s])
 		}
 	}
 	for s := 0; s < shards; s++ {
@@ -74,28 +68,6 @@ func TestAdamShardedEqualsReplicated(t *testing.T) {
 			if v != params[s*n/shards+i] {
 				t.Fatalf("shard %d elem %d: %g != %g", s, i, v, params[s*n/shards+i])
 			}
-		}
-	}
-}
-
-func TestAdamStateRoundTrip(t *testing.T) {
-	cfg := DefaultAdamConfig()
-	a := NewAdam(6, cfg)
-	x := make([]float32, 6)
-	g := []float32{1, -1, 2, -2, 3, -3}
-	a.Step(x, g)
-	a.Step(x, g)
-	m, v := a.State()
-
-	b := NewAdam(6, cfg)
-	b.LoadState(m, v, a.StepCount())
-	xa := append([]float32(nil), x...)
-	xb := append([]float32(nil), x...)
-	a.Step(xa, g)
-	b.Step(xb, g)
-	for i := range xa {
-		if xa[i] != xb[i] {
-			t.Fatalf("restored optimizer diverged at %d: %g vs %g", i, xa[i], xb[i])
 		}
 	}
 }
@@ -176,13 +148,13 @@ func TestF32BytesRoundTrip(t *testing.T) {
 
 func BenchmarkAdamStep(b *testing.B) {
 	const n = 1 << 16
-	a := NewAdam(n, DefaultAdamConfig())
-	x := make([]float32, n)
-	g := make([]float32, n)
+	cfg := DefaultAdamConfig()
+	x, g := make([]float32, n), make([]float32, n)
+	m, v := make([]float32, n), make([]float32, n)
 	tensor.NewRNG(1).FillNormal(g, 1)
 	b.SetBytes(n * OptimizerStateBytesPerParam)
 	for i := 0; i < b.N; i++ {
-		a.Step(x, g)
+		StepVec(cfg, i+1, x, g, m, v)
 	}
 	// 14 nominal FLOPs per element, the zinf-roofline convention for Adam.
 	b.ReportMetric(14*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

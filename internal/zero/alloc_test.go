@@ -12,13 +12,13 @@ import (
 // The zero-allocation regression tests drive the real sharded engine
 // (overlap + prefetch on) through both of its constructors — ZeRO-3, and
 // ZeRO-Infinity with both states placed on CPU, which is the same
-// //zinf:hotpath body over the same resident tier. With the allocation-free
-// stub model (stub.go) every heap allocation observed during a step is
-// attributable to the engine+comm+tensor hot path: gathers, async
-// collectives, gradient reduction, the optimizer phase and loss-scale
-// bookkeeping. After warm-up steps fill the scratch arenas, the op pool and
-// the learned gather trace, a steady-state step must perform zero heap
-// allocations.
+// //zinf:hotpath body over the same resident tier — and the replicated
+// body at DDP, ZeRO-1 and ZeRO-2. With the allocation-free stub model
+// (stub.go) every heap allocation observed during a step is attributable to
+// the engine+comm+tensor hot path: gathers, async collectives, gradient
+// reduction, the optimizer phase and loss-scale bookkeeping. After warm-up
+// steps fill the scratch arenas, the op pool and the learned gather trace, a
+// steady-state step must perform zero heap allocations.
 
 // allocEngine is one row of the zero-allocation tables: how to build the
 // engine under test, returning its step function and its own per-step
@@ -49,6 +49,20 @@ var allocEngines = []allocEngine{
 		}
 		return step, func() uint64 { return e.Stats().AllocsPerStep }, nil
 	}},
+	{"ddp", dpAllocEngine(zero.StageDDP)},
+	{"zero1", dpAllocEngine(zero.Stage1)},
+	{"zero2", dpAllocEngine(zero.Stage2)},
+}
+
+// dpAllocEngine is the allocEngines row of the replicated body at stage.
+func dpAllocEngine(stage zero.Stage) func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+	return func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+		e, err := zero.NewDPEngine(zero.Config{Stage: stage, LossScale: lossScale, Seed: seed}, c, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func(tok, tgt []int, batch int) { e.Step(tok, tgt, batch) }, func() uint64 { return e.AllocsPerStep }, nil
+	}
 }
 
 // TestSteadyStateZeroAllocs asserts that after warm-up, a training step with

@@ -17,10 +17,13 @@ import (
 // optimizer state and update on CPU). Parameters are always fully resident
 // in GPU memory — the limitation ZeRO-3/Infinity removes.
 //
-// Hot-path buffers — padded fp16 gradient buffers (keyed by padded length
-// through the arena's size classes), reduced fp32 gradients, encoded and
-// gathered fp16 parameter views — cycle through per-engine scratch arenas,
-// so steady-state steps stop hitting the Go allocator after step 1.
+// The fp32 optimizer state lives in the sharded engine's store, a Resident
+// whose fp16 slots stay empty: each parameter's own Data() is the one
+// replicated fp16-valued copy of the weights. Hot-path buffers — padded fp16
+// gradient buffers (keyed by padded length through the arena's size
+// classes), reduced fp32 gradients, encoded and gathered fp16 parameter
+// views — cycle through the Scratch arenas, so steady-state steps stop
+// hitting the Go allocator after step 1.
 type DPEngine struct {
 	cfg    Config
 	c      *comm.Comm
@@ -28,24 +31,18 @@ type DPEngine struct {
 	rt     *module.Runtime
 	params []*module.Param
 
-	// fp16 is the authoritative replicated fp16 weight storage.
-	fp16 map[*module.Param][]tensor.Half
-	// master/adam cover the full parameter for DDP, this rank's shard for
-	// ZeRO-1/2/Offload.
-	master map[*module.Param][]float32
-	adam   map[*module.Param]*optim.Adam
+	// opt holds each parameter's [master|m|v]: the full vector under DDP,
+	// this rank's shard under ZeRO-1/2/Offload.
+	opt       *Resident
+	stepCount int // optimizer steps applied
+	scaler    *optim.LossScaler
+	sc        Scratch
 
-	scaler *optim.LossScaler
-
-	// decoded reduced gradients, kept between the reduce and update phases.
-	grads map[*module.Param][]float32
-
-	// f32/f16 are the engine's scratch arenas.
-	f32 *mem.Arena[float32]
-	f16 *mem.Arena[tensor.Half]
+	// grads holds the decoded reduced gradients in parameter order, kept
+	// between the reduce and update phases.
+	grads [][]float32
 
 	// Reused step scratch.
-	gradsBuf           [][]float32
 	microTok, microTgt [][]int
 	meter              AllocMeter
 
@@ -71,13 +68,10 @@ func NewDPEngine(cfg Config, c *comm.Comm, g Model) (*DPEngine, error) {
 		c:      c,
 		g:      g,
 		params: module.AllParams(g),
-		fp16:   make(map[*module.Param][]tensor.Half),
-		master: make(map[*module.Param][]float32),
-		adam:   make(map[*module.Param]*optim.Adam),
-		grads:  make(map[*module.Param][]float32),
-		f32:    mem.NewArena[float32](),
-		f16:    mem.NewArena[tensor.Half](),
+		sc:     NewScratch(),
 	}
+	e.opt = NewResident(len(e.params), cfg.Backend, cfg.Adam, e.sc)
+	e.grads = make([][]float32, len(e.params))
 	e.rt = module.NewRuntime(nil)
 	e.rt.SetBackend(cfg.Backend)
 	e.rt.SetStepArena(mem.NewStepArena())
@@ -86,26 +80,25 @@ func NewDPEngine(cfg Config, c *comm.Comm, g Model) (*DPEngine, error) {
 	} else {
 		e.scaler = optim.StaticLossScaler(cfg.LossScale)
 	}
-	dp := c.Size()
-	for _, p := range e.params {
+	for i, p := range e.params {
 		full := model.InitValues(p, cfg.Seed)
-		h := make([]tensor.Half, p.Len())
-		tensor.EncodeHalf(h, full)
-		e.fp16[p] = h
 		p.SetData(full)
-		p.SetGradScratch(e.f32.Get, e.f32.Put)
-		if cfg.Stage == StageDDP {
-			e.master[p] = append([]float32(nil), full...)
-			e.adam[p] = optim.NewAdam(p.Len(), cfg.Adam).WithBackend(e.rt.Backend())
-		} else {
-			s := comm.ShardLen(p.Len(), dp)
-			shard := make([]float32, s)
-			comm.Shard(shard, full, c.Rank(), dp)
-			e.master[p] = shard
-			e.adam[p] = optim.NewAdam(s, cfg.Adam).WithBackend(e.rt.Backend())
-		}
+		p.SetGradScratch(e.sc.F32.Get, e.sc.F32.Put)
+		e.place(i, full)
 	}
 	return e, nil
+}
+
+// place stores parameter i's fp32 master — a copy of the full vector under
+// DDP, this rank's shard under ZeRO-1/2 — with zeroed moments.
+func (e *DPEngine) place(i int, full []float32) {
+	if e.cfg.Stage == StageDDP {
+		e.opt.PlaceOpt(i, append([]float32(nil), full...))
+		return
+	}
+	shard := make([]float32, comm.ShardLen(len(full), e.c.Size()))
+	comm.Shard(shard, full, e.c.Rank(), e.c.Size())
+	e.opt.PlaceOpt(i, shard)
 }
 
 // Model returns the wrapped model.
@@ -158,54 +151,56 @@ func (e *DPEngine) StepAccum(microTokens, microTargets [][]int, batchPerMicro in
 	}
 	globalLoss := e.c.AllReduceScalar(lossSum/float64(micros)) / float64(dp)
 
-	if GlobalOverflow(e.c, e.rt.Backend(), e.gradList()) {
+	if GlobalOverflow(e.c, e.rt.Backend(), e.grads) {
 		e.scaler.Update(true)
-		for _, p := range e.params {
-			if g := e.grads[p]; g != nil {
-				e.f32.Put(g)
-				delete(e.grads, p)
-			}
+		for i, g := range e.grads {
+			e.sc.F32.Put(g)
+			e.grads[i] = nil
 		}
 		return e.finishStep(StepResult{Loss: globalLoss, Skipped: true, LossScale: e.scaler.Scale})
 	}
 
 	inv := 1 / (scaleUsed * float64(dp) * float64(micros))
-	for _, p := range e.params {
-		e.rt.Backend().Scale(float32(inv), e.grads[p])
+	for _, g := range e.grads {
+		e.rt.Backend().Scale(float32(inv), g)
 	}
 	if f := e.clipFactor(); f != 1 {
-		for _, p := range e.params {
-			e.rt.Backend().Scale(float32(f), e.grads[p])
+		for _, g := range e.grads {
+			e.rt.Backend().Scale(float32(f), g)
 		}
 	}
-	for _, p := range e.params {
-		g := e.grads[p]
-		e.adam[p].Step(e.master[p], g)
-		e.f32.Put(g)
-		delete(e.grads, p)
-
-		// Re-materialize fp16 weights.
-		n := p.Len()
-		if e.cfg.Stage == StageDDP {
-			e.rt.Backend().EncodeHalf(e.fp16[p], e.master[p])
-			e.rt.Backend().DecodeHalf(p.Data(), e.fp16[p])
-			continue
-		}
-		dpLen := comm.ShardLen(n, dp)
+	e.stepCount++
+	for i, p := range e.params {
+		master := e.opt.Apply(e.stepCount, i, e.grads[i])
+		e.grads[i] = nil
 		if e.cfg.OffloadOptimizer {
 			// Updated fp16 shard returns from CPU to GPU before allgather.
-			e.BytesFromCPU += int64(dpLen) * tensor.HalfBytes
+			e.BytesFromCPU += int64(len(master)) * tensor.HalfBytes
 		}
-		// Fused encode+allgather: each rank's fp32 master shard is rounded
-		// to fp16 once inside the collective — no intermediate shard buffer.
-		full := e.f16.Get(dpLen * dp)
-		e.c.AllGatherEncodeHalf(full, e.master[p])
-		copy(e.fp16[p], full[:n])
-		e.f16.Put(full)
-		e.rt.Backend().DecodeHalf(p.Data(), e.fp16[p])
+		e.materialize(p, master)
 	}
 	e.scaler.Update(false)
 	return e.finishStep(StepResult{Loss: globalLoss, LossScale: e.scaler.Scale})
+}
+
+// materialize rebuilds p's replicated fp16 weights in p.Data() from its fp32
+// master: encoded and decoded in place under DDP; under ZeRO-1/2 a fused
+// encode+allgather, in which each rank's master shard is rounded to fp16
+// once inside the collective — no intermediate shard buffer.
+//
+//zinf:hotpath
+func (e *DPEngine) materialize(p *module.Param, master []float32) {
+	if e.cfg.Stage == StageDDP {
+		h := e.sc.F16.Get(len(master))
+		e.rt.Backend().EncodeHalf(h, master)
+		e.rt.Backend().DecodeHalf(p.Data(), h)
+		e.sc.F16.Put(h)
+		return
+	}
+	full := e.sc.F16.Get(len(master) * e.c.Size())
+	e.c.AllGatherEncodeHalf(full, master)
+	e.rt.Backend().DecodeHalf(p.Data(), full[:p.Len()])
+	e.sc.F16.Put(full)
 }
 
 // finishStep records the step's process-global allocation count.
@@ -224,64 +219,42 @@ func (e *DPEngine) finishStep(res StepResult) StepResult {
 //zinf:hotpath
 func (e *DPEngine) reduceMicro() {
 	dp := e.c.Size()
-	for _, p := range e.params {
+	for i, p := range e.params {
 		n := p.Len()
 		padded := comm.PaddedLen(n, dp)
-		gh := e.f16.Get(padded)
+		gh := e.sc.F16.Get(padded)
 		e.rt.Backend().EncodeHalf(gh[:n], p.Grad())
 		clear(gh[n:])
 		var reduced []float32
 		switch e.cfg.Stage {
 		case StageDDP, Stage1:
 			e.c.AllReduceHalf(gh[:n])
-			if e.cfg.Stage == StageDDP {
-				reduced = e.f32.Get(n)
-				e.rt.Backend().DecodeHalf(reduced, gh[:n])
-			} else {
-				lo, hi := comm.ShardRange(n, e.c.Rank(), dp)
-				s := hi - lo
-				reduced = e.f32.Get(s)
-				for i := 0; i < s; i++ {
-					if lo+i < n {
-						reduced[i] = gh[lo+i].Float32()
-					} else {
-						reduced[i] = 0
-					}
-				}
+			lo, hi := 0, n
+			if e.cfg.Stage == Stage1 {
+				// The padded tail was cleared above, so it decodes to zeros.
+				lo, hi = comm.ShardRange(n, e.c.Rank(), dp)
 			}
+			reduced = e.sc.F32.Get(hi - lo)
+			e.rt.Backend().DecodeHalf(reduced, gh[lo:hi])
 		case Stage2:
 			// Fused reduce-scatter+decode: the reduced fp16 shard lands
 			// directly as fp32, with no intermediate fp16 shard buffer.
-			reduced = e.f32.Get(padded / dp)
+			reduced = e.sc.F32.Get(padded / dp)
 			e.c.ReduceScatterHalfDecode(reduced, gh)
 			if e.cfg.OffloadOptimizer {
 				// Gradient shard moves to CPU for the update.
 				e.BytesToCPU += int64(len(reduced)) * tensor.HalfBytes
 			}
 		}
-		e.f16.Put(gh)
+		e.sc.F16.Put(gh)
 		p.ReleaseGrad()
-		if acc := e.grads[p]; acc != nil {
+		if acc := e.grads[i]; acc != nil {
 			e.rt.Backend().Axpy(1, reduced, acc)
-			e.f32.Put(reduced)
+			e.sc.F32.Put(reduced)
 		} else {
-			e.grads[p] = reduced //zinf:allow hotpathalloc keyset fixed after the first step; steady state takes the accumulate branch above
+			e.grads[i] = reduced
 		}
 	}
-}
-
-// gradList returns this rank's reduced gradient buffers in parameter order
-// (the order the shared overflow/clip helpers require), reusing the
-// engine's scratch list.
-//
-//zinf:hotpath
-func (e *DPEngine) gradList() [][]float32 {
-	gs := e.gradsBuf[:0]
-	for _, p := range e.params {
-		gs = append(gs, e.grads[p])
-	}
-	e.gradsBuf = gs
-	return gs
 }
 
 // clipFactor computes the global-gradient-norm clip multiplier in the
@@ -293,7 +266,7 @@ func (e *DPEngine) clipFactor() float64 {
 		return 1
 	}
 	if e.cfg.Stage != StageDDP {
-		return GlobalClipFactor(e.c, e.cfg.ClipNorm, e.gradList())
+		return GlobalClipFactor(e.c, e.cfg.ClipNorm, e.grads)
 	}
 	// Replicated gradients: emulate the sharded engines' rank-major
 	// accumulation exactly.
@@ -301,9 +274,8 @@ func (e *DPEngine) clipFactor() float64 {
 	var total float64
 	for r := 0; r < dp; r++ {
 		var partial float64
-		for _, p := range e.params {
-			lo, hi := comm.ShardRange(p.Len(), r, dp)
-			g := e.grads[p]
+		for _, g := range e.grads {
+			lo, hi := comm.ShardRange(len(g), r, dp)
 			if lo > len(g) {
 				lo = len(g)
 			}
@@ -322,8 +294,7 @@ func (e *DPEngine) clipFactor() float64 {
 // load-pretrained-weights path. Values are rounded through fp16. Every rank
 // must call it with identical values.
 func (e *DPEngine) LoadParams(values map[string][]float32) error {
-	dp := e.c.Size()
-	for _, p := range e.params {
+	for i, p := range e.params {
 		v, ok := values[p.Name]
 		if !ok {
 			return fmt.Errorf("zero: checkpoint missing parameter %q", p.Name)
@@ -331,27 +302,20 @@ func (e *DPEngine) LoadParams(values map[string][]float32) error {
 		if len(v) != p.Len() {
 			return fmt.Errorf("zero: checkpoint parameter %q has %d elems, want %d", p.Name, len(v), p.Len())
 		}
-		tensor.EncodeHalf(e.fp16[p], v)
-		tensor.DecodeHalf(p.Data(), e.fp16[p])
-		if e.cfg.Stage == StageDDP {
-			copy(e.master[p], p.Data())
-			e.adam[p] = optim.NewAdam(p.Len(), e.cfg.Adam).WithBackend(e.rt.Backend())
-		} else {
-			comm.Shard(e.master[p], p.Data(), e.c.Rank(), dp)
-			e.adam[p] = optim.NewAdam(len(e.master[p]), e.cfg.Adam).WithBackend(e.rt.Backend())
-		}
+		d := p.Data()
+		copy(d, v)
+		e.place(i, tensor.RoundTripHalf(d))
 	}
+	e.stepCount = 0
 	return nil
 }
 
-// FullParams gathers the current fp16 parameter values as float32 vectors,
+// FullParams returns the current fp16 parameter values as float32 vectors,
 // keyed by parameter name (for engine-equivalence tests).
 func (e *DPEngine) FullParams() map[string][]float32 {
 	out := make(map[string][]float32, len(e.params))
 	for _, p := range e.params {
-		v := make([]float32, p.Len())
-		tensor.DecodeHalf(v, e.fp16[p])
-		out[p.Name] = v
+		out[p.Name] = append([]float32(nil), p.Data()...)
 	}
 	return out
 }

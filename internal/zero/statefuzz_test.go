@@ -2,19 +2,40 @@ package zero
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/model"
 )
 
-// fuzzState trains a 1-rank Z3 engine a step and serializes its rank state —
+// stateEngine is the surface the rank-state tests drive on both engine
+// bodies.
+type stateEngine interface {
+	Step(tokens, targets []int, batch int) StepResult
+	SaveRankState(io.Writer) error
+	LoadRankState(io.Reader) error
+}
+
+// stateStages are the rank-state tests' rows: the sharded engine body, and
+// the replicated one unpartitioned and partitioned.
+var stateStages = []Stage{Stage3, StageDDP, Stage2}
+
+// newStateEngine builds the engine body that runs stage.
+func newStateEngine(stage Stage, cfg Config, c *comm.Comm, g Model) (stateEngine, error) {
+	if stage == Stage3 {
+		return NewZ3Engine(cfg, c, g)
+	}
+	cfg.Stage = stage
+	return NewDPEngine(cfg, c, g)
+}
+
+// fuzzState trains a 1-rank engine a step and serializes its rank state —
 // the valid corpus seed the fuzzer mutates from.
-func fuzzState(t testing.TB) []byte {
+func fuzzState(t testing.TB, stage Stage) []byte {
 	var buf bytes.Buffer
 	comm.Run(1, func(c *comm.Comm) {
-		g := model.MustGPT(testCfg())
-		e, err := NewZ3Engine(Config{LossScale: 64, DynamicLossScale: true, Seed: 3}, c, g)
+		e, err := newStateEngine(stage, Config{LossScale: 64, DynamicLossScale: true, Seed: 3}, c, model.MustGPT(testCfg()))
 		if err != nil {
 			t.Error(err)
 			return
@@ -31,50 +52,58 @@ func fuzzState(t testing.TB) []byte {
 // TestRankStateTruncation chops a valid rank-state file at every byte
 // boundary — magic, header fields, record headers, each vector — and
 // requires every strict prefix to fail with a descriptive error, never a
-// panic, and the full file to load.
+// panic, and the full file to load. The check is quadratic in the file
+// size, so the rows run in parallel.
 func TestRankStateTruncation(t *testing.T) {
-	enc := fuzzState(t)
-	comm.Run(1, func(c *comm.Comm) {
-		g := model.MustGPT(testCfg())
-		e, err := NewZ3Engine(Config{LossScale: 64, DynamicLossScale: true, Seed: 3}, c, g)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for n := 0; n < len(enc); n++ {
-			if err := e.LoadRankState(bytes.NewReader(enc[:n])); err == nil {
-				t.Errorf("truncation to %d/%d bytes was accepted", n, len(enc))
-				return
-			}
-		}
-		if err := e.LoadRankState(bytes.NewReader(enc)); err != nil {
-			t.Errorf("full state rejected: %v", err)
-		}
-	})
+	for _, stage := range stateStages {
+		t.Run(stage.String(), func(t *testing.T) {
+			t.Parallel()
+			enc := fuzzState(t, stage)
+			comm.Run(1, func(c *comm.Comm) {
+				e, err := newStateEngine(stage, Config{LossScale: 64, DynamicLossScale: true, Seed: 3}, c, model.MustGPT(testCfg()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for n := 0; n < len(enc); n++ {
+					if err := e.LoadRankState(bytes.NewReader(enc[:n])); err == nil {
+						t.Errorf("truncation to %d/%d bytes was accepted", n, len(enc))
+						return
+					}
+				}
+				if err := e.LoadRankState(bytes.NewReader(enc)); err != nil {
+					t.Errorf("full state rejected: %v", err)
+				}
+			})
+		})
+	}
 }
 
-// FuzzLoadRankState: arbitrary bytes fed to LoadRankState must never panic —
-// only error or load successfully (in which case the engine must still be
-// able to save a state of its own).
+// FuzzLoadRankState: arbitrary bytes fed to LoadRankState on every engine
+// body must never panic — only error or load successfully (in which case the
+// engine must still be able to save a state of its own).
 func FuzzLoadRankState(f *testing.F) {
-	f.Add(fuzzState(f))
+	f.Add(fuzzState(f, Stage3))
 	f.Add([]byte("ZST2"))
 	f.Add([]byte("ZST1"))
 	f.Add([]byte{})
+	f.Add(fuzzState(f, StageDDP))
+	f.Add(fuzzState(f, Stage2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		comm.Run(1, func(c *comm.Comm) {
-			g := model.MustGPT(testCfg())
-			e, err := NewZ3Engine(Config{LossScale: 64, DynamicLossScale: true, Seed: 3}, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := e.LoadRankState(bytes.NewReader(data)); err != nil {
-				return
-			}
-			var out bytes.Buffer
-			if err := e.SaveRankState(&out); err != nil {
-				t.Errorf("save after accepted load failed: %v", err)
+			for _, stage := range stateStages {
+				e, err := newStateEngine(stage, Config{LossScale: 64, DynamicLossScale: true, Seed: 3}, c, model.MustGPT(testCfg()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := e.LoadRankState(bytes.NewReader(data)); err != nil {
+					continue
+				}
+				var out bytes.Buffer
+				if err := e.SaveRankState(&out); err != nil {
+					t.Errorf("%s: save after accepted load failed: %v", stage, err)
+				}
 			}
 		})
 	})

@@ -11,13 +11,15 @@
 //	  ZeRO-Infinity        — the same body over the tier, GPU budget and
 //	                         checkpoint store internal/core attaches
 //
-// The sharded engine (z3.go, overlap.go, statefile.go) owns everything that
-// does not depend on where shards live: hook-driven gather/release, the
+// The sharded engine (z3.go, overlap.go) owns everything that does not
+// depend on where shards live: hook-driven gather/release, the
 // external-parameter registry, gradient reduce and fold, the gather
-// prefetcher, the overflow/unscale/clip/optimizer tail, LoadParams,
-// FullParams and rank-state checkpoints. Placement is the Tier interface
-// (tier.go) with two implementations: Resident here, the NVMe tier in
-// internal/core.
+// prefetcher, the overflow/unscale/clip/optimizer tail, LoadParams and
+// FullParams. Placement is the Tier interface (tier.go) with two
+// implementations: Resident here, the NVMe tier in internal/core. The
+// replicated body (dp.go) keeps its own step but not its own state: its
+// optimizer shards live in a Resident too, and both bodies checkpoint
+// through the one rank-state writer/reader (statefile.go, statecodec.go).
 //
 // All engines share one gradient/update recipe so their training
 // trajectories are *bit-identical* given the same ranks, seeds and batches:

@@ -85,7 +85,8 @@ type OptShard struct{ Master, M, V []float32 }
 // Resident is the Tier that keeps shards in process memory — ZeRO-3, and
 // ZeRO-Infinity's GPU and CPU placements, which differ only in where a real
 // system would put the same bytes. The NVMe tier embeds one for whichever
-// state class stays off NVMe, which is why the fields are exported.
+// state class stays off NVMe, which is why the fields are exported, and
+// DPEngine keeps its optimizer state in one with the Half slots empty.
 type Resident struct {
 	Scratch
 	Backend tensor.Backend
