@@ -128,6 +128,14 @@ func newPeer(rank int, c net.Conn) *peer {
 func (p *peer) push(f inFrame) {
 	p.mu.Lock()
 	fq := &p.q[f.ftype-1]
+	if len(fq.q) == cap(fq.q) && fq.head > 0 {
+		// Compact instead of growing: a peer that stays ahead never lets
+		// pop drain the queue, so without this the backing array would
+		// double for ever.
+		n := copy(fq.q, fq.q[fq.head:])
+		clear(fq.q[n:])
+		fq.q, fq.head = fq.q[:n], 0
+	}
 	fq.q = append(fq.q, f)
 	p.rcvd += f.wireLen()
 	p.mu.Unlock()
@@ -444,7 +452,7 @@ func (t *sockTransport) ownedSpan(n, r int) (lo, hi int) {
 func (t *sockTransport) send(p *peer, h frameHdr, hs []tensor.Half) {
 	h.nh = len(hs)
 	putHdr(p.whdr[:], h)
-	pb := halfBytes(hs)
+	pb := tensor.ByteView(hs)
 	if hostSwaps {
 		t.swapBuf = append(t.swapBuf[:0], pb...)
 		pb = t.swapBuf

@@ -33,8 +33,8 @@ package comm
 // and payload leave in one vectored write straight from the caller's buffer,
 // and the receiver reads the payload straight into arena staging — no
 // per-element conversion on either side. Big-endian hosts swap bytes in
-// place after a read and through a scratch copy before a write (hostSwaps,
-// decided at init), so the wire stays little-endian.
+// place after a read and through a scratch copy before a write (hostSwaps),
+// so the wire stays little-endian.
 //
 // A header is outside input: its count is checked against maxFrameElems and
 // against the payload length before anything is sized from it.
@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/tensor"
@@ -83,18 +82,9 @@ var (
 )
 
 // hostSwaps is true on big-endian hosts, where payload bytes need swapping
-// to and from the little-endian wire.
-var hostSwaps = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 0
-}()
-
-// halfBytes views a slice's backing memory as bytes.
-//
-//zinf:hotpath
-func halfBytes(xs []tensor.Half) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*2)
-}
+// to and from the little-endian wire. It is a variable so that tests can
+// force the fallback on a little-endian host.
+var hostSwaps = tensor.BigEndianHost
 
 // swapBytes reverses each 2-byte element of b in place: the big-endian
 // fallback's only per-element loop.
@@ -187,7 +177,7 @@ func readFrame(r io.Reader, hb []byte, ha *mem.Arena[tensor.Half], maxElems int)
 		return inFrame{}, err
 	}
 	f := inFrame{frameHdr: h, h: ha.Get(h.nh)}
-	pb := halfBytes(f.h)
+	pb := tensor.ByteView(f.h)
 	if _, err = io.ReadFull(r, pb); err != nil {
 		ha.Put(f.h)
 		return inFrame{}, err

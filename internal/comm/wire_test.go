@@ -19,7 +19,7 @@ func wireFrame(h frameHdr, hs []tensor.Half) []byte {
 	h.nh = len(hs)
 	b := make([]byte, frameHdrLen, h.wireLen())
 	putHdr(b, h)
-	b = append(b, halfBytes(hs)...)
+	b = append(b, tensor.ByteView(hs)...)
 	if hostSwaps {
 		swapBytes(b[frameHdrLen:])
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,64 +15,107 @@ import (
 	"repro/internal/zero"
 )
 
-var errInjectedRead = errors.New("injected read failure")
+var (
+	errInjectedRead  = errors.New("injected read failure")
+	errInjectedWrite = errors.New("injected write failure")
+)
 
-// failingStore wraps a Store and fails every ReadAt after the first allow
-// successes. Writes always succeed.
+// failingStore wraps a Store and fails every ReadAt — or, with writes set,
+// every WriteAt — after the first allow successes. Requests of the other
+// kind always succeed; so do requests outside only, when it is set, and
+// they are not counted.
 type failingStore struct {
 	nvme.Store
-	allow int64
-	reads atomic.Int64
+	writes bool
+	allow  int64
+	only   []nvme.Region
+	seen   atomic.Int64
+}
+
+func (s *failingStore) fails(write bool, off int64) bool {
+	if write != s.writes {
+		return false
+	}
+	if s.only != nil && !slices.ContainsFunc(s.only, func(r nvme.Region) bool {
+		return off >= r.Offset && off < r.Offset+r.Size
+	}) {
+		return false
+	}
+	return s.seen.Add(1) > s.allow
 }
 
 func (s *failingStore) ReadAt(p []byte, off int64) (int, error) {
-	if s.reads.Add(1) > s.allow {
+	if s.fails(false, off) {
 		return 0, errInjectedRead
 	}
 	return s.Store.ReadAt(p, off)
 }
 
-// Regression test for the optimizerStepNVMe error path: when a streamed
-// optimizer read fails, the already-issued prefetch read for the next
-// parameter used to be abandoned (its pinned buffer never released, its
-// in-flight I/O never awaited) and outstanding async writes were not drained
-// before returning. After the error every pinned buffer must be back in the
-// pool and no I/O may still be in flight.
+func (s *failingStore) WriteAt(p []byte, off int64) (int, error) {
+	if s.fails(true, off) {
+		return 0, errInjectedWrite
+	}
+	return s.Store.WriteAt(p, off)
+}
+
+// The streamed optimizer step's error paths: a clean step, then a step
+// whose third optimizer-record read — or write-back — fails, with the fp16
+// shards on CPU and on NVMe. At a failed read the pipeline has processed
+// parameters (writes in flight), a failed current read and an issued read
+// of the next parameter outstanding at once; a failed write surfaces when
+// its write-back is reaped. The step must return the injected error with
+// every pinned buffer back in the pool, nothing still in flight, and no
+// goroutine left behind.
 func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 	mcfg := testModelCfg(false)
-	tokens, targets := makeBatches(mcfg, 1, 1, testBatch)
-	comm.Run(1, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		e, err := NewInfinityEngine(Config{
-			Params: zero.OnCPU, Optimizer: zero.OnNVMe,
-			LossScale: 32, Seed: 2,
-		}, c, g)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer e.Close()
+	tokens, targets := makeBatches(mcfg, 2, 1, testBatch)
+	for _, params := range []zero.Placement{zero.OnCPU, zero.OnNVMe} {
+		for _, write := range []bool{false, true} {
+			want, op := errInjectedRead, "read"
+			if write {
+				want, op = errInjectedWrite, "write"
+			}
+			t.Run(fmt.Sprintf("params=%v/%s", params, op), func(t *testing.T) {
+				comm.Run(1, func(c *comm.Comm) {
+					e, err := NewInfinityEngine(Config{Params: params, Optimizer: zero.OnNVMe,
+						LossScale: 32, Seed: 2}, c, model.MustGPT(mcfg))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer e.Close()
+					var opt []nvme.Region
+					for i := range e.nvme.slots {
+						if r := e.nvme.slots[i].optRegion; r.Size > 0 {
+							opt = append(opt, r)
+						}
+					}
+					// Only optimizer records count, one request each per
+					// step: the first step is clean, the second fails at
+					// its third parameter. The old engine stays open so
+					// none of its workers exits mid-count.
+					defer e.nvme.io.Close()
+					fs := &failingStore{Store: e.nvme.store, writes: write, allow: int64(len(opt)) + 2, only: opt}
+					e.nvme.io = nvme.NewEngine(fs, nvme.Options{Workers: 2})
 
-		// Swap in an I/O engine whose store fails reads after the first one:
-		// the pipeline then has a processed parameter (async write in
-		// flight), a failed current read, and a failing prefetched read all
-		// outstanding at once.
-		e.nvme.io.Close()
-		fs := &failingStore{Store: e.nvme.store, allow: 1}
-		e.nvme.io = nvme.NewEngine(fs, nvme.Options{Workers: 2})
-
-		_, serr := e.Step(tokens[0][0], targets[0][0], testBatch)
-		if serr == nil {
-			t.Error("step with failing optimizer reads succeeded")
-			return
+					if _, err := e.Step(tokens[0][0], targets[0][0], testBatch); err != nil {
+						t.Errorf("clean step: %v", err)
+						return
+					}
+					before := runtime.NumGoroutine()
+					_, serr := e.Step(tokens[1][0], targets[1][0], testBatch)
+					after := runtime.NumGoroutine()
+					if !errors.Is(serr, want) {
+						t.Errorf("step returned %v, want the injected %v", serr, want)
+					}
+					assertPinnedPoolFull(t, e)
+					if after != before {
+						t.Errorf("%d goroutines after the failed step, %d before", after, before)
+					}
+				})
+			})
 		}
-		if !errors.Is(serr, errInjectedRead) {
-			t.Errorf("unexpected error: %v", serr)
-		}
-		// Every pinned buffer must be back: the failed current slot, the
-		// abandoned prefetch slot, and the write slots via their reapers.
-		assertPinnedPoolFull(t, e)
-	})
+	}
 }
 
 // A failed NVMe shard read — synchronous, or a read-ahead consumed later —

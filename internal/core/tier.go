@@ -3,9 +3,6 @@ package core
 import (
 	"bufio"
 	"fmt"
-	"io"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/module"
@@ -25,6 +22,15 @@ import (
 // so the nc-transfer of parameter i+k overlaps the compute of parameter i;
 // a streamed optimizer step that reads parameter i+1's state while
 // parameter i updates; and asynchronous write-back.
+//
+// Region bytes are the host-order memory of the values they hold, so a
+// pinned buffer is computed on where it lies, through tensor.F32View and
+// tensor.HalfView: Adam updates the record in the buffer the read landed
+// in, and that buffer is what is written back. Only the rank-state codec
+// (SaveOpt/LoadOpt) converts, to the file's little-endian layout. The
+// steady-state step starts no goroutine and allocates nothing: every
+// request runs on a ticket embedded in its slot, and pending write-backs
+// are value records in a FIFO the rank goroutine reaps itself.
 type nvmeTier struct {
 	*zero.Resident
 	params, opt bool // which state classes live on NVMe
@@ -41,31 +47,47 @@ type nvmeTier struct {
 	// Read-ahead: outstanding counts speculative reads holding pinned
 	// buffers. depth stays strictly below the pool size or a synchronous
 	// fetch could starve. reading lists the slots whose reads may still be
-	// pending, for the drain; consumed ones have a nil ticket.
+	// pending, for the drain.
 	depth, outstanding int
 	reading            []int
 	issued, hits       int
+
+	// The optimizer step's pending write-backs, oldest at whead. Each holds
+	// a pinned buffer, so there are never more than the pool has. The rank
+	// reaps the oldest when it needs a buffer and the rest before Update
+	// returns; firstErr is the first failure since the last drain.
+	writes      [pinnedBuffers]writeBack
+	whead, wlen int
+	firstErr    error
 }
 
 // nvmeSlot is one parameter's NVMe-side state.
 type nvmeSlot struct {
 	name string
 	n    int // shard length (0: another rank owns the parameter)
-	// region holds the fp16 shard, optRegion the f32 bytes of master||m||v —
-	// exactly the rank-state record, so checkpoints move raw bytes.
+	// region holds the fp16 shard, optRegion the f32 values of master||m||v
+	// — on a little-endian host exactly the rank-state record's bytes.
 	region, optRegion nvme.Region
-	read              inflightRead // speculative shard read, by value
+	// io carries the slot's shard or optimizer-record request (a read, or
+	// the optimizer write-back that follows it), halfIO the fp16 shard's
+	// write. Each is reissued only once its last request has been waited.
+	io, halfIO nvme.Ticket
+	// ahead is the pinned buffer of an unconsumed read-ahead of the shard
+	// (nil: none). born is the engine's gather count when it was issued. A
+	// gather is only chained onto a read at least two gathers old — younger
+	// reads are likely still in flight, and waiting on them early would
+	// serialize the disk stage instead of overlapping it. Gather counts are
+	// identical across SPMD ranks, so the gate is deterministic.
+	ahead []byte
+	born  int
 }
 
-type inflightRead struct {
-	ticket *nvme.Ticket
-	buf    []byte
-	// born is the engine's gather count when the read was issued. A gather is
-	// only chained onto a read at least two gathers old — younger reads are
-	// likely still in flight, and waiting on them early would serialize the
-	// disk stage instead of overlapping it. Gather counts are identical
-	// across SPMD ranks, so the gate is deterministic.
-	born int
+// writeBack is one pending write-back of the streamed optimizer step: slot's
+// record from the pinned buffer buf on its io ticket and, when half is set,
+// its fp16 shard from that Bytes-arena buffer on its halfIO ticket.
+type writeBack struct {
+	slot      int
+	buf, half []byte
 }
 
 // The tier's staging geometry is fixed, like the paper's pinned-memory
@@ -76,8 +98,8 @@ const (
 	nvmeWorkers   = 4
 )
 
-// newNVMeTier sizes and opens the store and pinned pool for this rank's
-// shards of g's parameters.
+// newNVMeTier sizes and opens the store, its regions and the pinned pool
+// for this rank's shards of g's parameters.
 func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvmeTier, error) {
 	ps := module.AllParams(g)
 	t := &nvmeTier{
@@ -90,15 +112,15 @@ func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvme
 	var capacity int64
 	maxRegion := 1
 	for i, p := range ps {
-		s := zero.ShardLen(cfg.Partition, i, p.Len(), rank, dp)
-		t.slots[i] = nvmeSlot{name: p.Name, n: s}
+		s := &t.slots[i]
+		s.name, s.n = p.Name, zero.ShardLen(cfg.Partition, i, p.Len(), rank, dp)
 		if t.params {
-			capacity += int64(s) * tensor.HalfBytes
+			capacity += int64(s.n) * tensor.HalfBytes
 		}
 		if t.opt {
-			capacity += int64(s) * 12
+			capacity += int64(s.n) * 12
 		}
-		maxRegion = max(maxRegion, s*12)
+		maxRegion = max(maxRegion, s.n*12)
 	}
 	var err error
 	if cfg.NVMeDir != "" {
@@ -110,6 +132,20 @@ func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvme
 		return nil, fmt.Errorf("core: open nvme store: %w", err)
 	}
 	t.vol = nvme.NewVolume(t.store)
+	for i := range t.slots {
+		if s := &t.slots[i]; s.n > 0 {
+			if t.params {
+				s.region, err = t.vol.Alloc("param/"+s.name, int64(s.n)*tensor.HalfBytes)
+			}
+			if t.opt && err == nil {
+				s.optRegion, err = t.vol.Alloc("opt/"+s.name, int64(s.n)*12)
+			}
+			if err != nil {
+				t.store.Close()
+				return nil, fmt.Errorf("core: %w", err)
+			}
+		}
+	}
 	t.io = nvme.NewEngine(t.store, nvme.Options{Workers: nvmeWorkers})
 	t.pinned = mem.NewPinnedPool(pinnedBuffers, maxRegion)
 	if t.params {
@@ -125,17 +161,16 @@ func (t *nvmeTier) Close() {
 	t.store.Close()
 }
 
-// write synchronously persists buf to a region, allocating the region on
-// first use.
-func (t *nvmeTier) write(r *nvme.Region, name string, buf []byte) error {
-	if r.Size == 0 {
-		var err error
-		if *r, err = t.vol.Alloc(name, int64(len(buf))); err != nil {
-			return err
-		}
-	}
-	if err := t.io.WriteRegion(buf, *r).Wait(); err != nil {
-		return fmt.Errorf("core: write %s: %w", name, err)
+// write synchronously persists buf[:r.Size] to region r on ticket tk; kind
+// and name label an error.
+func (t *nvmeTier) write(tk *nvme.Ticket, r nvme.Region, buf []byte, kind, name string) error {
+	t.io.Issue(tk, nvme.Write, buf[:r.Size], r.Offset)
+	return writeErr(tk.Wait(), kind, name)
+}
+
+func writeErr(err error, kind, name string) error {
+	if err != nil {
+		return fmt.Errorf("core: write %s/%s: %w", kind, name, err)
 	}
 	return nil
 }
@@ -146,18 +181,18 @@ func (t *nvmeTier) Place(i int, half []tensor.Half, master []float32) error {
 	if !t.params {
 		t.Half[i] = half
 	} else if s.n > 0 {
-		buf := make([]byte, s.n*tensor.HalfBytes)
-		tensor.HalfToBytes(buf, half)
-		if err := t.write(&s.region, "param/"+s.name, buf); err != nil {
+		buf := make([]byte, s.region.Size)
+		copy(tensor.HalfView(buf), half)
+		if err := t.write(&s.halfIO, s.region, buf, "param", s.name); err != nil {
 			return err
 		}
 	}
 	if !t.opt {
 		t.PlaceOpt(i, master)
 	} else if s.n > 0 {
-		buf := make([]byte, 12*s.n)
-		tensor.F32ToBytes(buf[:4*s.n], master) // momentum and variance start at zero
-		return t.write(&s.optRegion, "opt/"+s.name, buf)
+		buf := make([]byte, s.optRegion.Size)
+		copy(tensor.F32View(buf), master) // momentum and variance start at zero
+		return t.write(&s.io, s.optRegion, buf, "opt", s.name)
 	}
 	return nil
 }
@@ -170,21 +205,21 @@ func (t *nvmeTier) Shard(i int) ([]tensor.Half, error) {
 		return t.Half[i], nil
 	}
 	s := &t.slots[i]
-	buf, tk := s.read.buf, s.read.ticket
-	if tk != nil {
+	buf := s.ahead
+	if buf != nil {
 		// Read ahead: the nc-transfer already happened (or is completing).
-		s.read = inflightRead{}
+		s.ahead = nil
 		t.outstanding--
 		t.hits++
 	} else {
 		buf = t.pinned.Acquire()
-		tk = t.io.ReadRegion(buf[:s.region.Size], s.region)
+		t.io.Issue(&s.io, nvme.Read, buf[:s.region.Size], s.region.Offset)
 	}
-	err := tk.Wait()
+	err := s.io.Wait()
 	var half []tensor.Half
 	if err == nil {
 		half = t.F16.Get(s.n)
-		tensor.HalfFromBytes(half, buf[:s.region.Size])
+		copy(half, tensor.HalfView(buf[:s.region.Size]))
 	} else {
 		err = fmt.Errorf("core: read shard %s: %w", s.name, err)
 	}
@@ -208,8 +243,8 @@ func (t *nvmeTier) Ready(i, gathers int) bool {
 	if !t.params {
 		return true
 	}
-	r := &t.slots[i].read
-	return !t.bcast && r.ticket != nil && gathers-r.born >= 2
+	s := &t.slots[i]
+	return !t.bcast && s.ahead != nil && gathers-s.born >= 2
 }
 
 // ReadAhead implements zero.Tier. Reads are rank-local, so skipping a
@@ -219,14 +254,15 @@ func (t *nvmeTier) ReadAhead(i, gathers int) bool {
 		return false
 	}
 	s := &t.slots[i]
-	if s.n == 0 || s.read.ticket != nil {
+	if s.n == 0 || s.ahead != nil {
 		return true
 	}
 	buf, ok := t.pinned.TryAcquire()
 	if !ok {
 		return false // pool exhausted: back-pressure, stop speculating
 	}
-	s.read = inflightRead{ticket: t.io.ReadRegion(buf[:s.region.Size], s.region), buf: buf, born: gathers}
+	t.io.Issue(&s.io, nvme.Read, buf[:s.region.Size], s.region.Offset)
+	s.ahead, s.born = buf, gathers
 	t.reading = append(t.reading, i)
 	t.issued++
 	t.outstanding++
@@ -236,10 +272,10 @@ func (t *nvmeTier) ReadAhead(i, gathers int) bool {
 // DrainReads implements zero.Tier.
 func (t *nvmeTier) DrainReads() {
 	for _, i := range t.reading {
-		if r := &t.slots[i].read; r.ticket != nil {
-			_ = r.ticket.Wait() // abandoned read: only its buffer matters
-			t.pinned.Release(r.buf)
-			*r = inflightRead{}
+		if s := &t.slots[i]; s.ahead != nil {
+			_ = s.io.Wait() // abandoned read: only its buffer matters
+			t.pinned.Release(s.ahead)
+			s.ahead = nil
 		}
 	}
 	t.reading = t.reading[:0]
@@ -254,23 +290,22 @@ func (t *nvmeTier) putShard(i int, master []float32) error {
 		return nil
 	}
 	s := &t.slots[i]
-	half := t.F16.Get(s.n)
-	t.Backend.EncodeHalf(half, master)
 	buf := t.Bytes.Get(int(s.region.Size))
-	tensor.HalfToBytes(buf, half)
-	err := t.write(&s.region, "param/"+s.name, buf)
+	t.Backend.EncodeHalf(tensor.HalfView(buf), master)
+	err := t.write(&s.halfIO, s.region, buf, "param", s.name)
 	t.Bytes.Put(buf)
-	t.F16.Put(half)
 	return err
 }
 
 // Update implements zero.Tier. With the optimizer state on NVMe it streams
 // every parameter's [master|m|v] region through pinned staging buffers,
-// applies Adam on the CPU and writes the state and the refreshed fp16 shard
-// back — the chunked, overlapped optimizer step of the infinity offload
-// engine (paper Sec. 5.2.2). The read for parameter i+1 is issued before
-// parameter i is processed and writes complete asynchronously; the bounded
-// pinned pool provides back-pressure.
+// applies Adam on the CPU in place in the buffer the read landed in, and
+// writes that buffer and the refreshed fp16 shard back — the chunked,
+// overlapped optimizer step of the infinity offload engine (paper Sec.
+// 5.2.2). The read for parameter i+1 is issued before parameter i is
+// processed and writes complete asynchronously; the bounded pinned pool
+// provides back-pressure through readOpt, which reaps the oldest write-back
+// when no buffer is free. Every write has landed when Update returns.
 func (t *nvmeTier) Update(step int, owned []int, grads [][]float32) error {
 	if !t.opt {
 		for k, i := range owned {
@@ -280,109 +315,105 @@ func (t *nvmeTier) Update(step int, owned []int, grads [][]float32) error {
 		}
 		return nil
 	}
-	type slot struct {
-		buf    []byte
-		ticket *nvme.Ticket
-	}
-	issueRead := func(i int) slot {
-		buf := t.pinned.Acquire()
-		r := t.slots[i].optRegion
-		return slot{buf: buf, ticket: t.io.ReadRegion(buf[:r.Size], r)}
-	}
-	var wg sync.WaitGroup
-	var firstErr atomic.Pointer[error]
-	setErr := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, &err)
-		}
-	}
-	var next slot
+	var next []byte
 	if len(owned) > 0 {
-		next = issueRead(owned[0])
+		next = t.readOpt(owned[0])
 	}
 	for k, i := range owned {
-		cur := next
+		buf := next
+		next = nil
 		if k+1 < len(owned) {
-			next = issueRead(owned[k+1])
+			next = t.readOpt(owned[k+1])
 		}
 		s := &t.slots[i]
-		if err := cur.ticket.Wait(); err != nil {
-			t.pinned.Release(cur.buf)
-			if k+1 < len(owned) {
+		if err := s.io.Wait(); err != nil {
+			t.pinned.Release(buf)
+			if next != nil {
 				// The next read is already in flight holding a pinned
 				// buffer; await it so releasing the buffer is safe.
-				_ = next.ticket.Wait()
-				t.pinned.Release(next.buf)
+				_ = t.slots[owned[k+1]].io.Wait()
+				t.pinned.Release(next)
 			}
-			// Outstanding async writes from earlier iterations also hold
-			// pinned buffers; their reapers must run before we return.
-			wg.Wait()
-			return fmt.Errorf("core: optimizer read %s: %w", s.name, err)
+			t.fail(fmt.Errorf("core: optimizer read %s: %w", s.name, err))
+			break
 		}
-		n := s.n
-		master, m, v := t.F32.Get(n), t.F32.Get(n), t.F32.Get(n)
-		tensor.F32FromBytes(master, cur.buf[0:4*n])
-		tensor.F32FromBytes(m, cur.buf[4*n:8*n])
-		tensor.F32FromBytes(v, cur.buf[8*n:12*n])
-
-		optim.StepVecOn(t.Backend, t.Adam, step, master, grads[k], m, v)
+		rec := buf[:s.optRegion.Size]
+		x := tensor.F32View(rec)
+		master := x[:s.n]
+		optim.StepVecOn(t.Backend, t.Adam, step, master, grads[k], x[s.n:2*s.n], x[2*s.n:])
 		t.F32.Put(grads[k])
-
-		// Serialize the updated optimizer state back into the same pinned
-		// buffer and write asynchronously; a reaper returns the buffer to
-		// the pool when the write lands.
-		tensor.F32ToBytes(cur.buf[0:4*n], master)
-		tensor.F32ToBytes(cur.buf[4*n:8*n], m)
-		tensor.F32ToBytes(cur.buf[8*n:12*n], v)
-		wt := t.io.WriteRegion(cur.buf[:s.optRegion.Size], s.optRegion)
+		t.io.Issue(&s.io, nvme.Write, rec, s.optRegion.Offset)
 
 		// Refresh the fp16 parameter shard on its own tier.
-		var pt *nvme.Ticket
-		var pbuf []byte
+		var half []byte
 		if t.params {
-			half := t.F16.Get(n)
-			t.Backend.EncodeHalf(half, master)
-			pbuf = t.Bytes.Get(int(s.region.Size))
-			tensor.HalfToBytes(pbuf, half)
-			pt = t.io.WriteRegion(pbuf, s.region)
-			t.F16.Put(half)
+			half = t.Bytes.Get(int(s.region.Size))
+			t.Backend.EncodeHalf(tensor.HalfView(half), master)
+			t.io.Issue(&s.halfIO, nvme.Write, half, s.region.Offset)
 		} else {
 			t.Backend.EncodeHalf(t.Half[i], master)
 		}
-		t.F32.Put(master)
-		t.F32.Put(m)
-		t.F32.Put(v)
-
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			setErr(wt.Wait())
-			if pt != nil {
-				setErr(pt.Wait())
-				t.Bytes.Put(pbuf)
-			}
-			t.pinned.Release(cur.buf)
-		}()
+		t.writes[(t.whead+t.wlen)%pinnedBuffers] = writeBack{slot: i, buf: buf, half: half}
+		t.wlen++
 	}
-	wg.Wait()
-	t.io.Flush()
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
+	for t.wlen > 0 {
+		t.reapWrite()
 	}
-	return nil
+	err := t.firstErr
+	t.firstErr = nil
+	return err
 }
 
-// SaveOpt implements zero.Tier: an NVMe-resident record is the region's raw
-// bytes.
+// readOpt issues the read of parameter i's optimizer record into a pinned
+// buffer and returns the buffer.
+func (t *nvmeTier) readOpt(i int) []byte {
+	s := &t.slots[i]
+	buf, ok := t.pinned.TryAcquire()
+	if !ok {
+		// Every free buffer is under a pending write-back (reads hold at
+		// most two of the pool's four), so the oldest one frees a buffer.
+		t.reapWrite()
+		buf = t.pinned.Acquire()
+	}
+	t.io.Issue(&s.io, nvme.Read, buf[:s.optRegion.Size], s.optRegion.Offset)
+	return buf
+}
+
+// reapWrite waits for the oldest pending write-back and releases its
+// buffers.
+func (t *nvmeTier) reapWrite() {
+	w := t.writes[t.whead]
+	t.writes[t.whead] = writeBack{}
+	t.whead = (t.whead + 1) % pinnedBuffers
+	t.wlen--
+	s := &t.slots[w.slot]
+	t.fail(writeErr(s.io.Wait(), "opt", s.name))
+	t.pinned.Release(w.buf)
+	if w.half != nil {
+		t.fail(writeErr(s.halfIO.Wait(), "param", s.name))
+		t.Bytes.Put(w.half)
+	}
+}
+
+// fail keeps the first error of the optimizer step.
+func (t *nvmeTier) fail(err error) {
+	if t.firstErr == nil {
+		t.firstErr = err
+	}
+}
+
+// SaveOpt implements zero.Tier: an NVMe-resident record is the region's
+// values, serialized little-endian like every rank-state record.
 func (t *nvmeTier) SaveOpt(i int, w *bufio.Writer, codec *zero.VecCodec) error {
 	if !t.opt {
 		return t.Resident.SaveOpt(i, w, codec)
 	}
-	r := t.slots[i].optRegion
-	buf := t.Bytes.Get(int(r.Size))
-	err := t.io.ReadRegion(buf, r).Wait()
+	s := &t.slots[i]
+	buf := t.Bytes.Get(int(s.optRegion.Size))
+	t.io.Issue(&s.io, nvme.Read, buf, s.optRegion.Offset)
+	err := s.io.Wait()
 	if err == nil {
-		_, err = w.Write(buf)
+		err = codec.WriteVec(w, tensor.F32View(buf))
 	}
 	t.Bytes.Put(buf)
 	return err
@@ -399,16 +430,14 @@ func (t *nvmeTier) LoadOpt(i int, r *bufio.Reader, codec *zero.VecCodec) error {
 	}
 	s := &t.slots[i]
 	buf := t.Bytes.Get(int(s.optRegion.Size))
-	master := t.F32.Get(s.n)
-	_, err := io.ReadFull(r, buf)
+	x := tensor.F32View(buf)
+	err := codec.ReadVec(r, x)
 	if err == nil {
-		tensor.F32FromBytes(master, buf[:4*s.n])
-		err = t.write(&s.optRegion, "opt/"+s.name, buf)
+		err = t.write(&s.io, s.optRegion, buf, "opt", s.name)
 	}
 	if err == nil {
-		err = t.putShard(i, master)
+		err = t.putShard(i, x[:s.n])
 	}
-	t.F32.Put(master)
 	t.Bytes.Put(buf)
 	return err
 }

@@ -29,6 +29,14 @@ func (o Op) String() string {
 
 // Ticket tracks one asynchronous bulk request. Wait blocks until every
 // sub-request has completed and returns the first error.
+//
+// The zero Ticket is ready for use, and a caller that owns one (a field of
+// its own state, passed to Issue) may issue a new request on it once Wait
+// has returned: the ticket then reports that request alone, so a
+// steady-state caller performs no allocation per request. A ticket must not
+// be reissued while a request on it is in flight, nor waited on by two
+// goroutines at once. ReadAsync, WriteAsync, ReadRegion and WriteRegion
+// return a fresh ticket per request.
 type Ticket struct {
 	wg  sync.WaitGroup
 	err atomic.Pointer[error]
@@ -45,7 +53,10 @@ func (t *Ticket) Wait() error {
 
 func (t *Ticket) setErr(err error) {
 	if err != nil {
-		t.err.CompareAndSwap(nil, &err)
+		// Taking the address of a branch-local copy, not of the parameter,
+		// keeps the successful completion free of a heap allocation.
+		e := err
+		t.err.CompareAndSwap(nil, &e)
 	}
 }
 
@@ -70,7 +81,9 @@ type subReq struct {
 // a request queue. Large requests are split into chunkSize sub-requests so a
 // single bulk read/write is parallelized across all workers — the mechanism
 // by which DeepNVMe reaches near-peak sequential bandwidth from one user
-// thread.
+// thread. Issue is the one submission path: a steady-state caller passes
+// tickets it owns and reuses, and the convenience forms wrap it with a
+// fresh ticket.
 type Engine struct {
 	store        Store
 	chunkSize    int
@@ -207,20 +220,22 @@ func (e *Engine) perform(r subReq) error {
 	return err
 }
 
-// submit splits the request into chunks and enqueues them. A request that
-// races or follows Close is not enqueued; its ticket reports ErrClosed.
-func (e *Engine) submit(op Op, buf []byte, off int64) *Ticket {
-	t := &Ticket{}
+// Issue splits a request of op on buf at off into chunks and enqueues them,
+// reporting completion on the caller-owned ticket t (see Ticket for reuse).
+// buf must stay untouched until t completes. A request that races or
+// follows Close is not enqueued; t reports ErrClosed.
+func (e *Engine) Issue(t *Ticket, op Op, buf []byte, off int64) {
+	t.err.Store(nil)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		t.setErr(ErrClosed)
-		return t
+		return
 	}
 	n := len(buf)
 	chunks := (n + e.chunkSize - 1) / e.chunkSize
 	if chunks == 0 {
-		return t // empty request: Wait returns immediately
+		return // empty request: Wait returns immediately
 	}
 	t.wg.Add(chunks)
 	e.pending.Add(chunks)
@@ -232,16 +247,22 @@ func (e *Engine) submit(op Op, buf []byte, off int64) *Ticket {
 		}
 		e.queue <- subReq{op: op, buf: buf[lo:hi], off: off + int64(lo), ticket: t}
 	}
+}
+
+// async issues a request on a fresh ticket.
+func (e *Engine) async(op Op, buf []byte, off int64) *Ticket {
+	t := new(Ticket)
+	e.Issue(t, op, buf, off)
 	return t
 }
 
 // ReadAsync schedules a bulk read of len(buf) bytes at off into buf.
 // buf must stay untouched until the ticket completes.
-func (e *Engine) ReadAsync(buf []byte, off int64) *Ticket { return e.submit(Read, buf, off) }
+func (e *Engine) ReadAsync(buf []byte, off int64) *Ticket { return e.async(Read, buf, off) }
 
 // WriteAsync schedules a bulk write of buf at off.
 // buf must stay untouched until the ticket completes.
-func (e *Engine) WriteAsync(buf []byte, off int64) *Ticket { return e.submit(Write, buf, off) }
+func (e *Engine) WriteAsync(buf []byte, off int64) *Ticket { return e.async(Write, buf, off) }
 
 // ReadRegion reads exactly r.Size bytes from region r into buf.
 func (e *Engine) ReadRegion(buf []byte, r Region) *Ticket {

@@ -21,6 +21,33 @@ func TestFaultErrorSurfacesOnTicket(t *testing.T) {
 	}
 }
 
+// A caller-owned ticket reissued after a failed request reports that new
+// request alone: the injected error does not stick to it.
+func TestReusedTicketClearsInjectedError(t *testing.T) {
+	inj := &FaultInjector{}
+	inj.Arm(FaultArm{Op: Write, Nth: 1})
+	e := NewEngine(NewMemStore(1<<16), Options{Workers: 2, ChunkSize: 256, Faults: inj})
+	defer e.Close()
+	var tk Ticket
+	data := bytes.Repeat([]byte{0x5A}, 1024)
+	e.Issue(&tk, Write, data, 0)
+	if err := tk.Wait(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("faulted write: want ErrInjected, got %v", err)
+	}
+	e.Issue(&tk, Write, data, 0)
+	if err := tk.Wait(); err != nil {
+		t.Fatalf("clean write on the reused ticket: %v", err)
+	}
+	got := make([]byte, len(data))
+	e.Issue(&tk, Read, got, 0)
+	if err := tk.Wait(); err != nil {
+		t.Fatalf("clean read on the reused ticket: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("data corrupted after the retried write")
+	}
+}
+
 func TestRetryClearsTransientFault(t *testing.T) {
 	inj := &FaultInjector{}
 	// Two consecutive write faults, three attempts budgeted: the third

@@ -71,11 +71,12 @@ func TestAsyncOverlappedRequests(t *testing.T) {
 }
 
 func TestFlushWaitsForAll(t *testing.T) {
-	e := NewEngine(NewMemStore(1<<20), Options{Workers: 2, ChunkSize: 128})
+	// Disjoint ranges: MemStore forbids concurrent writes to one range.
+	e := NewEngine(NewMemStore(8<<18), Options{Workers: 2, ChunkSize: 128})
 	defer e.Close()
 	buf := make([]byte, 1<<18)
 	for i := 0; i < 8; i++ {
-		e.WriteAsync(buf, 0)
+		e.WriteAsync(buf, int64(i)<<18)
 	}
 	e.Flush()
 	st := e.Stats()

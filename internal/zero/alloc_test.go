@@ -12,51 +12,68 @@ import (
 // The zero-allocation regression tests drive the real sharded engine
 // (overlap + prefetch on) through both of its constructors — ZeRO-3, and
 // ZeRO-Infinity with both states placed on CPU, which is the same
-// //zinf:hotpath body over the same resident tier — and the replicated
-// body at DDP, ZeRO-1 and ZeRO-2. With the allocation-free stub model
-// (stub.go) every heap allocation observed during a step is attributable to
-// the engine+comm+tensor hot path: gathers, async collectives, gradient
-// reduction, the optimizer phase and loss-scale bookkeeping. After warm-up
-// steps fill the scratch arenas, the op pool and the learned gather trace, a
-// steady-state step must perform zero heap allocations.
+// //zinf:hotpath body over the same resident tier, or both on NVMe over an
+// in-memory and a file-backed store, where the streamed optimizer step,
+// read-ahead and write-back run too — and the replicated body at DDP,
+// ZeRO-1 and ZeRO-2. With the allocation-free stub model (stub.go) every
+// heap allocation observed during a step is attributable to the
+// engine+comm+tensor+nvme hot path: gathers, async collectives, gradient
+// reduction, the optimizer phase, NVMe requests and loss-scale
+// bookkeeping. After warm-up steps fill the scratch arenas, the op pool and
+// the learned gather trace, a steady-state step must perform zero heap
+// allocations.
 
 // allocEngine is one row of the zero-allocation tables: how to build the
 // engine under test, returning its step function and its own per-step
-// allocation counter.
+// allocation counter. t owns whatever the engine leaves on disk.
 type allocEngine struct {
 	name string
-	new  func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (step func(tok, tgt []int, batch int), perStep func() uint64, err error)
+	new  func(t *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (step func(tok, tgt []int, batch int), perStep func() uint64, err error)
 }
 
 var allocEngines = []allocEngine{
-	{"zero3", func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+	{"zero3", func(_ *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
 		e, err := zero.NewZ3Engine(zero.Config{LossScale: lossScale, Seed: seed, Overlap: true, PrefetchDepth: 2}, c, m)
 		if err != nil {
 			return nil, nil, err
 		}
 		return func(tok, tgt []int, batch int) { e.Step(tok, tgt, batch) }, func() uint64 { return e.AllocsPerStep }, nil
 	}},
-	{"infinity-cpu", func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
-		e, err := core.NewInfinityEngine(core.Config{Params: zero.OnCPU, Optimizer: zero.OnCPU,
-			LossScale: lossScale, Seed: seed, Overlap: true, PrefetchDepth: 2}, c, m)
+	{"infinity-cpu", infinityAllocEngine(zero.OnCPU, false)},
+	{"infinity-nvme-mem", infinityAllocEngine(zero.OnNVMe, false)},
+	{"infinity-nvme-file", infinityAllocEngine(zero.OnNVMe, true)},
+	{"ddp", dpAllocEngine(zero.StageDDP)},
+	{"zero1", dpAllocEngine(zero.Stage1)},
+	{"zero2", dpAllocEngine(zero.Stage2)},
+}
+
+// infinityAllocEngine is the allocEngines row of ZeRO-Infinity with both
+// state classes at where; file backs an NVMe store with a file in a test
+// temp directory instead of memory.
+func infinityAllocEngine(where zero.Placement, file bool) func(t *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+	return func(t *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+		cfg := core.Config{Params: where, Optimizer: where,
+			LossScale: lossScale, Seed: seed, Overlap: true, PrefetchDepth: 2}
+		if file {
+			cfg.NVMeDir = t.TempDir()
+		}
+		e, err := core.NewInfinityEngine(cfg, c, m)
 		if err != nil {
 			return nil, nil, err
 		}
+		t.Cleanup(e.Close)
 		step := func(tok, tgt []int, batch int) {
 			if _, err := e.Step(tok, tgt, batch); err != nil {
 				panic(err)
 			}
 		}
 		return step, func() uint64 { return e.Stats().AllocsPerStep }, nil
-	}},
-	{"ddp", dpAllocEngine(zero.StageDDP)},
-	{"zero1", dpAllocEngine(zero.Stage1)},
-	{"zero2", dpAllocEngine(zero.Stage2)},
+	}
 }
 
 // dpAllocEngine is the allocEngines row of the replicated body at stage.
-func dpAllocEngine(stage zero.Stage) func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
-	return func(c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+func dpAllocEngine(stage zero.Stage) func(t *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+	return func(_ *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
 		e, err := zero.NewDPEngine(zero.Config{Stage: stage, LossScale: lossScale, Seed: seed}, c, m)
 		if err != nil {
 			return nil, nil, err
@@ -77,7 +94,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, row := range allocEngines {
 		t.Run(row.name, func(t *testing.T) {
 			minAllocs, minPerStep := allocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
-				step, perStep, err := row.new(c, zero.NewAllocFreeStub(4, 51), 1, 11)
+				step, perStep, err := row.new(t, c, zero.NewAllocFreeStub(4, 51), 1, 11)
 				tok := make([]int, 1)
 				tgt := make([]int, 1)
 				return func() { step(tok, tgt, 1) }, perStep, err

@@ -25,7 +25,7 @@ func TestFullStepZeroAllocs(t *testing.T) {
 	for _, row := range allocEngines {
 		t.Run(row.name+"/stub", func(t *testing.T) {
 			minAllocs, minPerStep := allocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
-				step, perStep, err := row.new(c, zero.NewAllocFreeStub(4, 51), 1, 11)
+				step, perStep, err := row.new(t, c, zero.NewAllocFreeStub(4, 51), 1, 11)
 				tok := make([]int, 1)
 				tgt := make([]int, 1)
 				return func() { step(tok, tgt, 1) }, perStep, err
@@ -36,7 +36,7 @@ func TestFullStepZeroAllocs(t *testing.T) {
 		})
 		t.Run(row.name+"/gpt", func(t *testing.T) {
 			minAllocs, minPerStep := allocFloor(t, func(c *comm.Comm) (func(), func() uint64, error) {
-				step, perStep, err := row.new(c, model.MustGPT(mcfg), 256, 42)
+				step, perStep, err := row.new(t, c, model.MustGPT(mcfg), 256, 42)
 				tok, tgt := model.SyntheticBatch(tensor.NewRNG(uint64(700+c.Rank())), mcfg, 2)
 				return func() { step(tok, tgt, 2) }, perStep, err
 			})
