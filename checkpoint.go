@@ -167,9 +167,3 @@ func LoadCheckpoint(r io.Reader, e Engine) error {
 	}
 	return loader.LoadParams(params)
 }
-
-// SaveCheckpoint gathers the engine's weights (collective call — every rank
-// must participate, but only the caller writes) and serializes them to w.
-func SaveCheckpoint(w io.Writer, e Engine) error {
-	return WriteCheckpoint(w, e.FullParams())
-}

@@ -88,7 +88,7 @@ func TestAccumulationMatchesDDPAcrossPlacements(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				step = func(mt, mg [][]int) (zero.StepResult, error) { return e.StepAccum(mt, mg, testBatch), nil }
+				step = func(mt, mg [][]int) (zero.StepResult, error) { return e.StepAccum(mt, mg, testBatch) }
 			}
 			var local []float64
 			for s := 0; s < steps; s++ {

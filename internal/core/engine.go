@@ -87,6 +87,7 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 		at.Checkpoints = e.ckpt
 	}
 	body, err := zero.NewShardedEngine(zero.Config{
+		Stage:            zero.Stage3,
 		Adam:             cfg.Adam,
 		LossScale:        cfg.LossScale,
 		DynamicLossScale: cfg.DynamicLossScale,

@@ -22,7 +22,7 @@ type stateEngine struct {
 
 // There is one rank-state codec, so a file names no tier and no engine
 // body: state written by ZeRO-3 resumes on ZeRO-Infinity and back — resident
-// shards or NVMe regions streamed raw — and on the replicated body's ZeRO-2,
+// shards or NVMe regions streamed raw — and on the replicated ZeRO-2 stage,
 // whose files are ZeRO-3's byte for byte, and training continues
 // bit-identically to the run that was never interrupted.
 func TestRankStateCrossesTiers(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/zero"
 )
 
-// runZero trains a zero-package engine (DP family or Z3) on the shared
-// batches and returns rank 0's observations.
+// runZero trains a zero-package engine (any stage) on the shared batches
+// and returns rank 0's observations.
 func runZero(t *testing.T, mcfg model.Config, zcfg zero.Config) trajectory {
 	t.Helper()
 	zcfg.LossScale = 256
@@ -21,35 +21,23 @@ func runZero(t *testing.T, mcfg model.Config, zcfg zero.Config) trajectory {
 	var out trajectory
 	var mu sync.Mutex
 	comm.Run(testRanks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(tok, tgt []int) zero.StepResult
-		var full func() map[string][]float32
-		stats := func() Stats { return Stats{} }
-		if zcfg.Stage == zero.Stage3 {
-			e, err := zero.NewZ3Engine(zcfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			step = func(tok, tgt []int) zero.StepResult { return e.Step(tok, tgt, testBatch) }
-			full, stats = e.FullParams, e.Stats
-		} else {
-			e, err := zero.NewDPEngine(zcfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			step = func(tok, tgt []int) zero.StepResult { return e.Step(tok, tgt, testBatch) }
-			full = e.FullParams
+		e, err := zero.NewShardedEngine(zcfg, c, model.MustGPT(mcfg), zero.Attachments{})
+		if err != nil {
+			t.Error(err)
+			return
 		}
 		var losses []float64
 		for s := 0; s < testSteps; s++ {
-			losses = append(losses, step(tokens[s][c.Rank()], targets[s][c.Rank()]).Loss)
+			res, err := e.Step(tokens[s][c.Rank()], targets[s][c.Rank()], testBatch)
+			if err != nil {
+				t.Error(err)
+			}
+			losses = append(losses, res.Loss)
 		}
-		p := full()
+		p := e.FullParams()
 		if c.Rank() == 0 {
 			mu.Lock()
-			out = trajectory{losses: losses, params: p, stats: stats()}
+			out = trajectory{losses: losses, params: p, stats: e.Stats()}
 			mu.Unlock()
 		}
 	})

@@ -42,7 +42,7 @@ func runFig6cVariant(part zero.Partitioning, topo *comm.Topology, ranks, steps i
 		gatherK, reduceK = "broadcasthalf", "reducehalfdecode"
 	}
 	run, err := trainSPMD(model.Config{Vocab: 32, Hidden: 32, Heads: 4, Seq: 12, Layers: 2}, ranks, steps, 6000, topo,
-		newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: true, Partition: part}))
+		newZero(zero.Config{Stage: zero.Stage3, PrefetchDepth: overlapDepth, Overlap: true, Partition: part}))
 	tr := run.stats.CommTraffic
 	return fig6cRun{
 		losses: run.losses,

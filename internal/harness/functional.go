@@ -23,23 +23,16 @@ func equivModel(ckpt bool) model.Config {
 func trainLosses(name string, ranks, steps int) ([]float64, error) {
 	var mk func(*comm.Comm, *model.GPT) (engine, error)
 	switch name {
-	case "ddp", "zero1", "zero2", "zero-offload":
-		cfg := zero.Config{LossScale: 256, Seed: 42, Backend: backend}
-		switch name {
-		case "zero1":
-			cfg.Stage = zero.Stage1
-		case "zero2", "zero-offload":
-			cfg.Stage = zero.Stage2
-			cfg.OffloadOptimizer = name == "zero-offload"
-		}
-		mk = func(c *comm.Comm, g *model.GPT) (engine, error) {
-			e, err := zero.NewDPEngine(cfg, c, g)
-			return dpEngine{e}, err
-		}
+	case "ddp":
+		mk = newZero(zero.Config{Stage: zero.StageDDP})
+	case "zero1":
+		mk = newZero(zero.Config{Stage: zero.Stage1})
+	case "zero2", "zero-offload":
+		mk = newZero(zero.Config{Stage: zero.Stage2, OffloadOptimizer: name == "zero-offload"})
 	case "zero3":
-		mk = newZ3(zero.Config{})
+		mk = newZero(zero.Config{Stage: zero.Stage3})
 	case "zero3-overlap":
-		mk = newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: true})
+		mk = newZero(zero.Config{Stage: zero.Stage3, PrefetchDepth: overlapDepth, Overlap: true})
 	case "infinity-cpu":
 		mk = newInfinity(core.Config{Params: zero.OnCPU, Optimizer: zero.OnCPU, PrefetchDepth: 2})
 	default: // the NVMe variants

@@ -16,7 +16,7 @@ const overlapDepth = 2
 // runOverlapVariant trains one engine variant and captures per-step wall
 // time plus the engine's overlap counters from rank 0.
 func runOverlapVariant(name string, depth int, async bool, ranks, steps int) (spmdRun, error) {
-	mk := newZ3(zero.Config{PrefetchDepth: depth, Overlap: async})
+	mk := newZero(zero.Config{Stage: zero.Stage3, PrefetchDepth: depth, Overlap: async})
 	if name != "zero3" { // infinity-nvme
 		mk = newInfinity(core.Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
 			PrefetchDepth: depth, Overlap: async})

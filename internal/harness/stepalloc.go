@@ -64,7 +64,7 @@ func runStepAllocEngineOnly(warmup, steps int) (uint64, error) {
 }
 
 func runStepAllocVariant(name string, ranks, steps int) (spmdRun, error) {
-	mk := newZ3(zero.Config{PrefetchDepth: overlapDepth, Overlap: true})
+	mk := newZero(zero.Config{Stage: zero.Stage3, PrefetchDepth: overlapDepth, Overlap: true})
 	if name != "zero3" { // infinity-gpu
 		mk = newInfinity(core.Config{PrefetchDepth: overlapDepth, Overlap: true})
 	}

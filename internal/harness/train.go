@@ -11,26 +11,17 @@ import (
 	"repro/internal/zero"
 )
 
-// engine is what the functional experiments drive. The sharded engine —
-// ZeRO-3 and every ZeRO-Infinity placement — is one as it stands; the
-// replicated-parameter family goes through dpEngine.
+// engine is what the functional experiments drive: the one engine body,
+// zero.ShardedEngine, for every stage, or core's InfinityEngine around it.
 type engine interface {
 	Step(tokens, targets []int, batch int) (zero.StepResult, error)
 	Stats() zero.Stats
 	Close()
 }
 
-type dpEngine struct{ *zero.DPEngine }
-
-func (e dpEngine) Step(tok, tgt []int, batch int) (zero.StepResult, error) {
-	return e.DPEngine.Step(tok, tgt, batch), nil
-}
-func (e dpEngine) Stats() zero.Stats { return zero.Stats{AllocsPerStep: e.AllocsPerStep} }
-func (e dpEngine) Close()            {}
-
-// newZ3 and newInfinity adapt the two sharded-engine constructors to
-// trainSPMD, filling in the recipe every experiment shares.
-func newZ3(cfg zero.Config) func(*comm.Comm, *model.GPT) (engine, error) {
+// newZero and newInfinity adapt the two engine constructors to trainSPMD,
+// filling in the recipe every experiment shares. newZero runs cfg.Stage.
+func newZero(cfg zero.Config) func(*comm.Comm, *model.GPT) (engine, error) {
 	cfg.LossScale, cfg.Seed, cfg.Backend = 256, 42, backend
 	return func(c *comm.Comm, g *model.GPT) (engine, error) {
 		return zero.NewShardedEngine(cfg, c, g, zero.Attachments{})

@@ -17,25 +17,10 @@ func runAccum(t *testing.T, ecfg Config, micros, steps int) runOutput {
 	var out runOutput
 	var mu sync.Mutex
 	comm.Run(testRanks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(mt, mg [][]int) StepResult
-		var full func() map[string][]float32
-		if ecfg.Stage == Stage3 {
-			e, err := NewZ3Engine(ecfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			step = func(mt, mg [][]int) StepResult { return mustStep(t)(e.StepAccum(mt, mg, testBatch)) }
-			full = e.FullParams
-		} else {
-			e, err := NewDPEngine(ecfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			step = func(mt, mg [][]int) StepResult { return e.StepAccum(mt, mg, testBatch) }
-			full = e.FullParams
+		e, err := NewShardedEngine(ecfg, c, model.MustGPT(mcfg), Attachments{})
+		if err != nil {
+			t.Error(err)
+			return
 		}
 		var losses []float64
 		for s := 0; s < steps; s++ {
@@ -45,9 +30,9 @@ func runAccum(t *testing.T, ecfg Config, micros, steps int) runOutput {
 				rng := tensor.NewRNG(uint64(5000 + s*1000 + m*100 + c.Rank()))
 				mt[m], mg[m] = model.SyntheticBatch(rng, mcfg, testBatch)
 			}
-			losses = append(losses, step(mt, mg).Loss)
+			losses = append(losses, mustStep(t)(e.StepAccum(mt, mg, testBatch)).Loss)
 		}
-		params := full()
+		params := e.FullParams()
 		if c.Rank() == 0 {
 			mu.Lock()
 			out = runOutput{losses: losses, params: params}

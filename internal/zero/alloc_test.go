@@ -9,13 +9,13 @@ import (
 	"repro/internal/zero"
 )
 
-// The zero-allocation regression tests drive the real sharded engine
-// (overlap + prefetch on) through both of its constructors — ZeRO-3, and
-// ZeRO-Infinity with both states placed on CPU, which is the same
-// //zinf:hotpath body over the same resident tier, or both on NVMe over an
-// in-memory and a file-backed store, where the streamed optimizer step,
-// read-ahead and write-back run too — and the replicated body at DDP,
-// ZeRO-1 and ZeRO-2. With the allocation-free stub model (stub.go) every
+// The zero-allocation regression tests drive the one engine body through
+// its constructors — ZeRO-3 (overlap + prefetch on); ZeRO-Infinity with both
+// states placed on CPU, which is the same //zinf:hotpath body over the same
+// resident tier, or both on NVMe over an in-memory and a file-backed store,
+// where the streamed optimizer step, read-ahead and write-back run too; and
+// the replicated stages DDP, ZeRO-1 and ZeRO-2, the last also with its
+// reduce-scatters launched asynchronously. With the allocation-free stub model (stub.go) every
 // heap allocation observed during a step is attributable to the
 // engine+comm+tensor+nvme hot path: gathers, async collectives, gradient
 // reduction, the optimizer phase, NVMe requests and loss-scale
@@ -42,9 +42,10 @@ var allocEngines = []allocEngine{
 	{"infinity-cpu", infinityAllocEngine(zero.OnCPU, false)},
 	{"infinity-nvme-mem", infinityAllocEngine(zero.OnNVMe, false)},
 	{"infinity-nvme-file", infinityAllocEngine(zero.OnNVMe, true)},
-	{"ddp", dpAllocEngine(zero.StageDDP)},
-	{"zero1", dpAllocEngine(zero.Stage1)},
-	{"zero2", dpAllocEngine(zero.Stage2)},
+	{"ddp", dpAllocEngine(zero.StageDDP, false)},
+	{"zero1", dpAllocEngine(zero.Stage1, false)},
+	{"zero2", dpAllocEngine(zero.Stage2, false)},
+	{"zero2-overlap", dpAllocEngine(zero.Stage2, true)},
 }
 
 // infinityAllocEngine is the allocEngines row of ZeRO-Infinity with both
@@ -71,10 +72,16 @@ func infinityAllocEngine(where zero.Placement, file bool) func(t *testing.T, c *
 	}
 }
 
-// dpAllocEngine is the allocEngines row of the replicated body at stage.
-func dpAllocEngine(stage zero.Stage) func(t *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
+// dpAllocEngine is the allocEngines row of the replicated stage, with
+// overlap (and a prefetch depth, which the replicated stages ignore) on or
+// off.
+func dpAllocEngine(stage zero.Stage, overlap bool) func(t *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
 	return func(_ *testing.T, c *comm.Comm, m zero.Model, lossScale float64, seed uint64) (func(tok, tgt []int, batch int), func() uint64, error) {
-		e, err := zero.NewDPEngine(zero.Config{Stage: stage, LossScale: lossScale, Seed: seed}, c, m)
+		cfg := zero.Config{Stage: stage, LossScale: lossScale, Seed: seed, Overlap: overlap}
+		if overlap {
+			cfg.PrefetchDepth = 2
+		}
+		e, err := zero.NewDPEngine(cfg, c, m)
 		if err != nil {
 			return nil, nil, err
 		}

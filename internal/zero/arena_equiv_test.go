@@ -19,32 +19,17 @@ func runEngineHeap(t *testing.T, mcfg model.Config, ecfg Config, ckpt bool) runO
 	var out runOutput
 	var mu sync.Mutex
 	comm.Run(testRanks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(tok, tgt []int) StepResult
-		var full func() map[string][]float32
-		if ecfg.Stage == Stage3 {
-			e, err := NewZ3Engine(ecfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			e.Runtime().SetStepArena(nil)
-			step, full = e.Step2(), e.FullParams
-		} else {
-			e, err := NewDPEngine(ecfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			e.Runtime().SetStepArena(nil)
-			step = func(tok, tgt []int) StepResult { return e.Step(tok, tgt, testBatch) }
-			full = e.FullParams
+		e, err := NewShardedEngine(ecfg, c, model.MustGPT(mcfg), Attachments{})
+		if err != nil {
+			t.Error(err)
+			return
 		}
+		e.Runtime().SetStepArena(nil)
 		var losses []float64
 		for s := 0; s < testSteps; s++ {
-			losses = append(losses, step(tokens[s][c.Rank()], targets[s][c.Rank()]).Loss)
+			losses = append(losses, mustStep(t)(e.Step(tokens[s][c.Rank()], targets[s][c.Rank()], testBatch)).Loss)
 		}
-		params := full()
+		params := e.FullParams()
 		if c.Rank() == 0 {
 			mu.Lock()
 			out = runOutput{losses: losses, params: params}

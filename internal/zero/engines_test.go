@@ -39,7 +39,7 @@ func makeBatches(cfg model.Config, steps, ranks, batch int) (tokens, targets [][
 type runOutput struct {
 	losses []float64
 	params map[string][]float32
-	z3     *Z3Engine // set when the engine is Z3 (rank 0)
+	eng    *ShardedEngine // rank 0's engine
 }
 
 // runEngine trains the configured engine for testSteps and returns rank 0's
@@ -49,7 +49,8 @@ func runEngine(t *testing.T, mcfg model.Config, ecfg Config, ckpt bool) runOutpu
 	return runEngineOn(t, mcfg, ecfg, ckpt, nil)
 }
 
-// runEngineOn is runEngine on a world built with the given topology.
+// runEngineOn is runEngine on a world built with the given topology. Every
+// engine must be idle after each step.
 func runEngineOn(t *testing.T, mcfg model.Config, ecfg Config, ckpt bool, topo *comm.Topology) runOutput {
 	t.Helper()
 	w, err := comm.New(comm.WorldOptions{Size: testRanks, Topology: topo})
@@ -61,44 +62,27 @@ func runEngineOn(t *testing.T, mcfg model.Config, ecfg Config, ckpt bool, topo *
 	var out runOutput
 	var mu sync.Mutex
 	w.Run(func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		var step func(tok, tgt []int) StepResult
-		var full func() map[string][]float32
-		var z3 *Z3Engine
-		if ecfg.Stage == Stage3 {
-			e, err := NewZ3Engine(ecfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			step, full, z3 = e.Step2(), e.FullParams, e
-		} else {
-			e, err := NewDPEngine(ecfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			step = func(tok, tgt []int) StepResult { return e.Step(tok, tgt, testBatch) }
-			full = e.FullParams
+		e, err := NewShardedEngine(ecfg, c, model.MustGPT(mcfg), Attachments{})
+		if err != nil {
+			t.Error(err)
+			return
 		}
 		var losses []float64
 		for s := 0; s < testSteps; s++ {
-			res := step(tokens[s][c.Rank()], targets[s][c.Rank()])
+			res := mustStep(t)(e.Step(tokens[s][c.Rank()], targets[s][c.Rank()], testBatch))
 			losses = append(losses, res.Loss)
+			if err := e.CheckIdle(); err != nil {
+				t.Errorf("%s rank %d after step %d: %v", ecfg.Stage, c.Rank(), s, err)
+			}
 		}
-		params := full()
+		params := e.FullParams()
 		if c.Rank() == 0 {
 			mu.Lock()
-			out = runOutput{losses: losses, params: params, z3: z3}
+			out = runOutput{losses: losses, params: params, eng: e}
 			mu.Unlock()
 		}
 	})
 	return out
-}
-
-// Step2 adapts Z3Engine.Step to the two-arg closure used by runEngine.
-func (e *Z3Engine) Step2() func(tok, tgt []int) StepResult {
-	return func(tok, tgt []int) StepResult { return e.Step(tok, tgt, testBatch) }
 }
 
 func assertSameTrajectory(t *testing.T, name string, a, b runOutput) {
@@ -141,7 +125,9 @@ func TestAllStagesBitIdenticalToDDP(t *testing.T) {
 		ckpt bool
 	}{
 		{"zero1", Config{Stage: Stage1, LossScale: 256, Seed: 42}, false},
+		{"zero1+overlap", Config{Stage: Stage1, LossScale: 256, Seed: 42, Overlap: true}, false},
 		{"zero2", Config{Stage: Stage2, LossScale: 256, Seed: 42}, false},
+		{"zero2+overlap", Config{Stage: Stage2, LossScale: 256, Seed: 42, Overlap: true}, false},
 		{"zero-offload", Config{Stage: Stage2, LossScale: 256, Seed: 42, OffloadOptimizer: true}, false},
 		{"zero3", Config{Stage: Stage3, LossScale: 256, Seed: 42}, false},
 		{"zero3+ckpt", Config{Stage: Stage3, LossScale: 256, Seed: 42}, true},
@@ -182,9 +168,9 @@ func TestTrainingConvergesUnderZ3(t *testing.T) {
 
 func TestZ3ExternalParamAutoRegistration(t *testing.T) {
 	out := runEngine(t, testCfg(), Config{Stage: Stage3, LossScale: 64, Seed: 9}, false)
-	z3 := out.z3
+	z3 := out.eng
 	if z3 == nil {
-		t.Fatal("no Z3 engine captured")
+		t.Fatal("no engine captured")
 	}
 	// The tied head touches embed.tok outside its owner module: exactly one
 	// on-demand gather in the first iteration, then the registry prefetches
@@ -207,7 +193,7 @@ func TestZ3ExternalParamAutoRegistration(t *testing.T) {
 
 func TestZ3GatherTraceRecorded(t *testing.T) {
 	out := runEngine(t, testCfg(), Config{Stage: Stage3, LossScale: 64, Seed: 9}, false)
-	tr := out.z3.GatherTrace()
+	tr := out.eng.GatherTrace()
 	if len(tr) == 0 {
 		t.Fatal("empty gather trace")
 	}
@@ -257,6 +243,68 @@ func TestOverflowSkipsAndHalvesScale(t *testing.T) {
 			}
 		}
 	})
+}
+
+// LoadParams checks every name and length before it changes anything: a
+// map missing the last parameter, or holding it at the wrong length, returns
+// the error and leaves the weights and the optimizer step as they were.
+func TestLoadParamsRejectsBadMapsAtomically(t *testing.T) {
+	mcfg := testCfg()
+	tokens, targets := makeBatches(mcfg, 1, testRanks, testBatch)
+	for _, stage := range []Stage{Stage3, StageDDP, Stage2} {
+		t.Run(stage.String(), func(t *testing.T) {
+			comm.Run(testRanks, func(c *comm.Comm) {
+				e, err := NewShardedEngine(Config{Stage: stage, LossScale: 64, Seed: 3}, c, model.MustGPT(mcfg), Attachments{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mustStep(t)(e.Step(tokens[0][c.Rank()], targets[0][c.Rank()], testBatch))
+				before := e.FullParams()
+				last := e.params[len(e.params)-1].Name
+				// Every value differs from the current weights, so a
+				// parameter placed before the error would show.
+				shifted := func() map[string][]float32 {
+					m := make(map[string][]float32, len(before))
+					for name, v := range before {
+						w := make([]float32, len(v))
+						for i := range v {
+							w[i] = v[i] + 0.5
+						}
+						m[name] = w
+					}
+					return m
+				}
+				missing, short := shifted(), shifted()
+				delete(missing, last)
+				short[last] = short[last][1:]
+				for _, bad := range []map[string][]float32{missing, short} {
+					if err := e.LoadParams(bad); err == nil {
+						t.Errorf("rank %d: LoadParams accepted a bad map", c.Rank())
+					}
+					if e.stepCount != 1 {
+						t.Errorf("rank %d: step count %d after a rejected load, want 1", c.Rank(), e.stepCount)
+					}
+					if name, ok := sameParams(before, e.FullParams()); !ok {
+						t.Errorf("rank %d: rejected load changed %s", c.Rank(), name)
+					}
+				}
+			})
+		})
+	}
+}
+
+// sameParams reports whether b holds a's values bit for bit, and the first
+// parameter that differs if not.
+func sameParams(a, b map[string][]float32) (string, bool) {
+	for name, v := range a {
+		for i := range v {
+			if b[name][i] != v[i] {
+				return name, false
+			}
+		}
+	}
+	return "", true
 }
 
 func TestOffloadEngineCountsTraffic(t *testing.T) {

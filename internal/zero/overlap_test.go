@@ -35,7 +35,7 @@ func TestZ3OverlapBitIdenticalToSync(t *testing.T) {
 
 func TestZ3OverlapPrefetcherIssuesAndHits(t *testing.T) {
 	out := runEngine(t, testCfg(), Config{Stage: Stage3, LossScale: 256, Seed: 42, PrefetchDepth: 2, Overlap: true}, false)
-	z3 := out.z3
+	z3 := out.eng
 	if z3.PrefetchIssued == 0 {
 		t.Fatal("gather prefetcher issued nothing")
 	}

@@ -9,25 +9,21 @@ import (
 	"repro/internal/model"
 )
 
-// stateEngine is the surface the rank-state tests drive on both engine
-// bodies.
+// stateEngine is the surface the rank-state tests drive.
 type stateEngine interface {
 	Step(tokens, targets []int, batch int) StepResult
 	SaveRankState(io.Writer) error
 	LoadRankState(io.Reader) error
 }
 
-// stateStages are the rank-state tests' rows: the sharded engine body, and
-// the replicated one unpartitioned and partitioned.
+// stateStages are the rank-state tests' rows: partitioned parameters, and
+// replicated ones with the optimizer state whole and partitioned.
 var stateStages = []Stage{Stage3, StageDDP, Stage2}
 
-// newStateEngine builds the engine body that runs stage.
+// newStateEngine builds the resident engine that runs stage.
 func newStateEngine(stage Stage, cfg Config, c *comm.Comm, g Model) (stateEngine, error) {
-	if stage == Stage3 {
-		return NewZ3Engine(cfg, c, g)
-	}
 	cfg.Stage = stage
-	return NewDPEngine(cfg, c, g)
+	return newResidentEngine(cfg, c, g)
 }
 
 // fuzzState trains a 1-rank engine a step and serializes its rank state —

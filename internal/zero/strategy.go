@@ -1,27 +1,27 @@
 // Package zero implements the ZeRO family of data-parallel training engines
-// from the paper's Table 2 taxonomy, as two engine bodies:
+// from the paper's Table 2 taxonomy as one engine body, ShardedEngine
+// (z3.go, overlap.go), whose Config.Stage picks what is partitioned:
 //
-//	DPEngine — parameters replicated on every rank:
-//	  Data parallel (DDP)  — everything replicated on GPU
-//	  ZeRO-1               — optimizer states partitioned
-//	  ZeRO-2               — optimizer states + gradients partitioned
-//	  ZeRO-Offload         — ZeRO-2 placement with optimizer states on CPU
-//	ShardedEngine — all three model states partitioned:
-//	  ZeRO-3               — shards resident in process memory
-//	  ZeRO-Infinity        — the same body over the tier, GPU budget and
-//	                         checkpoint store internal/core attaches
+//	Data parallel (DDP)  — everything replicated on GPU
+//	ZeRO-1               — optimizer states partitioned
+//	ZeRO-2               — optimizer states + gradients partitioned
+//	ZeRO-Offload         — ZeRO-2 placement with optimizer states on CPU
+//	ZeRO-3               — parameters partitioned too
+//	ZeRO-Infinity        — ZeRO-3 over the tier, GPU budget and checkpoint
+//	                       store internal/core attaches
 //
-// The sharded engine (z3.go, overlap.go) owns everything that does not
-// depend on where shards live: hook-driven gather/release, the
+// Below Stage3 the parameters stay materialized on every rank, so the hooks
+// only reduce gradients; at Stage3 they also gather and release parameters.
+// Everything else exists once: the hook-driven gather/release, the
 // external-parameter registry, gradient reduce and fold, the gather
-// prefetcher, the overflow/unscale/clip/optimizer tail, LoadParams and
-// FullParams. Placement is the Tier interface (tier.go) with two
-// implementations: Resident here, the NVMe tier in internal/core. The
-// replicated body (dp.go) keeps its own step but not its own state: its
-// optimizer shards live in a Resident too, and both bodies checkpoint
-// through the one rank-state writer/reader (statefile.go, statecodec.go).
+// prefetcher, the overflow/unscale/clip/optimizer tail, the single recover
+// site, LoadParams, FullParams and the rank-state writer/reader
+// (statefile.go, statecodec.go). Where the optimizer state (and at Stage3
+// the fp16 parameter shards) live is the Tier interface (tier.go): Resident
+// here, replicaTier for the replicated stages, the NVMe tier in
+// internal/core.
 //
-// All engines share one gradient/update recipe so their training
+// All stages share one gradient/update recipe so their training
 // trajectories are *bit-identical* given the same ranks, seeds and batches:
 // local fp32 grads are encoded to fp16, reduced across ranks in rank order
 // with fp32 accumulation, re-encoded to fp16, unscaled by 1/(lossScale·dp),
@@ -157,7 +157,8 @@ type Config struct {
 	// Seed drives deterministic parameter initialization.
 	Seed uint64
 	// OffloadOptimizer places optimizer state on CPU (ZeRO-Offload when
-	// Stage==Stage2).
+	// Stage==Stage2): the engine counts the gradient and parameter bytes
+	// that cross the GPU<->CPU link (BytesToCPU, BytesFromCPU).
 	OffloadOptimizer bool
 	// ClipNorm, when positive, clips the global (all-parameter, all-rank)
 	// gradient L2 norm to this value before the optimizer step.
@@ -166,14 +167,15 @@ type Config struct {
 	// with Overlap set, the allgathers for the next PrefetchDepth
 	// parameters in the learned gather trace are issued asynchronously
 	// while the current module computes. 0 disables prefetch. Results are
-	// bit-identical.
+	// bit-identical. Below Stage3 nothing is gathered and it is ignored.
 	PrefetchDepth int
-	// Overlap enables asynchronous collectives in the stage-3 engine:
-	// gradient reduce-scatters launch asynchronously from the backward
-	// hooks (drained at micro-batch boundaries and before the overflow
-	// check in StepAccum), and PrefetchDepth > 0 additionally speculates
-	// parameter allgathers. Results are bit-identical to the synchronous
-	// path.
+	// Overlap enables asynchronous collectives: gradient reduce-scatters
+	// (ZeRO-2, ZeRO-3) launch asynchronously from the backward hooks
+	// (drained at micro-batch boundaries and before the overflow check in
+	// StepAccum), and at Stage3 PrefetchDepth > 0 additionally speculates
+	// parameter allgathers. DDP and ZeRO-1 reduce with an fp16 all-reduce,
+	// which has no async twin, so they reduce synchronously in the hook
+	// either way. Results are bit-identical to the synchronous path.
 	Overlap bool
 	// Backend is the compute backend the engine's and the model's kernels
 	// dispatch through (nil selects the serial reference backend). Every
@@ -184,7 +186,8 @@ type Config struct {
 	// (Fig. 6c): 1/dp slicing (default) or owner-rank broadcast. Both train
 	// bit-identically; they differ in which links the gathers and gradient
 	// reductions keep busy (the communicator's world carries the topology
-	// that tells the links apart).
+	// that tells the links apart). Below Stage3 it is ignored: the engine
+	// normalises it to slicing.
 	Partition Partitioning
 }
 

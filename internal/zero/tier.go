@@ -85,8 +85,8 @@ type OptShard struct{ Master, M, V []float32 }
 // Resident is the Tier that keeps shards in process memory — ZeRO-3, and
 // ZeRO-Infinity's GPU and CPU placements, which differ only in where a real
 // system would put the same bytes. The NVMe tier embeds one for whichever
-// state class stays off NVMe, which is why the fields are exported, and
-// DPEngine keeps its optimizer state in one with the Half slots empty.
+// state class stays off NVMe, which is why the fields are exported, and the
+// replicated stages' replicaTier embeds one with the Half slots empty.
 type Resident struct {
 	Scratch
 	Backend tensor.Backend
@@ -194,4 +194,60 @@ func (t *Resident) LoadOpt(i int, r *bufio.Reader, codec *VecCodec) error {
 // Close implements Tier.
 func (t *Resident) Close() {}
 
-var _ Tier = (*Resident)(nil)
+// replicaTier is the Tier of the replicated stages (DDP, ZeRO-1/2,
+// ZeRO-Offload): a Resident optimizer store whose Half slots stay empty,
+// because each parameter's own Data() is the one fp16-valued copy of the
+// weights. Its Update rebuilds those weights from the new masters. The
+// engine never gathers a replicated parameter, so Shard is never called.
+type replicaTier struct {
+	*Resident
+	e *ShardedEngine
+}
+
+// Update implements Tier.
+//
+//zinf:hotpath
+func (t *replicaTier) Update(step int, owned []int, grads [][]float32) error {
+	for k, i := range owned {
+		master := t.Apply(step, i, grads[k])
+		if t.e.cfg.OffloadOptimizer {
+			t.e.BytesFromCPU += int64(len(master)) * tensor.HalfBytes // the updated shard returns to the GPU
+		}
+		t.materialize(i, master)
+	}
+	return nil
+}
+
+// materialize rebuilds parameter i's replicated fp16 weights in its Data()
+// from its fp32 master: encoded and decoded in place under DDP; under
+// ZeRO-1/2 a fused encode+allgather, in which each rank's master shard is
+// rounded to fp16 once inside the collective.
+//
+//zinf:hotpath
+func (t *replicaTier) materialize(i int, master []float32) {
+	p := t.e.params[i]
+	if t.e.cfg.Stage == StageDDP {
+		h := t.F16.Get(len(master))
+		t.Backend.EncodeHalf(h, master)
+		t.Backend.DecodeHalf(p.Data(), h)
+		t.F16.Put(h)
+		return
+	}
+	full := t.F16.Get(len(master) * t.e.c.Size())
+	t.e.c.AllGatherEncodeHalf(full, master)
+	t.Backend.DecodeHalf(p.Data(), full[:p.Len()])
+	t.F16.Put(full)
+}
+
+// LoadOpt implements Tier: the weights are rebuilt once every record is
+// read (see ShardedEngine.LoadRankState), since under ZeRO-1/2 that is a
+// collective.
+func (t *replicaTier) LoadOpt(i int, r *bufio.Reader, codec *VecCodec) error {
+	_, err := t.ReadOpt(i, r, codec)
+	return err
+}
+
+var (
+	_ Tier = (*Resident)(nil)
+	_ Tier = (*replicaTier)(nil)
+)

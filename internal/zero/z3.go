@@ -12,16 +12,25 @@ import (
 	"repro/internal/tensor"
 )
 
-// ShardedEngine is the one sharded engine: ZeRO stage 3, and — with a
-// different Tier behind it — ZeRO-Infinity (paper Secs. 5-7, which build
-// Infinity on ZeRO-3). Every model state is partitioned across the data-parallel ranks:
-// bandwidth-centric 1/dp slicing of each parameter (Sec. 6.1) or the
-// owner-rank baseline. Hooks injected through the module runtime gather a
-// submodule's parameters right before its forward/backward and re-partition
-// them right after (Sec. 7.1); parameters accessed across module boundaries
-// are auto-registered as external through the on-demand Data() interception.
-// With Overlap the gathers are speculated along the learned gather trace and
-// the gradient reductions run asynchronously (Sec. 6.2, overlap.go).
+// ShardedEngine is the one engine body for every row of the paper's Table 2
+// that this package runs: data parallelism, ZeRO-1/2, ZeRO-Offload, ZeRO-3
+// and — with a different Tier behind it — ZeRO-Infinity (paper Secs. 5-7,
+// which build Infinity on ZeRO-3). cfg.Stage decides what is partitioned
+// across the data-parallel ranks and, with it, where parameters reside:
+//
+//   - Stage3 partitions every model state: bandwidth-centric 1/dp slicing of
+//     each parameter (Sec. 6.1) or the owner-rank baseline. Hooks injected
+//     through the module runtime gather a submodule's parameters right
+//     before its forward/backward and re-partition them right after (Sec.
+//     7.1); parameters accessed across module boundaries are auto-registered
+//     as external through the on-demand Data() interception. With Overlap
+//     the gathers are speculated along the learned gather trace and the
+//     gradient reductions run asynchronously (Sec. 6.2, overlap.go).
+//   - StageDDP, Stage1 and Stage2 replicate the parameters: each stays
+//     materialized in its own Data() for the whole run, so the hooks gather
+//     and release nothing and only reduce gradients. The optimizer state is
+//     the full vector under DDP and this rank's 1/dp shard otherwise; the
+//     replica tier (tier.go) rebuilds the weights after each update.
 //
 // Where the fp16 parameter shards and fp32 optimizer shards live is the
 // Tier's business (tier.go); the engine body holds only transient state. All
@@ -65,7 +74,7 @@ type ShardedEngine struct {
 	pendingReduces []overlap.Pending[*pstate]
 
 	// Reused step scratch.
-	shardsBuf          [][]float32
+	shardsBuf, clipBuf [][]float32
 	microTok, microTgt [][]int
 	meter              AllocMeter
 
@@ -82,6 +91,10 @@ type ShardedEngine struct {
 	PrefetchHits    int    // gathers served by a speculative gather
 	AsyncReduces    int    // gradient reductions launched asynchronously
 	AllocsPerStep   uint64 // heap allocations during the last step (process-global mallocs delta)
+
+	// BytesToCPU and BytesFromCPU are ZeRO-Offload's GPU<->CPU traffic:
+	// reduced gradient shards down, updated fp16 shards back up.
+	BytesToCPU, BytesFromCPU int64
 }
 
 // pstate is the engine's transient per-parameter state.
@@ -89,9 +102,9 @@ type pstate struct {
 	p     *module.Param
 	idx   int // index in module.AllParams order; the Tier's handle
 	owner module.Module
-	// shardLen is this rank's shard length: the padded 1/dp slice, or under
-	// owner-rank partitioning the whole parameter on rank bcastRoot and 0
-	// elsewhere (bcastRoot is -1 under slicing).
+	// shardLen is this rank's shard length: the padded 1/dp slice, the
+	// whole parameter under DDP, or under owner-rank partitioning the whole
+	// parameter on rank bcastRoot and 0 elsewhere (bcastRoot is -1 otherwise).
 	shardLen  int
 	bcastRoot int
 	// gradShard holds the reduced (still loss-scaled) fp32 gradient shard
@@ -120,23 +133,40 @@ type Attachments struct {
 // gather.
 type stepAbort struct{ err error }
 
-// Z3Engine is plain ZeRO-3: the sharded engine over resident shards with
-// nothing attached, so its steps cannot fail.
-type Z3Engine struct{ *ShardedEngine }
+// ResidentEngine is the engine body over resident state with nothing
+// attached, so its steps cannot fail: what NewZ3Engine and NewDPEngine
+// return.
+type ResidentEngine struct{ *ShardedEngine }
 
-// NewZ3Engine builds the stage-3 engine for one rank over resident shards.
-func NewZ3Engine(cfg Config, c *comm.Comm, g Model) (*Z3Engine, error) {
+// NewZ3Engine builds the stage-3 engine for one rank over resident shards;
+// cfg.Stage is ignored.
+func NewZ3Engine(cfg Config, c *comm.Comm, g Model) (*ResidentEngine, error) {
+	cfg.Stage = Stage3
+	return newResidentEngine(cfg, c, g)
+}
+
+// NewDPEngine builds the replicated-parameter engine for one rank: DDP,
+// ZeRO-1, ZeRO-2, or ZeRO-Offload (Stage2 with OffloadOptimizer). Stage3 is
+// rejected.
+func NewDPEngine(cfg Config, c *comm.Comm, g Model) (*ResidentEngine, error) {
+	if cfg.Stage == Stage3 {
+		return nil, fmt.Errorf("zero: NewDPEngine does not support stage3; use NewZ3Engine")
+	}
+	return newResidentEngine(cfg, c, g)
+}
+
+func newResidentEngine(cfg Config, c *comm.Comm, g Model) (*ResidentEngine, error) {
 	e, err := NewShardedEngine(cfg, c, g, Attachments{})
 	if err != nil {
 		return nil, err
 	}
-	return &Z3Engine{e}, nil
+	return &ResidentEngine{e}, nil
 }
 
 // Step runs one training step on this rank's batch.
 //
 //zinf:hotpath
-func (e *Z3Engine) Step(tokens, targets []int, batch int) StepResult {
+func (e *ResidentEngine) Step(tokens, targets []int, batch int) StepResult {
 	res, err := e.ShardedEngine.Step(tokens, targets, batch)
 	if err != nil {
 		panic(err) // nothing attached can fail a step: a bug
@@ -144,12 +174,16 @@ func (e *Z3Engine) Step(tokens, targets []int, batch int) StepResult {
 	return res
 }
 
-// NewShardedEngine builds the engine over the given attachments and performs
-// partitioned initialization: each parameter's full init values exist only
-// transiently before being sharded onto the tier (paper Sec. 7.2).
+// NewShardedEngine builds the engine for cfg.Stage over the given
+// attachments. Under Stage3 it performs partitioned initialization: each
+// parameter's full init values exist only transiently before being sharded
+// onto the tier (paper Sec. 7.2). The replicated stages keep those values as
+// the parameter's resident weights and take no Tier attachment.
 func NewShardedEngine(cfg Config, c *comm.Comm, g Model, at Attachments) (*ShardedEngine, error) {
 	cfg.setDefaults()
-	cfg.Stage = Stage3
+	if cfg.Stage != Stage3 {
+		cfg.Partition = PartitionSlice // replicated parameters are not partitioned
+	}
 	e := &ShardedEngine{
 		cfg:      cfg,
 		c:        c,
@@ -165,7 +199,12 @@ func NewShardedEngine(cfg Config, c *comm.Comm, g Model, at Attachments) (*Shard
 	if e.sc.F32 == nil {
 		e.sc = NewScratch()
 	}
-	if e.tier == nil {
+	switch {
+	case e.replicated() && e.tier != nil:
+		return nil, fmt.Errorf("zero: a %s engine keeps its optimizer state resident; it takes no Tier", cfg.Stage)
+	case e.replicated():
+		e.tier = &replicaTier{Resident: NewResident(len(e.params), cfg.Backend, cfg.Adam, e.sc), e: e}
+	case e.tier == nil:
 		e.tier = NewResident(len(e.params), cfg.Backend, cfg.Adam, e.sc)
 	}
 	if cfg.DynamicLossScale {
@@ -188,23 +227,30 @@ func NewShardedEngine(cfg Config, c *comm.Comm, g Model, at Attachments) (*Shard
 	for i, p := range e.params {
 		ps := &pstate{p: p, idx: i, owner: owners[p], bcastRoot: -1,
 			shardLen: ShardLen(cfg.Partition, i, p.Len(), c.Rank(), c.Size())}
-		if cfg.Partition == PartitionBroadcast {
+		switch {
+		case cfg.Stage == StageDDP:
+			ps.shardLen = p.Len()
+		case cfg.Partition == PartitionBroadcast:
 			ps.bcastRoot = i % c.Size()
 		}
 		e.states[p] = ps
 		var full []float32
 		if ps.shardLen > 0 {
-			full = model.InitValues(p, cfg.Seed) // transient full copy
+			full = model.InitValues(p, cfg.Seed) // transient full copy under Stage3
 			e.owned = append(e.owned, ps)
 			e.ownedIdx = append(e.ownedIdx, i)
 		}
 		if err := e.place(ps, full); err != nil {
 			return nil, err
 		}
-		p.SetOnDemand(e.onDemand)
+		if e.replicated() {
+			p.SetData(full)
+		} else {
+			p.SetOnDemand(e.onDemand)
+		}
 		p.SetGradScratch(e.sc.F32.Get, e.sc.F32.Put)
 	}
-	if cfg.PrefetchDepth > 0 {
+	if cfg.PrefetchDepth > 0 && !e.replicated() {
 		e.trace = overlap.New[*pstate](cfg.PrefetchDepth)
 		if cfg.Overlap {
 			e.prefetch = &gatherPrefetcher{e: e, depth: cfg.PrefetchDepth}
@@ -212,6 +258,12 @@ func NewShardedEngine(cfg Config, c *comm.Comm, g Model, at Attachments) (*Shard
 	}
 	return e, nil
 }
+
+// replicated reports whether parameters stay materialized on every rank
+// (every stage below Stage3).
+//
+//zinf:hotpath
+func (e *ShardedEngine) replicated() bool { return e.cfg.Stage != Stage3 }
 
 // ShardLen returns rank's fp16 shard length for the i-th parameter (n
 // elements) under the partitioning strategy: the padded 1/dp slice, or the
@@ -227,16 +279,20 @@ func ShardLen(part Partitioning, i, n, rank, dp int) int {
 }
 
 // place cuts this rank's shard out of a parameter's full fp16-representable
-// values and hands it to the tier with fresh optimizer state.
+// values and hands it to the tier with fresh optimizer state. A replicated
+// parameter's fp16 values are its own Data(), so it gets no fp16 shard.
 func (e *ShardedEngine) place(ps *pstate, full []float32) error {
 	fs := make([]float32, ps.shardLen)
-	if ps.bcastRoot >= 0 {
+	if ps.bcastRoot >= 0 || e.cfg.Stage == StageDDP {
 		copy(fs, full)
 	} else if ps.shardLen > 0 {
 		comm.Shard(fs, full, e.c.Rank(), e.c.Size())
 	}
-	half := make([]tensor.Half, ps.shardLen)
-	tensor.EncodeHalf(half, fs)
+	var half []tensor.Half
+	if !e.replicated() {
+		half = make([]tensor.Half, ps.shardLen)
+		tensor.EncodeHalf(half, fs)
+	}
 	return e.tier.Place(ps.idx, half, fs)
 }
 
@@ -358,11 +414,12 @@ func (e *ShardedEngine) bcastFullH(ps *pstate) []tensor.Half {
 	return fullH
 }
 
-// release re-partitions p, recycling the gathered fp32 view.
+// release re-partitions p, recycling the gathered fp32 view. Replicated
+// parameters stay materialized.
 //
 //zinf:hotpath
 func (e *ShardedEngine) release(p *module.Param) {
-	if !p.Materialized() {
+	if !p.Materialized() || e.replicated() {
 		return
 	}
 	if e.budget != nil {
@@ -455,30 +512,48 @@ func (e *ShardedEngine) PostBackward(m module.Module) {
 	e.leave(m)
 }
 
-// reduceGrad launches (or performs) the strategy's gradient reduction for p:
-// a fused reduce-scatter+decode of the 1/dp slices, or a fused reduce+decode
-// to the owning rank under PartitionBroadcast. Both accumulate per element
-// in rank order with fp32 arithmetic and round through binary16, so their
-// reduced values are bit-identical; they differ only in where the result
-// lands (every rank's slice vs the owner's full vector, nil elsewhere) and
-// which links carry the bytes. With Overlap the collective is launched
-// asynchronously and drained before the overflow check.
+// reduceGrad launches (or performs) the stage's gradient reduction for p
+// into this rank's fp32 gradient shard:
+//
+//   - a fused reduce-scatter+decode of the 1/dp slices (ZeRO-2, ZeRO-3);
+//   - a fused reduce+decode to the owning rank under PartitionBroadcast;
+//   - an fp16 all-reduce, then a decode of the whole vector (DDP) or of this
+//     rank's 1/dp range over the cleared padded tail (ZeRO-1).
+//
+// All of them accumulate per element in rank order with fp32 arithmetic and
+// round through binary16, so their reduced values are bit-identical; they
+// differ only in where the result lands (nil on non-owner ranks under
+// PartitionBroadcast) and which links carry the bytes. With Overlap the
+// reduce-scatter and owner reduce are launched asynchronously and drained
+// before the overflow check; the all-reduce has no async twin and always
+// runs here.
 //
 //zinf:hotpath
 func (e *ShardedEngine) reduceGrad(p *module.Param) {
 	ps := e.states[p]
-	n := p.Len()
+	n, dp := p.Len(), e.c.Size()
 	// The fp16 source is the whole gradient for an owner reduce, zero-padded
-	// to dp equal slices for a reduce-scatter.
+	// to dp equal slices otherwise.
 	padded := n
 	if ps.bcastRoot < 0 {
-		padded = ps.shardLen * e.c.Size()
+		padded = comm.PaddedLen(n, dp)
 	}
 	gh := e.sc.F16.Get(padded)
 	e.rt.Backend().EncodeHalf(gh[:n], p.Grad())
 	clear(gh[n:])
 	gs := e.sc.F32.Get(ps.shardLen) // nil on non-owner ranks under PartitionBroadcast
-	if e.cfg.Overlap {
+	if e.cfg.OffloadOptimizer {
+		e.BytesToCPU += int64(len(gs)) * tensor.HalfBytes // the shard moves to the CPU optimizer
+	}
+	switch {
+	case e.cfg.Stage < Stage2:
+		e.c.AllReduceHalf(gh[:n])
+		lo := 0
+		if e.cfg.Stage == Stage1 {
+			lo, _ = comm.ShardRange(n, e.c.Rank(), dp)
+		}
+		e.rt.Backend().DecodeHalf(gs, gh[lo:lo+ps.shardLen])
+	case e.cfg.Overlap:
 		var tk comm.Ticket
 		if ps.bcastRoot >= 0 {
 			tk = e.c.ReduceHalfDecodeAsync(gs, gh, ps.bcastRoot)
@@ -489,10 +564,9 @@ func (e *ShardedEngine) reduceGrad(p *module.Param) {
 			overlap.Pending[*pstate]{Key: ps, Ticket: tk, Shard: gs, GH: gh})
 		e.AsyncReduces++
 		return
-	}
-	if ps.bcastRoot >= 0 {
+	case ps.bcastRoot >= 0:
 		e.c.ReduceHalfDecode(gs, gh, ps.bcastRoot)
-	} else {
+	default:
 		e.c.ReduceScatterHalfDecode(gs, gh)
 	}
 	e.foldGradShard(ps, gs, gh)
@@ -602,7 +676,7 @@ func (e *ShardedEngine) StepAccum(microTokens, microTargets [][]int, batchPerMic
 		}
 		e.rt.Backend().Scale(inv, ps.gradShard)
 	}
-	if f := GlobalClipFactor(e.c, e.cfg.ClipNorm, shards); f != 1 {
+	if f := e.clipFactor(shards); f != 1 {
 		for _, gs := range shards {
 			e.rt.Backend().Scale(float32(f), gs)
 		}
@@ -617,6 +691,25 @@ func (e *ShardedEngine) StepAccum(microTokens, microTargets [][]int, batchPerMic
 	}
 	e.scaler.Update(false)
 	return StepResult{Loss: globalLoss, LossScale: e.scaler.Scale}, nil
+}
+
+// clipFactor is GlobalClipFactor over this rank's gradient shards. Each DDP
+// rank holds the whole reduced gradients, so it contributes only its 1/dp
+// range of each: the global sum is then folded in the same rank-major order
+// as under every partitioned stage.
+//
+//zinf:hotpath
+func (e *ShardedEngine) clipFactor(shards [][]float32) float64 {
+	if e.cfg.Stage != StageDDP || e.cfg.ClipNorm <= 0 {
+		return GlobalClipFactor(e.c, e.cfg.ClipNorm, shards)
+	}
+	views := e.clipBuf[:0]
+	for _, g := range shards {
+		lo, hi := comm.ShardRange(len(g), e.c.Rank(), e.c.Size())
+		views = append(views, g[min(lo, len(g)):min(hi, len(g))])
+	}
+	e.clipBuf = views
+	return GlobalClipFactor(e.c, e.cfg.ClipNorm, views)
 }
 
 // endMicroBatch drains the speculation the micro-batch never consumed —
@@ -680,15 +773,15 @@ func (e *ShardedEngine) unwind() {
 }
 
 // CheckIdle reports what, if anything, the engine still holds between
-// steps; nil means every scope is closed, every parameter re-partitioned and
-// no collective or gradient is pending.
+// steps; nil means every scope is closed, every partitioned parameter
+// re-partitioned and no collective or gradient is pending.
 func (e *ShardedEngine) CheckIdle() error {
 	if len(e.active) != 0 || len(e.pendingReduces) != 0 {
 		return fmt.Errorf("zero: %d module scopes open, %d reductions pending", len(e.active), len(e.pendingReduces))
 	}
 	for _, p := range e.params {
 		ps := e.states[p]
-		if p.Materialized() || p.HasGrad() || ps.spec.inFlight() || ps.gradShard != nil {
+		if (p.Materialized() && !e.replicated()) || p.HasGrad() || ps.spec.inFlight() || ps.gradShard != nil {
 			return fmt.Errorf("zero: parameter %s still holds step state", p.Name)
 		}
 	}
@@ -706,8 +799,10 @@ func (e *ShardedEngine) dropGradShards() {
 }
 
 // LoadParams replaces the model weights (sharding each full vector onto the
-// tier) and resets the optimizer state. Every rank must call it with
-// identical values.
+// tier, or installing it as a replicated parameter's weights) and resets the
+// optimizer state. Every name and length is checked before anything changes.
+// Values are rounded through fp16. Every rank must call it with identical
+// values.
 func (e *ShardedEngine) LoadParams(values map[string][]float32) error {
 	for _, p := range e.params {
 		v, ok := values[p.Name]
@@ -717,11 +812,13 @@ func (e *ShardedEngine) LoadParams(values map[string][]float32) error {
 		if len(v) != p.Len() {
 			return fmt.Errorf("zero: checkpoint parameter %q has %d elems, want %d", p.Name, len(v), p.Len())
 		}
-		ps := e.states[p]
-		if ps.shardLen == 0 {
-			continue // no state on this rank
+	}
+	for _, ps := range e.owned {
+		full := tensor.RoundTripHalf(append([]float32(nil), values[ps.p.Name]...))
+		if e.replicated() {
+			ps.p.SetData(full)
 		}
-		if err := e.place(ps, tensor.RoundTripHalf(append([]float32(nil), v...))); err != nil {
+		if err := e.place(ps, full); err != nil {
 			return err
 		}
 	}
@@ -729,8 +826,9 @@ func (e *ShardedEngine) LoadParams(values map[string][]float32) error {
 	return nil
 }
 
-// FullParams gathers every parameter's current fp16 values (collective:
-// all ranks must call it together). The transient gathered view cycles
+// FullParams returns every parameter's current fp16 values. Partitioned
+// parameters are gathered (collective: all ranks must call it together); a
+// replicated parameter is copied. The transient gathered view cycles
 // through the Scratch — only the returned float32 vectors are fresh
 // allocations (asserted by TestFullParamsGatherScratchPooled).
 func (e *ShardedEngine) FullParams() map[string][]float32 {
@@ -738,12 +836,15 @@ func (e *ShardedEngine) FullParams() map[string][]float32 {
 	for _, p := range e.params {
 		ps := e.states[p]
 		v := make([]float32, p.Len())
-		if ps.bcastRoot >= 0 {
+		switch {
+		case p.Materialized():
+			copy(v, p.Data())
+		case ps.bcastRoot >= 0:
 			fullH := e.bcastFullH(ps)
 			e.c.BroadcastHalf(fullH, ps.bcastRoot)
 			tensor.DecodeHalf(v, fullH[:p.Len()])
 			e.sc.F16.Put(fullH)
-		} else {
+		default:
 			full := e.sc.F32.Get(ps.shardLen * e.c.Size())
 			shard := e.shard(ps)
 			e.c.AllGatherHalfDecode(full, shard)

@@ -185,10 +185,10 @@ func assertIdentical(t *testing.T, mem, sock []rankOutcome) {
 	}
 }
 
-// TestSockTransportTrainsBitIdentical is the PR's acceptance criterion: a
-// 4-rank socket world trains bit-identically to the in-memory world for
-// DDP, ZeRO-3 (both partitioning strategies), and ZeRO-Infinity with
-// overlap and prefetch.
+// TestSockTransportTrainsBitIdentical: a 4-rank socket world trains
+// bit-identically to the in-memory world for DDP, ZeRO-1, ZeRO-2 with async
+// reduce-scatters, ZeRO-3 (both partitioning strategies), and ZeRO-Infinity
+// with overlap and prefetch.
 func TestSockTransportTrainsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-world training in -short mode")
@@ -200,6 +200,11 @@ func TestSockTransportTrainsBitIdentical(t *testing.T) {
 		mut  func(*zeroinf.EngineConfig)
 	}{
 		{"ddp", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.StageDDP }},
+		{"zero1", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.Stage1 }},
+		{"zero2-overlap", func(c *zeroinf.EngineConfig) {
+			c.Stage = zeroinf.Stage2
+			c.Overlap = true
+		}},
 		{"z3-slice-overlap", func(c *zeroinf.EngineConfig) {
 			c.Stage = zeroinf.Stage3
 			c.Overlap = true

@@ -168,10 +168,12 @@ type EngineConfig struct {
 	// during the current operator's compute. Used by both the ZeRO-3 and
 	// ZeRO-Infinity engines; 0 disables prefetch.
 	PrefetchDepth int
-	// Overlap launches gradient reduce-scatters asynchronously from the
-	// backward hooks (drained before the overflow check) and, together with
-	// PrefetchDepth, enables asynchronous parameter allgathers. Results are
-	// bit-identical to the synchronous engines; only wall-clock changes.
+	// Overlap launches gradient reduce-scatters (ZeRO-2/3, Infinity)
+	// asynchronously from the backward hooks (drained before the overflow
+	// check) and, together with PrefetchDepth, enables asynchronous
+	// parameter allgathers. DDP and ZeRO-1 all-reduce synchronously either
+	// way. Results are bit-identical to the synchronous engines; only
+	// wall-clock changes.
 	Overlap     bool
 	NVMeDir     string // file-backed NVMe store directory ("" = in-memory)
 	GPUMemory   int64  // optional GPU working-set budget in bytes
@@ -242,8 +244,10 @@ type RankState interface {
 	LoadRankState(r io.Reader) error
 }
 
-// NewEngine constructs the configured engine for one rank. The fabric is
-// c's world's: a cfg.Topology that disagrees with it is an error.
+// NewEngine constructs the configured engine for one rank: core's
+// InfinityEngine, or for every classic stage the one engine body,
+// *zero.ShardedEngine. The fabric is c's world's: a cfg.Topology that
+// disagrees with it is an error.
 func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 	be, err := tensor.ByName(cfg.Backend)
 	if err != nil {
@@ -290,30 +294,12 @@ func NewEngine(cfg EngineConfig, c *Comm, g *GPT) (Engine, error) {
 		Backend:          be,
 		Partition:        cfg.Partition,
 	}
-	if cfg.Stage == Stage3 {
-		e, err := zero.NewShardedEngine(zc, c, g, zero.Attachments{})
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	e, err := zero.NewDPEngine(zc, c, g)
+	e, err := zero.NewShardedEngine(zc, c, g, zero.Attachments{})
 	if err != nil {
 		return nil, err
 	}
-	return dpEngine{e}, nil
+	return e, nil
 }
-
-type dpEngine struct{ *zero.DPEngine }
-
-func (e dpEngine) Step(tok, tgt []int, batch int) (StepResult, error) {
-	return e.DPEngine.Step(tok, tgt, batch), nil
-}
-
-func (e dpEngine) StepAccum(mt, mg [][]int, batch int) (StepResult, error) {
-	return e.DPEngine.StepAccum(mt, mg, batch), nil
-}
-func (e dpEngine) Close() {}
 
 // TrainOptions configures the convenience training loop.
 type TrainOptions struct {
