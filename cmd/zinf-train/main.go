@@ -86,6 +86,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	for _, err := range res.ResumeSkipped {
+		fmt.Printf("resume fell back past a generation that failed validation: %v\n", err)
+	}
 	if res.CheckpointErr != nil {
 		log.Printf("checkpointing degraded: %v", res.CheckpointErr)
 	}

@@ -225,6 +225,50 @@ func TestLatestCompleteEmpty(t *testing.T) {
 	}
 }
 
+// LatestComplete says which generations it fell back past and why; when
+// generations exist but none validates, the error names every one of them
+// and still matches ErrNoCheckpoint.
+func TestLatestCompleteReportsSkipped(t *testing.T) {
+	dir := t.TempDir()
+	writeGen(t, dir, 2, 2, 2, 0x33)
+	d4 := writeGen(t, dir, 4, 2, 4, 0x44)
+	if err := os.Truncate(filepath.Join(d4, RankFileName(1)), 10); err != nil {
+		t.Fatal(err)
+	}
+	d6 := filepath.Join(dir, GenDirName(6))
+	if err := os.MkdirAll(d6, 0o777); err != nil {
+		t.Fatal(err)
+	}
+
+	set, err := LatestComplete(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Manifest.Generation != 2 || len(set.Skipped) != 2 {
+		t.Fatalf("opened generation %d past %d skipped, want 2 past 2: %v", set.Manifest.Generation, len(set.Skipped), set.Skipped)
+	}
+	for i, d := range []string{d6, d4} {
+		if !strings.Contains(set.Skipped[i].Error(), d) {
+			t.Errorf("skipped[%d] = %v, want it to name %s", i, set.Skipped[i], d)
+		}
+	}
+	if !errors.Is(set.Skipped[0], os.ErrNotExist) || !strings.Contains(set.Skipped[1].Error(), "truncated") {
+		t.Errorf("skipped causes: %v", set.Skipped)
+	}
+
+	if err := os.RemoveAll(filepath.Join(dir, GenDirName(2))); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LatestComplete(dir)
+	var invalid *InvalidGenerationsError
+	if !errors.As(err, &invalid) || !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("want an InvalidGenerationsError matching ErrNoCheckpoint, got %v", err)
+	}
+	if len(invalid.Skipped) != 2 || !strings.Contains(err.Error(), d4) || !strings.Contains(err.Error(), d6) {
+		t.Fatalf("error does not name both generations: %v", err)
+	}
+}
+
 // submitGen pushes one full generation (world rank files + weights) through
 // the writer and returns its ticket.
 func submitGen(w *Writer, gen uint64, world int, payload byte) *Ticket {

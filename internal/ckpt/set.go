@@ -12,8 +12,28 @@ import (
 )
 
 // ErrNoCheckpoint reports that a checkpoint directory holds no complete
-// generation (empty, missing, or every generation failed validation).
+// generation (empty, missing, or every generation failed validation — the
+// last case as an *InvalidGenerationsError).
 var ErrNoCheckpoint = errors.New("ckpt: no complete checkpoint generation")
+
+// InvalidGenerationsError reports a checkpoint directory that holds
+// generations of which none validates. It matches ErrNoCheckpoint and every
+// validation cause under errors.Is.
+type InvalidGenerationsError struct {
+	Dir string
+	// Skipped holds each generation's OpenSet error, newest first; every
+	// one names its generation directory.
+	Skipped []error
+}
+
+func (e *InvalidGenerationsError) Error() string {
+	return fmt.Sprintf("%v in %s: every generation failed validation:\n%v", ErrNoCheckpoint, e.Dir, errors.Join(e.Skipped...))
+}
+
+// Unwrap exposes ErrNoCheckpoint and the validation errors.
+func (e *InvalidGenerationsError) Unwrap() []error {
+	return append([]error{ErrNoCheckpoint}, e.Skipped...)
+}
 
 const genPrefix = "gen-"
 
@@ -35,6 +55,9 @@ type Set struct {
 	Dir string
 	// Manifest is the validated commit record.
 	Manifest *Manifest
+	// Skipped holds the OpenSet errors of the newer generations
+	// LatestComplete fell back past, newest first; each names its directory.
+	Skipped []error
 }
 
 // OpenSet opens and validates the generation directory at dir: the MANIFEST
@@ -96,19 +119,26 @@ func Generations(dir string) ([]uint64, error) {
 }
 
 // LatestComplete scans dir for generation directories and opens the newest
-// one that validates, automatically falling back past incomplete or corrupt
-// generations (a crash mid-snapshot, a torn write). ErrNoCheckpoint is
-// returned when no generation survives.
+// one that validates, falling back past incomplete or corrupt generations (a
+// crash mid-snapshot, a torn write) and recording why in Set.Skipped.
+// ErrNoCheckpoint is returned when dir holds no generation, an
+// *InvalidGenerationsError when it holds some but none validates.
 func LatestComplete(dir string) (*Set, error) {
 	gens, err := Generations(dir)
 	if err != nil {
 		return nil, err
 	}
+	var skipped []error
 	for i := len(gens) - 1; i >= 0; i-- {
 		set, err := OpenSet(filepath.Join(dir, GenDirName(gens[i])))
 		if err == nil {
+			set.Skipped = skipped
 			return set, nil
 		}
+		skipped = append(skipped, err)
+	}
+	if len(skipped) > 0 {
+		return nil, &InvalidGenerationsError{Dir: dir, Skipped: skipped}
 	}
 	return nil, fmt.Errorf("%w in %s", ErrNoCheckpoint, dir)
 }

@@ -49,7 +49,8 @@ type Config struct {
 	// parameter allgathers for the next PrefetchDepth trace entries are
 	// issued asynchronously during the current operator's compute, and
 	// gradient reduce-scatters are launched asynchronously from the
-	// backward hooks with a drain barrier before the overflow check.
+	// backward hooks, a few in flight at a time, with a drain barrier
+	// before the overflow check.
 	// Trajectories stay bit-identical to the synchronous engine.
 	Overlap bool
 

@@ -42,6 +42,8 @@ type trajectory struct {
 	losses []float64
 	params map[string][]float32
 	stats  Stats
+	// after holds the cumulative stats after each step (runInfinityOn only).
+	after []Stats
 }
 
 func runDDP(t *testing.T, mcfg model.Config) trajectory {
@@ -96,6 +98,7 @@ func runInfinityOn(t *testing.T, mcfg model.Config, ecfg Config, topo *comm.Topo
 		}
 		defer e.Close()
 		var losses []float64
+		var after []Stats
 		for s := 0; s < testSteps; s++ {
 			res, err := e.Step(tokens[s][c.Rank()], targets[s][c.Rank()], testBatch)
 			if err != nil {
@@ -103,11 +106,12 @@ func runInfinityOn(t *testing.T, mcfg model.Config, ecfg Config, topo *comm.Topo
 				return
 			}
 			losses = append(losses, res.Loss)
+			after = append(after, e.Stats())
 		}
 		p := e.FullParams()
 		if c.Rank() == 0 {
 			mu.Lock()
-			out = trajectory{losses: losses, params: p, stats: e.Stats()}
+			out = trajectory{losses: losses, params: p, stats: e.Stats(), after: after}
 			mu.Unlock()
 		}
 	})

@@ -149,8 +149,12 @@ func newNVMeTier(cfg Config, rank, dp int, g zero.Model, sc zero.Scratch) (*nvme
 	t.io = nvme.NewEngine(t.store, nvme.Options{Workers: nvmeWorkers})
 	t.pinned = mem.NewPinnedPool(pinnedBuffers, maxRegion)
 	if t.params {
-		// Speculative reads must never hold the whole pinned pool.
-		t.depth = min(cfg.PrefetchDepth, pinnedBuffers-1)
+		// One read more than the gather prefetcher's depth: a read only
+		// feeds a speculative gather once it is two gathers old (Ready), so
+		// with depth reads the synchronous gather consumes the next read
+		// before it matures. Speculative reads must never hold the whole
+		// pinned pool.
+		t.depth = min(cfg.PrefetchDepth+1, pinnedBuffers-1)
 	}
 	return t, nil
 }

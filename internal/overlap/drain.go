@@ -17,21 +17,29 @@ type Pending[K comparable] struct {
 	GH     []tensor.Half
 }
 
-// Drain waits out pending reduces in issue order and hands each completed
-// fp32 shard (plus its retired gradient source buffer) to fold. Issue order
-// is exactly the synchronous engines' accumulation sequence, which is what
-// keeps overlapped trajectories bit-identical — this is the single canonical
-// implementation of that ordering. fold decides each buffer's fate (accumulate-and-recycle or keep
-// as the gradient shard); entries are zeroed as they are folded and the
-// emptied, reusable slice is returned.
+// Drain waits out the oldest pending reduces in issue order until at most
+// keep remain, handing each completed fp32 shard (plus its retired gradient
+// source buffer) to fold. Issue order is exactly the synchronous engines'
+// accumulation sequence, which is what keeps overlapped trajectories
+// bit-identical — this is the single canonical implementation of that
+// ordering, whether an engine bounds its in-flight window (keep > 0) or
+// drains everything at a barrier (keep == 0). fold decides each buffer's
+// fate (accumulate-and-recycle or keep as the gradient shard); the survivors
+// move to the front of the slice, the vacated entries are zeroed, and the
+// shortened slice is returned.
 //
 //zinf:hotpath
-func Drain[K comparable](pending []Pending[K], fold func(key K, shard []float32, gh []tensor.Half)) []Pending[K] {
-	for i := range pending {
+func Drain[K comparable](pending []Pending[K], keep int, fold func(key K, shard []float32, gh []tensor.Half)) []Pending[K] {
+	n := len(pending) - keep
+	if n <= 0 {
+		return pending
+	}
+	for i := range pending[:n] {
 		p := &pending[i]
 		p.Ticket.Wait()
 		fold(p.Key, p.Shard, p.GH)
-		*p = Pending[K]{}
 	}
-	return pending[:0]
+	left := copy(pending, pending[n:])
+	clear(pending[left:])
+	return pending[:left]
 }

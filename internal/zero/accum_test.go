@@ -42,7 +42,10 @@ func runAccum(t *testing.T, ecfg Config, micros, steps int) runOutput {
 	return out
 }
 
-// Gradient accumulation keeps every engine bit-identical to DDP.
+// Gradient accumulation keeps every engine bit-identical to DDP. The
+// +overlap rows fold each micro-batch's asynchronous reductions partly
+// inside backward (the model has more parameters than reduceWindow) and
+// the rest at the micro-batch boundary.
 func TestAccumulationBitIdenticalAcrossEngines(t *testing.T) {
 	const micros, steps = 3, 3
 	ddp := runAccum(t, Config{Stage: StageDDP, LossScale: 128, Seed: 21}, micros, steps)
@@ -52,7 +55,9 @@ func TestAccumulationBitIdenticalAcrossEngines(t *testing.T) {
 	}{
 		{"zero1", Config{Stage: Stage1, LossScale: 128, Seed: 21}},
 		{"zero2", Config{Stage: Stage2, LossScale: 128, Seed: 21}},
+		{"zero2+overlap", Config{Stage: Stage2, LossScale: 128, Seed: 21, Overlap: true}},
 		{"zero3", Config{Stage: Stage3, LossScale: 128, Seed: 21}},
+		{"zero3+overlap", Config{Stage: Stage3, LossScale: 128, Seed: 21, Overlap: true, PrefetchDepth: 2}},
 	} {
 		got := runAccum(t, tc.cfg, micros, steps)
 		assertSameTrajectory(t, tc.name+"+accum", ddp, got)

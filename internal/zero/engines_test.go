@@ -119,6 +119,11 @@ func TestAllStagesBitIdenticalToDDP(t *testing.T) {
 	if len(ddp.losses) != testSteps {
 		t.Fatalf("ddp ran %d steps", len(ddp.losses))
 	}
+	// The +overlap rows fold most reductions inside backward, oldest first,
+	// only if a backward pass launches more of them than the window holds.
+	if n := len(ddp.params); n <= 2*reduceWindow {
+		t.Fatalf("model has %d parameters; the overlap rows need more than %d", n, 2*reduceWindow)
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -130,6 +135,7 @@ func TestAllStagesBitIdenticalToDDP(t *testing.T) {
 		{"zero2+overlap", Config{Stage: Stage2, LossScale: 256, Seed: 42, Overlap: true}, false},
 		{"zero-offload", Config{Stage: Stage2, LossScale: 256, Seed: 42, OffloadOptimizer: true}, false},
 		{"zero3", Config{Stage: Stage3, LossScale: 256, Seed: 42}, false},
+		{"zero3+overlap", Config{Stage: Stage3, LossScale: 256, Seed: 42, Overlap: true, PrefetchDepth: 2}, false},
 		{"zero3+ckpt", Config{Stage: Stage3, LossScale: 256, Seed: 42}, true},
 	}
 	for _, tc := range cases {

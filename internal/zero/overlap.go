@@ -9,9 +9,10 @@ import (
 // This file is the communication half of the overlap-centric design (paper
 // Sec. 6.2): a gather-trace-driven prefetcher that issues the next k
 // parameters' gathers during the current module's compute, and the drain of
-// the asynchronously launched gradient reductions. Both are bit-identical to
-// the synchronous paths — the async collectives keep rank-order accumulation
-// — so overlap is purely a wall-clock knob.
+// the asynchronously launched gradient reductions, a fixed window of which
+// stay in flight. Both are bit-identical to the synchronous paths — the
+// async collectives keep rank-order accumulation — so overlap is purely a
+// wall-clock knob.
 
 // inflightGather is one speculatively issued gather. shard is the tier's
 // source buffer, kept alive (and untouched) until the ticket completes. The
@@ -49,9 +50,12 @@ type gatherPrefetcher struct {
 	inflight    []*pstate // pstates whose spec may be set, for the drain
 }
 
-// issue launches gathers for upcoming trace entries within the depth
-// budget: allgathers of the 1/dp slices, or broadcasts from the owning rank
-// under PartitionBroadcast (issued unconditionally on every rank).
+// issue launches gathers for upcoming trace entries, in trace order, within
+// the depth budget: allgathers of the 1/dp slices, or broadcasts from the
+// owning rank under PartitionBroadcast (issued unconditionally on every
+// rank). It stops at the first entry whose shard the tier cannot serve yet,
+// so the speculated gathers are always the next ones due and none holds its
+// gathered buffer and depth budget far ahead of its use.
 //
 //zinf:hotpath
 func (pf *gatherPrefetcher) issue() {
@@ -60,8 +64,11 @@ func (pf *gatherPrefetcher) issue() {
 		if pf.outstanding >= pf.depth {
 			return false
 		}
-		if ps.spec.inFlight() || ps.p.Materialized() || !e.tier.Ready(ps.idx, e.Gathers) {
+		if ps.spec.inFlight() || ps.p.Materialized() {
 			return true
+		}
+		if !e.tier.Ready(ps.idx, e.Gathers) {
+			return false
 		}
 		if ps.bcastRoot >= 0 {
 			fullH := e.bcastFullH(ps)
@@ -97,15 +104,26 @@ func (pf *gatherPrefetcher) drain() {
 	pf.outstanding = 0
 }
 
-// drainReduces waits out the asynchronous gradient reductions via the shared
-// issue-order fold (internal/overlap.Drain), accumulating into the fp32
-// gradient shards exactly as the synchronous path would. Called at every
-// micro-batch boundary — bounding retained gradient buffers to one
-// micro-batch — and again as the barrier before the overflow check.
+// reduceWindow bounds the asynchronous gradient reductions in flight: when
+// a backward hook launches one past it, the oldest is waited and folded
+// before compute resumes. Each pending reduction pins a padded fp16 copy of
+// its parameter's whole gradient, so an unbounded queue would hold a
+// whole-model fp16 gradient (2Ψ bytes) at the end of backward instead of
+// the 2Ψ/Nd partition the stage-3 memory model promises (paper Secs. 3-4).
+// A few reductions in flight are enough to hide their latency behind the
+// next modules' backward compute.
+const reduceWindow = 4
+
+// drainReduces waits out the asynchronous gradient reductions until at most
+// keep remain, via the shared issue-order fold (internal/overlap.Drain),
+// accumulating into the fp32 gradient shards exactly as the synchronous
+// path would. reduceGrad calls it with reduceWindow after each launch; every
+// micro-batch boundary drains to zero, which is also the barrier before the
+// overflow check.
 //
 //zinf:hotpath
-func (e *ShardedEngine) drainReduces() {
-	e.pendingReduces = overlap.Drain(e.pendingReduces, func(ps *pstate, gs []float32, gh []tensor.Half) {
+func (e *ShardedEngine) drainReduces(keep int) {
+	e.pendingReduces = overlap.Drain(e.pendingReduces, keep, func(ps *pstate, gs []float32, gh []tensor.Half) {
 		e.foldGradShard(ps, gs, gh)
 	})
 }

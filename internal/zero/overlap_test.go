@@ -128,3 +128,36 @@ func TestZ3OverlapOverflowSkipIdentical(t *testing.T) {
 		}
 	})
 }
+
+// The asynchronous gradient reductions are bounded to reduceWindow in
+// flight, so the padded fp16 gradient copies they pin never outnumber the
+// window: the fp16 scratch arena warms up with about reduceWindow buffers,
+// not one per parameter. Every parameter of the stub is in one size class,
+// so each miss is a buffer the window kept alive.
+func TestAsyncReducesStayWithinWindow(t *testing.T) {
+	const layers, steps = 20, 2
+	for _, stage := range []Stage{Stage3, Stage2} {
+		t.Run(stage.String(), func(t *testing.T) {
+			comm.Run(2, func(c *comm.Comm) {
+				e, err := NewShardedEngine(Config{Stage: stage, LossScale: 1, Seed: 3, Overlap: true, PrefetchDepth: 2},
+					c, NewAllocFreeStub(layers, 51), Attachments{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tok, tgt := make([]int, 1), make([]int, 1)
+				for s := 0; s < steps; s++ {
+					mustStep(t)(e.Step(tok, tgt, 1))
+				}
+				gets, hits, _ := e.sc.F16.Stats()
+				if misses := gets - hits; misses > reduceWindow+2 {
+					t.Errorf("rank %d: %d fp16 arena misses over %d steps of %d parameters, want <= %d",
+						c.Rank(), misses, steps, layers, reduceWindow+2)
+				}
+				if e.AsyncReduces != steps*layers {
+					t.Errorf("rank %d: %d async reductions, want %d", c.Rank(), e.AsyncReduces, steps*layers)
+				}
+			})
+		})
+	}
+}

@@ -67,8 +67,8 @@ type ShardedEngine struct {
 
 	// Overlap-centric pieces (paper Sec. 6.2): trace is the learned gather
 	// sequence shared by the gather prefetcher and the tier's read-ahead;
-	// pendingReduces holds asynchronously launched gradient reductions until
-	// the drain barrier.
+	// pendingReduces holds the asynchronously launched gradient reductions
+	// still in flight, oldest first — at most reduceWindow of them.
 	trace          *overlap.Trace[*pstate]
 	prefetch       *gatherPrefetcher
 	pendingReduces []overlap.Pending[*pstate]
@@ -389,12 +389,13 @@ func (e *ShardedEngine) gather(p *module.Param) {
 }
 
 // readAhead offers the tier the upcoming trace entries, in order, until its
-// read-ahead budget is spent.
+// read-ahead budget is spent. Entries already gathered or with a gather in
+// flight have consumed their read and are passed over.
 //
 //zinf:hotpath
 func (e *ShardedEngine) readAhead() {
 	e.trace.Each(func(next *pstate) bool {
-		return next.p.Materialized() || e.tier.ReadAhead(next.idx, e.Gathers)
+		return next.p.Materialized() || next.spec.inFlight() || e.tier.ReadAhead(next.idx, e.Gathers)
 	})
 }
 
@@ -524,9 +525,10 @@ func (e *ShardedEngine) PostBackward(m module.Module) {
 // round through binary16, so their reduced values are bit-identical; they
 // differ only in where the result lands (nil on non-owner ranks under
 // PartitionBroadcast) and which links carry the bytes. With Overlap the
-// reduce-scatter and owner reduce are launched asynchronously and drained
-// before the overflow check; the all-reduce has no async twin and always
-// runs here.
+// reduce-scatter and owner reduce are launched asynchronously; once more
+// than reduceWindow are in flight the oldest is waited and folded here, and
+// the rest drain at the micro-batch boundary. The all-reduce has no async
+// twin and always runs here.
 //
 //zinf:hotpath
 func (e *ShardedEngine) reduceGrad(p *module.Param) {
@@ -563,6 +565,7 @@ func (e *ShardedEngine) reduceGrad(p *module.Param) {
 		e.pendingReduces = append(e.pendingReduces,
 			overlap.Pending[*pstate]{Key: ps, Ticket: tk, Shard: gs, GH: gh})
 		e.AsyncReduces++
+		e.drainReduces(reduceWindow)
 		return
 	case ps.bcastRoot >= 0:
 		e.c.ReduceHalfDecode(gs, gh, ps.bcastRoot)
@@ -652,10 +655,8 @@ func (e *ShardedEngine) StepAccum(microTokens, microTargets [][]int, batchPerMic
 	}
 	globalLoss := e.c.AllReduceScalar(lossSum/float64(micros)) / float64(dp)
 
-	// Drain barrier: every asynchronously launched reduction must land
-	// before gradients are inspected for overflow.
-	e.drainReduces()
-
+	// endMicroBatch drained every asynchronous reduction: the gradient
+	// shards are complete before they are inspected for overflow.
 	shards := e.shardsBuf[:0]
 	for _, ps := range e.owned {
 		shards = append(shards, ps.gradShard)
@@ -727,7 +728,7 @@ func (e *ShardedEngine) endMicroBatch() {
 	if e.trace != nil {
 		e.trace.EndStep()
 	}
-	e.drainReduces()
+	e.drainReduces(0)
 }
 
 // endStep is StepAccum's deferred tail: it records the step's

@@ -1,7 +1,12 @@
 package zeroinf
 
 import (
+	"bytes"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,6 +288,96 @@ func TestResumeAfterInjectedTornWrite(t *testing.T) {
 	}
 	assertSameLosses(t, resB.Losses, baseRes.Losses[k:], k)
 	assertSameWeights(t, finalWeights(t, icfg.CheckpointDir), wantW)
+}
+
+// TestResumeRefusesCorruptOnlyGeneration replays a checkpoint directory
+// whose only generation has a truncated rank file: resume must fail naming
+// the generation rather than cold-start and overwrite it, leaving every file
+// byte for byte as it was.
+func TestResumeRefusesCorruptOnlyGeneration(t *testing.T) {
+	ecfg := EngineConfig{Stage: Stage2, LossScale: 128, Seed: 5}
+	ecfg.CheckpointDir = t.TempDir()
+	ecfg.CheckpointEvery = 2
+	if _, err := Train(TrainOptions{
+		Model: resumeModel(), Engine: ecfg, Ranks: 3, Steps: 2, BatchPerRank: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gen := filepath.Join(ecfg.CheckpointDir, ckpt.GenDirName(2))
+	rank1 := filepath.Join(gen, ckpt.RankFileName(1))
+	fi, err := os.Stat(rank1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(rank1, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, ecfg.CheckpointDir)
+
+	_, err = Train(TrainOptions{
+		Model: resumeModel(), Engine: ecfg, Ranks: 3, Steps: 4, BatchPerRank: 2, Resume: true,
+	})
+	var invalid *ckpt.InvalidGenerationsError
+	if !errors.As(err, &invalid) || !strings.Contains(err.Error(), gen) {
+		t.Fatalf("resume over a corrupt-only directory: got %v, want an error naming %s", err, gen)
+	}
+	after := dirBytes(t, ecfg.CheckpointDir)
+	if len(after) != len(before) {
+		t.Fatalf("checkpoint directory changed from %d to %d files", len(before), len(after))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("%s changed", name)
+		}
+	}
+}
+
+// TestResumeReportsSkippedGeneration: resume falls back past a corrupt
+// newer generation, says so in the result, and still replays the
+// uninterrupted run from the older one.
+func TestResumeReportsSkippedGeneration(t *testing.T) {
+	ecfg := EngineConfig{Stage: Stage2, LossScale: 128, Seed: 5}
+	ecfg.CheckpointDir = t.TempDir()
+	ecfg.CheckpointEvery = 2
+	full, err := Train(TrainOptions{
+		Model: resumeModel(), Engine: ecfg, Ranks: 3, Steps: 4, BatchPerRank: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen4 := filepath.Join(ecfg.CheckpointDir, ckpt.GenDirName(4))
+	if err := os.Truncate(filepath.Join(gen4, ckpt.RankFileName(1)), 1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Train(TrainOptions{
+		Model: resumeModel(), Engine: ecfg, Ranks: 3, Steps: 4, BatchPerRank: 2, Resume: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StartStep != 2 || len(res.ResumeSkipped) != 1 || !strings.Contains(res.ResumeSkipped[0].Error(), gen4) {
+		t.Fatalf("resumed from step %d, skipped %v; want step 2 past %s", res.StartStep, res.ResumeSkipped, gen4)
+	}
+	assertSameLosses(t, res.Losses, full.Losses[2:], 2)
+}
+
+// dirBytes reads every regular file under dir, keyed by relative path.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestResumeWorldSizeMismatch: a checkpoint taken at one world size must be

@@ -26,10 +26,11 @@ type rankOutcome struct {
 	err     error
 }
 
-// trainRank trains one rank with the library building blocks, mirroring
-// zeroinf.Train's batch seeding (accum index 0), and returns everything
-// observable: per-step global losses and the gathered final fp16 weights.
-func trainRank(c *zeroinf.Comm, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, batch int, dataSeed uint64) rankOutcome {
+// trainRank trains one rank with the library building blocks over accum
+// micro-batches per step, mirroring zeroinf.Train's batch seeding, and
+// returns everything observable: per-step global losses and the gathered
+// final fp16 weights.
+func trainRank(c *zeroinf.Comm, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, accum, batch int, dataSeed uint64) rankOutcome {
 	g, err := zeroinf.NewModel(mcfg)
 	if err != nil {
 		return rankOutcome{err: err}
@@ -40,10 +41,13 @@ func trainRank(c *zeroinf.Comm, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineCon
 	}
 	defer e.Close()
 	var out rankOutcome
+	tok, tgt := make([][]int, accum), make([][]int, accum)
 	for s := 0; s < steps; s++ {
-		seed := dataSeed + uint64(s*1000+c.Rank())
-		tok, tgt := zeroinf.SyntheticBatch(seed, mcfg, batch)
-		sr, err := e.Step(tok, tgt, batch)
+		for m := range accum {
+			seed := dataSeed + uint64(s*1000+m*100000+c.Rank())
+			tok[m], tgt[m] = zeroinf.SyntheticBatch(seed, mcfg, batch)
+		}
+		sr, err := e.StepAccum(tok, tgt, batch)
 		if err != nil {
 			return rankOutcome{err: fmt.Errorf("rank %d step %d: %w", c.Rank(), s, err)}
 		}
@@ -54,7 +58,7 @@ func trainRank(c *zeroinf.Comm, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineCon
 }
 
 // runMem trains a world over the in-memory transport.
-func runMem(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, batch int) []rankOutcome {
+func runMem(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, accum, batch int) []rankOutcome {
 	t.Helper()
 	w, err := zeroinf.NewWorld(zeroinf.WorldOptions{Size: ranks, Topology: ecfg.Topology})
 	if err != nil {
@@ -62,7 +66,7 @@ func runMem(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.Engi
 	}
 	out := make([]rankOutcome, ranks)
 	w.Run(func(c *zeroinf.Comm) {
-		out[c.Rank()] = trainRank(c, mcfg, ecfg, steps, batch, 1)
+		out[c.Rank()] = trainRank(c, mcfg, ecfg, steps, accum, batch, 1)
 	})
 	return out
 }
@@ -130,7 +134,7 @@ func runWorlds(worlds []*zeroinf.World, fn func(c *zeroinf.Comm)) {
 }
 
 // runSock trains the same world with one socket transport per rank.
-func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, batch int) []rankOutcome {
+func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.EngineConfig, steps, accum, batch int) []rankOutcome {
 	t.Helper()
 	be, err := zeroinf.BackendByName(ecfg.Backend)
 	if err != nil {
@@ -139,7 +143,7 @@ func runSock(t *testing.T, ranks int, mcfg zeroinf.ModelConfig, ecfg zeroinf.Eng
 	worlds := openSockWorlds(t, ranks, zeroinf.WorldOptions{Topology: ecfg.Topology, CodecBackend: be})
 	out := make([]rankOutcome, ranks)
 	runWorlds(worlds, func(c *zeroinf.Comm) {
-		out[c.Rank()] = trainRank(c, mcfg, ecfg, steps, batch, 1)
+		out[c.Rank()] = trainRank(c, mcfg, ecfg, steps, accum, batch, 1)
 	})
 	return out
 }
@@ -187,8 +191,9 @@ func assertIdentical(t *testing.T, mem, sock []rankOutcome) {
 
 // TestSockTransportTrainsBitIdentical: a 4-rank socket world trains
 // bit-identically to the in-memory world for DDP, ZeRO-1, ZeRO-2 with async
-// reduce-scatters, ZeRO-3 (both partitioning strategies), and ZeRO-Infinity
-// with overlap and prefetch.
+// reduce-scatters (also accumulating two micro-batches, each launching more
+// reductions than the engine keeps in flight), ZeRO-3 (both partitioning
+// strategies), and ZeRO-Infinity with overlap and prefetch.
 func TestSockTransportTrainsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-world training in -short mode")
@@ -196,43 +201,48 @@ func TestSockTransportTrainsBitIdentical(t *testing.T) {
 	mcfg := zeroinf.ModelConfig{Vocab: 32, Hidden: 32, Heads: 4, Seq: 8, Layers: 2}
 	base := zeroinf.EngineConfig{LossScale: 1024, DynamicLossScale: true, Seed: 7}
 	for _, tc := range []struct {
-		name string
-		mut  func(*zeroinf.EngineConfig)
+		name  string
+		mut   func(*zeroinf.EngineConfig)
+		accum int // micro-batches per step
 	}{
-		{"ddp", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.StageDDP }},
-		{"zero1", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.Stage1 }},
+		{"ddp", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.StageDDP }, 1},
+		{"zero1", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.Stage1 }, 1},
 		{"zero2-overlap", func(c *zeroinf.EngineConfig) {
 			c.Stage = zeroinf.Stage2
 			c.Overlap = true
-		}},
+		}, 1},
+		{"zero2-overlap-accum2", func(c *zeroinf.EngineConfig) {
+			c.Stage = zeroinf.Stage2
+			c.Overlap = true
+		}, 2},
 		{"z3-slice-overlap", func(c *zeroinf.EngineConfig) {
 			c.Stage = zeroinf.Stage3
 			c.Overlap = true
 			c.PrefetchDepth = 2
-		}},
+		}, 1},
 		{"z3-broadcast", func(c *zeroinf.EngineConfig) {
 			c.Stage = zeroinf.Stage3
 			c.Partition = zeroinf.PartitionBroadcast
-		}},
+		}, 1},
 		{"infinity-overlap-prefetch", func(c *zeroinf.EngineConfig) {
 			c.Infinity = true
 			c.Params = zeroinf.OnCPU
 			c.Optimizer = zeroinf.OnCPU
 			c.Overlap = true
 			c.PrefetchDepth = 2
-		}},
+		}, 1},
 		{"z3-hier-topology", func(c *zeroinf.EngineConfig) {
 			c.Stage = zeroinf.Stage3
 			c.Overlap = true
 			c.PrefetchDepth = 2
 			c.Topology = &zeroinf.Topology{Nodes: 2, NodeSize: 2}
-		}},
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ecfg := base
 			tc.mut(&ecfg)
-			mem := runMem(t, 4, mcfg, ecfg, 4, 2)
-			sock := runSock(t, 4, mcfg, ecfg, 4, 2)
+			mem := runMem(t, 4, mcfg, ecfg, 4, tc.accum, 2)
+			sock := runSock(t, 4, mcfg, ecfg, 4, tc.accum, 2)
 			assertIdentical(t, mem, sock)
 		})
 	}

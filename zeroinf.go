@@ -169,11 +169,11 @@ type EngineConfig struct {
 	// ZeRO-Infinity engines; 0 disables prefetch.
 	PrefetchDepth int
 	// Overlap launches gradient reduce-scatters (ZeRO-2/3, Infinity)
-	// asynchronously from the backward hooks (drained before the overflow
-	// check) and, together with PrefetchDepth, enables asynchronous
-	// parameter allgathers. DDP and ZeRO-1 all-reduce synchronously either
-	// way. Results are bit-identical to the synchronous engines; only
-	// wall-clock changes.
+	// asynchronously from the backward hooks (a few in flight at a time,
+	// the rest drained before the overflow check) and, together with
+	// PrefetchDepth, enables asynchronous parameter allgathers. DDP and
+	// ZeRO-1 all-reduce synchronously either way. Results are bit-identical
+	// to the synchronous engines; only wall-clock changes.
 	Overlap     bool
 	NVMeDir     string // file-backed NVMe store directory ("" = in-memory)
 	GPUMemory   int64  // optional GPU working-set budget in bytes
@@ -326,9 +326,10 @@ type TrainOptions struct {
 	// OnStep, when set, observes rank 0's step results.
 	OnStep func(step int, res StepResult)
 	// Resume restarts from the newest complete checkpoint generation in
-	// Engine.CheckpointDir (cold start if none survives). Batches are seeded
-	// by absolute step, so a resumed run replays the uninterrupted
-	// trajectory bit-identically.
+	// Engine.CheckpointDir: a cold start if the directory holds none, an
+	// error naming them if it holds generations of which none validates.
+	// Batches are seeded by absolute step, so a resumed run replays the
+	// uninterrupted trajectory bit-identically.
 	Resume bool
 	// Stop, when closed, requests a clean early stop: ranks reach consensus
 	// on the step boundary, take a final snapshot (if checkpointing is
@@ -347,6 +348,9 @@ type TrainResult struct {
 	Stats  InfinityStats
 	// StartStep is the first step of this run (non-zero after Resume).
 	StartStep int
+	// ResumeSkipped holds why Resume fell back past each newer generation
+	// that failed validation, newest first; each error names its directory.
+	ResumeSkipped []error
 	// FinalStep is one past the last step executed (== Steps unless stopped
 	// early via TrainOptions.Stop).
 	FinalStep int
@@ -427,6 +431,7 @@ func Train(opts TrainOptions) (TrainResult, error) {
 	var set *ckpt.Set
 	if opts.Resume && opts.Engine.CheckpointDir != "" {
 		s, err := ckpt.LatestComplete(opts.Engine.CheckpointDir)
+		var invalid *ckpt.InvalidGenerationsError
 		switch {
 		case err == nil:
 			if s.Manifest.World != opts.Ranks {
@@ -435,8 +440,12 @@ func Train(opts TrainOptions) (TrainResult, error) {
 			}
 			set = s
 			startStep = s.Manifest.Step
+		case errors.As(err, &invalid):
+			// A cold start would train over the generations and overwrite
+			// them; they may be all that is left of the run.
+			return TrainResult{}, fmt.Errorf("zeroinf: resume: %w", err)
 		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			// Nothing survived on disk: cold start.
+			// No generation on disk: cold start.
 		default:
 			return TrainResult{}, err
 		}
@@ -461,6 +470,9 @@ func Train(opts TrainOptions) (TrainResult, error) {
 	)
 	res.StartStep = startStep
 	res.FinalStep = startStep
+	if set != nil {
+		res.ResumeSkipped = set.Skipped
+	}
 	body := func(c *Comm) {
 		fail := func(err error) {
 			mu.Lock()
