@@ -9,7 +9,7 @@ import (
 // checkpoint-commit ticket — a comm.Ticket, *nvme.Ticket or *ckpt.Ticket
 // returned by the *Async collectives, ReadRegion/WriteRegion, the
 // checkpoint writer's Submit and friends — reaches a Wait, or is handed off
-// into the machinery that will wait for it (an overlap.Pending record, an
+// into the machinery that will wait for it (a pending-reduction record, an
 // in-flight struct, a deferred reaper) before the issuing function exits.
 // The PR 2 drain-barrier bug class — an async reduce-scatter whose ticket
 // never reaches the drain before the overflow check — and dropped NVMe
@@ -49,7 +49,7 @@ var ticketSpec = &obligationSpec{
 	wait: func(info *types.Info, sel *ast.SelectorExpr) bool {
 		return sel.Sel.Name == "Wait"
 	},
-	// A ticket passed whole to any function (overlap.Drain, a drain helper)
+	// A ticket passed whole to any function (a drain helper, a reaper)
 	// is a hand-off: tickets are one-word records whose Wait the callee now
 	// owns. Buffers, by contrast, are borrowed by callees — see pinnedleak.
 	argEscapes: true,

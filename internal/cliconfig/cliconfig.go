@@ -43,9 +43,9 @@ func AddCommon(fs *flag.FlagSet, c *Common) {
 	fs.StringVar(&c.Partition, "partition", c.Partition,
 		"stage-3/infinity parameter partitioning (Fig. 6c): slice (1/dp, all links) | broadcast (owner-rank)")
 	fs.IntVar(&c.Prefetch, "prefetch", c.Prefetch,
-		"overlap read-ahead depth: NVMe reads (infinity) and, with -overlap, speculative allgathers (zero3/infinity) for the next N trace entries (0 = off)")
+		"overlap read-ahead depth: NVMe reads (infinity) and, with -overlap, speculative allgathers (zero3/infinity) for the next N trace entries (0 = off; the replicated engines gather nothing and ignore it)")
 	fs.BoolVar(&c.Overlap, "overlap", c.Overlap,
-		"async collectives: launch reduce-scatters asynchronously and speculate allgathers -prefetch deep (bit-identical; zero3/infinity)")
+		"async collectives: launch every engine's gradient reductions (all-reduces for ddp/zero1, reduce-scatters otherwise) asynchronously and, on zero3/infinity, speculate allgathers -prefetch deep (bit-identical)")
 	fs.IntVar(&c.Tiling, "tiling", c.Tiling,
 		"memory-centric tiling factor: build qkv/proj/fc1/fc2 and the LM head as N-tile operators (must divide hidden and vocab; 1 = dense)")
 }

@@ -111,3 +111,12 @@ func (c *Comm) ReduceHalfDecodeAsync(dst []float32, src []tensor.Half, root int)
 	}
 	return c.issue(opReduceHalfDecode, root, payload{fdst: dst, hsrc: src})
 }
+
+// AllReduceHalfAsync starts an AllReduceHalf; buf must not be touched until
+// the ticket completes. This is the replicated stages' gradient-reduction
+// primitive.
+//
+//zinf:hotpath
+func (c *Comm) AllReduceHalfAsync(buf []tensor.Half) Ticket {
+	return c.issue(opAllReduceHalf, 0, payload{hdst: buf})
+}

@@ -380,7 +380,7 @@ func computeReduceHalfDecode(w *collCtx, o *op) {
 //
 //zinf:hotpath
 func (c *Comm) AllReduceHalf(buf []tensor.Half) {
-	t := c.issue(opAllReduceHalf, 0, payload{hdst: buf})
+	t := c.AllReduceHalfAsync(buf)
 	t.Wait()
 }
 

@@ -48,9 +48,10 @@ type Config struct {
 	// Overlap enables the communication half of the overlap-centric design:
 	// parameter allgathers for the next PrefetchDepth trace entries are
 	// issued asynchronously during the current operator's compute, and
-	// gradient reduce-scatters are launched asynchronously from the
-	// backward hooks, a few in flight at a time, with a drain barrier
-	// before the overflow check.
+	// gradient reductions are launched asynchronously from the backward
+	// hooks, a few in flight at a time, with a drain barrier before the
+	// overflow check. It means the same on every engine: the replicated
+	// stages (internal/zero) launch their all-reduces the same way.
 	// Trajectories stay bit-identical to the synchronous engine.
 	Overlap bool
 

@@ -128,18 +128,6 @@ func (tl *TiledLinear) Backward(rt *module.Runtime, dy *tensor.Tensor) *tensor.T
 // the dense operator's 2·In·Out (tiling moves memory, not compute).
 func (tl *TiledLinear) FlopsPerRow() int64 { return 2 * int64(tl.In) * int64(tl.Out) }
 
-// MaxParamBytes returns the largest single-parameter fp16 footprint — the
-// contiguous-allocation requirement tiling reduces by the tile factor.
-func (tl *TiledLinear) MaxParamBytes() int64 {
-	var m int64
-	for _, p := range module.AllParams(tl) {
-		if b := p.FP16Bytes(); b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // LoadDense installs the dense [in, out] weight matrix w (and [out] bias b,
 // ignored when the layer has no bias) by slicing it into the column tiles.
 // After LoadDense the tiled operator computes the same function — bit for

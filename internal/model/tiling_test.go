@@ -109,15 +109,20 @@ func TestTiledLinearGradCheck(t *testing.T) {
 	}
 }
 
-// MaxParamBytes drops by the tile factor.
+// Each tile parameter's fp16 footprint — the contiguous-allocation
+// requirement — drops by the tile factor.
 func TestTilingReducesMaxAllocation(t *testing.T) {
-	dense := NewTiledLinear("d", 64, 256, 1, false, 0.1)
-	tiled := NewTiledLinear("t", 64, 256, 8, false, 0.1)
-	if dense.MaxParamBytes() != 64*256*2 {
-		t.Fatalf("dense max = %d", dense.MaxParamBytes())
-	}
-	if tiled.MaxParamBytes() != 64*256*2/8 {
-		t.Fatalf("tiled max = %d", tiled.MaxParamBytes())
+	for _, tc := range []struct{ tiles, want int64 }{{1, 64 * 256 * 2}, {8, 64 * 256 * 2 / 8}} {
+		tl := NewTiledLinear("t", 64, 256, int(tc.tiles), false, 0.1)
+		params := module.AllParams(tl)
+		if int64(len(params)) != tc.tiles {
+			t.Fatalf("%d tiles: %d parameters", tc.tiles, len(params))
+		}
+		for _, p := range params {
+			if p.FP16Bytes() != tc.want {
+				t.Fatalf("%d tiles: %s holds %d fp16 bytes, want %d", tc.tiles, p.Name, p.FP16Bytes(), tc.want)
+			}
+		}
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 // states placed on CPU, which is the same //zinf:hotpath body over the same
 // resident tier, or both on NVMe over an in-memory and a file-backed store,
 // where the streamed optimizer step, read-ahead and write-back run too; and
-// the replicated stages DDP, ZeRO-1 and ZeRO-2, the last also with its
-// reduce-scatters launched asynchronously. With the allocation-free stub model (stub.go) every
-// heap allocation observed during a step is attributable to the
-// engine+comm+tensor+nvme hot path: gathers, async collectives, gradient
-// reduction, the optimizer phase, NVMe requests and loss-scale
-// bookkeeping. After warm-up steps fill the scratch arenas, the op pool and
+// the replicated stages DDP, ZeRO-1 and ZeRO-2, DDP and ZeRO-2 also with
+// their gradient reductions launched asynchronously. With the
+// allocation-free stub model (stub.go) every heap allocation observed
+// during a step is attributable to the engine+comm+tensor+nvme hot path:
+// gathers, async collectives, gradient reduction, the optimizer phase, NVMe
+// requests and loss-scale bookkeeping. After warm-up steps fill the scratch arenas, the op pool and
 // the learned gather trace, a steady-state step must perform zero heap
 // allocations.
 
@@ -43,6 +43,7 @@ var allocEngines = []allocEngine{
 	{"infinity-nvme-mem", infinityAllocEngine(zero.OnNVMe, false)},
 	{"infinity-nvme-file", infinityAllocEngine(zero.OnNVMe, true)},
 	{"ddp", dpAllocEngine(zero.StageDDP, false)},
+	{"ddp-overlap", dpAllocEngine(zero.StageDDP, true)},
 	{"zero1", dpAllocEngine(zero.Stage1, false)},
 	{"zero2", dpAllocEngine(zero.Stage2, false)},
 	{"zero2-overlap", dpAllocEngine(zero.Stage2, true)},

@@ -197,19 +197,6 @@ func TestZ3ExternalParamAutoRegistration(t *testing.T) {
 	}
 }
 
-func TestZ3GatherTraceRecorded(t *testing.T) {
-	out := runEngine(t, testCfg(), Config{Stage: Stage3, LossScale: 64, Seed: 9}, false)
-	tr := out.eng.GatherTrace()
-	if len(tr) == 0 {
-		t.Fatal("empty gather trace")
-	}
-	// First gather of the step is the embedding, last reduction targets it
-	// again via the backward pass; spot-check the first entry.
-	if tr[0] != "embed/embed.tok" && tr[0] != "embed/embed.pos" {
-		t.Fatalf("unexpected first trace entry %q", tr[0])
-	}
-}
-
 func TestZ3ParamsReleasedBetweenSteps(t *testing.T) {
 	mcfg := testCfg()
 	tokens, targets := makeBatches(mcfg, 1, testRanks, testBatch)

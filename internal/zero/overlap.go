@@ -2,7 +2,6 @@ package zero
 
 import (
 	"repro/internal/comm"
-	"repro/internal/overlap"
 	"repro/internal/tensor"
 )
 
@@ -14,12 +13,14 @@ import (
 // async collectives keep rank-order accumulation — so overlap is purely a
 // wall-clock knob.
 
-// inflightGather is one speculatively issued gather. shard is the tier's
-// source buffer, kept alive (and untouched) until the ticket completes. The
-// destination is the fused allgather+decode's float32 buffer under 1/dp
-// slicing (full) or the fp16 view under owner-rank broadcast (fullH) — at
-// most one is non-nil. It is stored by value in the pstate so tracking it
-// allocates nothing; both destinations nil means no gather is in flight.
+// inflightGather is one issued parameter gather (issueGather). shard is the
+// tier's source buffer, kept alive (and untouched) until the ticket
+// completes. The destination is the fused allgather+decode's float32 buffer
+// under 1/dp slicing (full) or the fp16 view under owner-rank broadcast
+// (fullH) — at most one is non-nil. It is stored by value in the pstate so
+// tracking it allocates nothing; both destinations nil means no gather is in
+// flight. Only a speculative gather stays in flight past the call that issued
+// it.
 type inflightGather struct {
 	ticket comm.Ticket
 	full   []float32
@@ -27,7 +28,7 @@ type inflightGather struct {
 	shard  []tensor.Half
 }
 
-// inFlight reports whether a gather is speculatively running.
+// inFlight reports whether a gather is issued and not yet awaited.
 //
 //zinf:hotpath
 func (f *inflightGather) inFlight() bool { return f.full != nil || f.fullH != nil }
@@ -70,14 +71,7 @@ func (pf *gatherPrefetcher) issue() {
 		if !e.tier.Ready(ps.idx, e.Gathers) {
 			return false
 		}
-		if ps.bcastRoot >= 0 {
-			fullH := e.bcastFullH(ps)
-			ps.spec = inflightGather{ticket: e.c.BroadcastHalfAsync(fullH, ps.bcastRoot), fullH: fullH}
-		} else {
-			shard := e.shard(ps)
-			full := e.sc.F32.Get(ps.shardLen * e.c.Size())
-			ps.spec = inflightGather{ticket: e.c.AllGatherHalfDecodeAsync(full, shard), full: full, shard: shard}
-		}
+		e.issueGather(ps)
 		pf.inflight = append(pf.inflight, ps)
 		pf.outstanding++
 		e.PrefetchIssued++
@@ -92,12 +86,8 @@ func (pf *gatherPrefetcher) issue() {
 func (pf *gatherPrefetcher) drain() {
 	e := pf.e
 	for _, ps := range pf.inflight {
-		if f := &ps.spec; f.inFlight() {
-			f.ticket.Wait()
-			e.sc.F32.Put(f.full)
-			e.sc.F16.Put(f.fullH)
-			e.tier.Done(f.shard)
-			*f = inflightGather{}
+		if ps.spec.inFlight() {
+			e.sc.F32.Put(e.awaitGather(ps))
 		}
 	}
 	pf.inflight = pf.inflight[:0]
@@ -114,16 +104,37 @@ func (pf *gatherPrefetcher) drain() {
 // next modules' backward compute.
 const reduceWindow = 4
 
-// drainReduces waits out the asynchronous gradient reductions until at most
-// keep remain, via the shared issue-order fold (internal/overlap.Drain),
-// accumulating into the fp32 gradient shards exactly as the synchronous
-// path would. reduceGrad calls it with reduceWindow after each launch; every
-// micro-batch boundary drains to zero, which is also the barrier before the
-// overflow check.
+// pendingReduce is one issued gradient reduction: its ticket, the fp32
+// destination shard (nil on non-owner ranks under PartitionBroadcast) and the
+// padded fp16 gradient source, both kept alive until the ticket completes.
+type pendingReduce struct {
+	ps     *pstate
+	ticket comm.Ticket
+	gs     []float32
+	gh     []tensor.Half
+}
+
+// drainReduces waits out the oldest issued gradient reductions, in issue
+// order, until at most keep remain, folding each into its fp32 gradient
+// shard. Issue order is exactly the accumulation sequence of waiting every
+// reduction at once, which is what keeps overlapped trajectories
+// bit-identical. reduceGrad calls it after each launch — with reduceWindow
+// under Overlap, with 0 otherwise — and every micro-batch boundary drains to
+// zero, which is also the barrier before the overflow check. Vacated entries
+// are zeroed so the queue's spare capacity pins no buffers.
 //
 //zinf:hotpath
 func (e *ShardedEngine) drainReduces(keep int) {
-	e.pendingReduces = overlap.Drain(e.pendingReduces, keep, func(ps *pstate, gs []float32, gh []tensor.Half) {
-		e.foldGradShard(ps, gs, gh)
-	})
+	n := len(e.pendingReduces) - keep
+	if n <= 0 {
+		return
+	}
+	for i := range e.pendingReduces[:n] {
+		r := &e.pendingReduces[i]
+		r.ticket.Wait()
+		e.foldGradShard(r.ps, r.gs, r.gh)
+	}
+	left := copy(e.pendingReduces, e.pendingReduces[n:])
+	clear(e.pendingReduces[left:])
+	e.pendingReduces = e.pendingReduces[:left]
 }

@@ -1,6 +1,7 @@
 package zero
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -133,10 +134,11 @@ func TestZ3OverlapOverflowSkipIdentical(t *testing.T) {
 // flight, so the padded fp16 gradient copies they pin never outnumber the
 // window: the fp16 scratch arena warms up with about reduceWindow buffers,
 // not one per parameter. Every parameter of the stub is in one size class,
-// so each miss is a buffer the window kept alive.
+// so each miss is a buffer the window kept alive. The replicated stages'
+// all-reduces take the same path as the partitioned stages' reductions.
 func TestAsyncReducesStayWithinWindow(t *testing.T) {
 	const layers, steps = 20, 2
-	for _, stage := range []Stage{Stage3, Stage2} {
+	for _, stage := range []Stage{Stage3, Stage2, Stage1, StageDDP} {
 		t.Run(stage.String(), func(t *testing.T) {
 			comm.Run(2, func(c *comm.Comm) {
 				e, err := NewShardedEngine(Config{Stage: stage, LossScale: 1, Seed: 3, Overlap: true, PrefetchDepth: 2},
@@ -160,4 +162,64 @@ func TestAsyncReducesStayWithinWindow(t *testing.T) {
 			})
 		})
 	}
+}
+
+// drainReduces folds the oldest issued reductions first, keeps the newest
+// keep in issue order at the front of the queue, and zeroes the vacated
+// tail. The zero Ticket is a completed ticket, so the queue can be filled
+// without launching collectives.
+func TestDrainReducesKeepsNewestInIssueOrder(t *testing.T) {
+	comm.Run(1, func(c *comm.Comm) {
+		e, err := NewShardedEngine(Config{Stage: Stage3, LossScale: 1, Seed: 3}, c, NewAllocFreeStub(6, 8), Attachments{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer e.dropGradShards()
+		var issued []*pstate
+		for _, p := range e.params {
+			ps := e.states[p]
+			issued = append(issued, ps)
+			e.pendingReduces = append(e.pendingReduces,
+				pendingReduce{ps: ps, gs: e.sc.F32.Get(ps.shardLen), gh: e.sc.F16.Get(ps.shardLen)})
+		}
+		folded := func() (n int) {
+			for _, ps := range issued {
+				if ps.gradShard != nil {
+					n++
+				}
+			}
+			return n
+		}
+
+		e.drainReduces(4)
+		for i, ps := range issued {
+			if got, want := ps.gradShard != nil, i < 2; got != want {
+				t.Errorf("reduction %d folded = %v, want only the two oldest folded", i, got)
+				return
+			}
+		}
+		var kept []*pstate
+		for _, r := range e.pendingReduces {
+			kept = append(kept, r.ps)
+		}
+		if !reflect.DeepEqual(kept, issued[2:]) {
+			t.Errorf("queue kept %d entries out of issue order", len(kept))
+			return
+		}
+		for i, r := range e.pendingReduces[len(e.pendingReduces):cap(e.pendingReduces)][:2] {
+			if r.ps != nil || r.gs != nil || r.gh != nil {
+				t.Errorf("vacated entry %d not zeroed", i)
+				return
+			}
+		}
+
+		if e.drainReduces(4); len(e.pendingReduces) != 4 || folded() != 2 {
+			t.Errorf("draining to the current length folded %d", folded()-2)
+			return
+		}
+		if e.drainReduces(0); len(e.pendingReduces) != 0 || folded() != len(issued) {
+			t.Errorf("full drain left %d, folded %d of %d", len(e.pendingReduces), folded(), len(issued))
+		}
+	})
 }

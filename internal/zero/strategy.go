@@ -169,16 +169,16 @@ type Config struct {
 	// while the current module computes. 0 disables prefetch. Results are
 	// bit-identical. Below Stage3 nothing is gathered and it is ignored.
 	PrefetchDepth int
-	// Overlap enables asynchronous collectives: gradient reduce-scatters
-	// (ZeRO-2, ZeRO-3) launch asynchronously from the backward hooks, at
+	// Overlap enables asynchronous collectives: every stage's gradient
+	// reductions (the DDP and ZeRO-1 all-reduces, the ZeRO-2 and ZeRO-3
+	// reduce-scatters) launch asynchronously from the backward hooks, at
 	// most a fixed window of them in flight (the oldest is folded when a
 	// launch passes it, so a rank never holds more than a few fp16
 	// gradient copies), the rest drained at micro-batch boundaries and
 	// before the overflow check in StepAccum; at Stage3 PrefetchDepth > 0
-	// additionally speculates parameter allgathers. DDP and ZeRO-1 reduce
-	// with an fp16 all-reduce, which has no async twin, so they reduce
-	// synchronously in the hook either way. Results are bit-identical to
-	// the synchronous path.
+	// additionally speculates parameter allgathers. Without it each
+	// reduction is waited in the hook that issued it. Results are
+	// bit-identical to the synchronous path.
 	Overlap bool
 	// Backend is the compute backend the engine's and the model's kernels
 	// dispatch through (nil selects the serial reference backend). Every

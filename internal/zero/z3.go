@@ -28,9 +28,10 @@ import (
 //     gradient reductions run asynchronously (Sec. 6.2, overlap.go).
 //   - StageDDP, Stage1 and Stage2 replicate the parameters: each stays
 //     materialized in its own Data() for the whole run, so the hooks gather
-//     and release nothing and only reduce gradients. The optimizer state is
-//     the full vector under DDP and this rank's 1/dp shard otherwise; the
-//     replica tier (tier.go) rebuilds the weights after each update.
+//     and release nothing and only reduce gradients (asynchronously too
+//     under Overlap). The optimizer state is the full vector under DDP and
+//     this rank's 1/dp shard otherwise; the replica tier (tier.go) rebuilds
+//     the weights after each update.
 //
 // Where the fp16 parameter shards and fp32 optimizer shards live is the
 // Tier's business (tier.go); the engine body holds only transient state. All
@@ -67,11 +68,12 @@ type ShardedEngine struct {
 
 	// Overlap-centric pieces (paper Sec. 6.2): trace is the learned gather
 	// sequence shared by the gather prefetcher and the tier's read-ahead;
-	// pendingReduces holds the asynchronously launched gradient reductions
-	// still in flight, oldest first — at most reduceWindow of them.
+	// pendingReduces holds the issued gradient reductions still in flight,
+	// oldest first — at most reduceWindow of them, none between hooks
+	// without Overlap.
 	trace          *overlap.Trace[*pstate]
 	prefetch       *gatherPrefetcher
-	pendingReduces []overlap.Pending[*pstate]
+	pendingReduces []pendingReduce
 
 	// Reused step scratch.
 	shardsBuf, clipBuf [][]float32
@@ -79,10 +81,8 @@ type ShardedEngine struct {
 	meter              AllocMeter
 
 	// live/peakLive track the fp16 footprint of simultaneously materialized
-	// parameters; firstGathers is the first step's gather order.
+	// parameters.
 	live, peakLive int64
-	firstGathers   []*pstate
-	traceDone      bool
 
 	// Observability (cumulative, except AllocsPerStep).
 	Gathers         int    // gather collectives consumed
@@ -111,7 +111,7 @@ type pstate struct {
 	// between backward and the optimizer phase.
 	gradShard []float32
 	block     mem.Block      // Budget allocation while materialized
-	spec      inflightGather // speculative gather, by value
+	spec      inflightGather // issued gather, by value
 }
 
 // Attachments are what internal/core hangs on the engine body to make it
@@ -328,8 +328,8 @@ func (e *ShardedEngine) shard(ps *pstate) []tensor.Half {
 // delivers float32 directly, skipping the full-size intermediate fp16 pass),
 // a broadcast from the owning rank under PartitionBroadcast (fp16 on the
 // wire, decoded here). With prefetch enabled, a speculatively issued
-// collective is claimed instead of stalling on a fresh one, and collectives
-// and tier reads for the next trace entries are issued before returning to
+// collective is claimed instead of issuing a fresh one, and collectives and
+// tier reads for the next trace entries are issued before returning to
 // compute.
 //
 //zinf:hotpath
@@ -341,29 +341,13 @@ func (e *ShardedEngine) gather(p *module.Param) {
 	if e.trace != nil {
 		e.trace.Observe(ps)
 	}
-	var full []float32
-	var fullH []tensor.Half
-	if f := &ps.spec; f.inFlight() {
-		f.ticket.Wait()
-		full, fullH = f.full, f.fullH
-		e.tier.Done(f.shard)
-		*f = inflightGather{}
+	if ps.spec.inFlight() {
 		e.prefetch.outstanding--
 		e.PrefetchHits++
-	} else if ps.bcastRoot >= 0 {
-		fullH = e.bcastFullH(ps)
-		e.c.BroadcastHalf(fullH, ps.bcastRoot)
 	} else {
-		shard := e.shard(ps)
-		full = e.sc.F32.Get(ps.shardLen * e.c.Size())
-		e.c.AllGatherHalfDecode(full, shard)
-		e.tier.Done(shard)
+		e.issueGather(ps)
 	}
-	if full == nil {
-		full = e.sc.F32.Get(p.Len())
-		e.rt.Backend().DecodeHalf(full, fullH[:p.Len()])
-		e.sc.F16.Put(fullH)
-	}
+	full := e.awaitGather(ps)
 	if e.budget != nil {
 		b, err := e.budget.Alloc(p.FP16Bytes())
 		if err != nil {
@@ -377,15 +361,57 @@ func (e *ShardedEngine) gather(p *module.Param) {
 		e.peakLive = e.live
 	}
 	e.Gathers++
-	if !e.traceDone {
-		e.firstGathers = append(e.firstGathers, ps)
-	}
 	if e.trace != nil {
 		if e.prefetch != nil {
 			e.prefetch.issue() // chain gathers onto completed tier reads first
 		}
 		e.readAhead() // then replenish the tier's read-ahead window
 	}
+}
+
+// issueGather starts ps's gather into ps.spec — the one place a parameter
+// gather starts, whether it is awaited at once or speculated ahead: a fused
+// allgather+decode of the 1/dp slices into a float32 buffer, or under
+// PartitionBroadcast a broadcast from the owning rank into a full-length
+// fp16 view (issued on every rank; only the owner's contribution, its whole
+// shard, is read, and stale arena contents elsewhere are overwritten).
+//
+//zinf:hotpath
+func (e *ShardedEngine) issueGather(ps *pstate) {
+	if ps.bcastRoot >= 0 {
+		fullH := e.sc.F16.Get(ps.p.Len())
+		if e.c.Rank() == ps.bcastRoot {
+			shard := e.shard(ps)
+			copy(fullH, shard)
+			e.tier.Done(shard)
+		}
+		ps.spec = inflightGather{ticket: e.c.BroadcastHalfAsync(fullH, ps.bcastRoot), fullH: fullH}
+		return
+	}
+	shard := e.shard(ps)
+	full := e.sc.F32.Get(ps.shardLen * e.c.Size())
+	ps.spec = inflightGather{ticket: e.c.AllGatherHalfDecodeAsync(full, shard), full: full, shard: shard}
+}
+
+// awaitGather completes ps's issued gather — the one place a gather
+// completes — and returns the gathered float32 values (at least p.Len() of
+// them, from the F32 arena; the caller owns returning them): it waits,
+// hands the shard back to the tier, and under PartitionBroadcast decodes the
+// fp16 view.
+//
+//zinf:hotpath
+func (e *ShardedEngine) awaitGather(ps *pstate) []float32 {
+	f := &ps.spec
+	f.ticket.Wait()
+	e.tier.Done(f.shard)
+	full := f.full
+	if full == nil {
+		full = e.sc.F32.Get(ps.p.Len())
+		e.rt.Backend().DecodeHalf(full, f.fullH[:ps.p.Len()])
+		e.sc.F16.Put(f.fullH)
+	}
+	*f = inflightGather{}
+	return full
 }
 
 // readAhead offers the tier the upcoming trace entries, in order, until its
@@ -397,22 +423,6 @@ func (e *ShardedEngine) readAhead() {
 	e.trace.Each(func(next *pstate) bool {
 		return next.p.Materialized() || next.spec.inFlight() || e.tier.ReadAhead(next.idx, e.Gathers)
 	})
-}
-
-// bcastFullH draws a full-length fp16 view buffer from the arena and fills
-// it with this rank's contribution to ps's owner broadcast — the owner's
-// whole shard; stale arena contents elsewhere, which the broadcast
-// overwrites. Shared by the sync gather, the prefetcher and FullParams.
-//
-//zinf:hotpath
-func (e *ShardedEngine) bcastFullH(ps *pstate) []tensor.Half {
-	fullH := e.sc.F16.Get(ps.p.Len())
-	if e.c.Rank() == ps.bcastRoot {
-		shard := e.shard(ps)
-		copy(fullH, shard)
-		e.tier.Done(shard)
-	}
-	return fullH
 }
 
 // release re-partitions p, recycling the gathered fp32 view. Replicated
@@ -513,22 +523,20 @@ func (e *ShardedEngine) PostBackward(m module.Module) {
 	e.leave(m)
 }
 
-// reduceGrad launches (or performs) the stage's gradient reduction for p
-// into this rank's fp32 gradient shard:
+// reduceGrad issues the stage's gradient reduction for p into this rank's
+// fp32 gradient shard — the one place a gradient collective starts:
 //
 //   - a fused reduce-scatter+decode of the 1/dp slices (ZeRO-2, ZeRO-3);
 //   - a fused reduce+decode to the owning rank under PartitionBroadcast;
-//   - an fp16 all-reduce, then a decode of the whole vector (DDP) or of this
-//     rank's 1/dp range over the cleared padded tail (ZeRO-1).
+//   - an fp16 all-reduce (DDP, ZeRO-1), decoded when it is folded.
 //
 // All of them accumulate per element in rank order with fp32 arithmetic and
 // round through binary16, so their reduced values are bit-identical; they
 // differ only in where the result lands (nil on non-owner ranks under
-// PartitionBroadcast) and which links carry the bytes. With Overlap the
-// reduce-scatter and owner reduce are launched asynchronously; once more
-// than reduceWindow are in flight the oldest is waited and folded here, and
-// the rest drain at the micro-batch boundary. The all-reduce has no async
-// twin and always runs here.
+// PartitionBroadcast) and which links carry the bytes. Every reduction joins
+// the in-flight queue: with Overlap the oldest is waited and folded once
+// more than reduceWindow are in flight, and the rest drain at the
+// micro-batch boundary; without it the reduction is waited and folded here.
 //
 //zinf:hotpath
 func (e *ShardedEngine) reduceGrad(p *module.Param) {
@@ -547,41 +555,40 @@ func (e *ShardedEngine) reduceGrad(p *module.Param) {
 	if e.cfg.OffloadOptimizer {
 		e.BytesToCPU += int64(len(gs)) * tensor.HalfBytes // the shard moves to the CPU optimizer
 	}
+	var tk comm.Ticket
 	switch {
 	case e.cfg.Stage < Stage2:
-		e.c.AllReduceHalf(gh[:n])
-		lo := 0
-		if e.cfg.Stage == Stage1 {
-			lo, _ = comm.ShardRange(n, e.c.Rank(), dp)
-		}
-		e.rt.Backend().DecodeHalf(gs, gh[lo:lo+ps.shardLen])
-	case e.cfg.Overlap:
-		var tk comm.Ticket
-		if ps.bcastRoot >= 0 {
-			tk = e.c.ReduceHalfDecodeAsync(gs, gh, ps.bcastRoot)
-		} else {
-			tk = e.c.ReduceScatterHalfDecodeAsync(gs, gh)
-		}
-		e.pendingReduces = append(e.pendingReduces,
-			overlap.Pending[*pstate]{Key: ps, Ticket: tk, Shard: gs, GH: gh})
-		e.AsyncReduces++
-		e.drainReduces(reduceWindow)
-		return
+		tk = e.c.AllReduceHalfAsync(gh[:n])
 	case ps.bcastRoot >= 0:
-		e.c.ReduceHalfDecode(gs, gh, ps.bcastRoot)
+		tk = e.c.ReduceHalfDecodeAsync(gs, gh, ps.bcastRoot)
 	default:
-		e.c.ReduceScatterHalfDecode(gs, gh)
+		tk = e.c.ReduceScatterHalfDecodeAsync(gs, gh)
 	}
-	e.foldGradShard(ps, gs, gh)
+	e.pendingReduces = append(e.pendingReduces, pendingReduce{ps: ps, ticket: tk, gs: gs, gh: gh})
+	keep := 0
+	if e.cfg.Overlap {
+		e.AsyncReduces++
+		keep = reduceWindow
+	}
+	e.drainReduces(keep)
 }
 
-// foldGradShard retires one completed reduction: the fp16 source buffer is
-// recycled and the reduced fp32 shard (nil on non-owner ranks under
+// foldGradShard retires one completed reduction: an all-reduced gradient is
+// first decoded into gs — the whole vector under DDP, this rank's 1/dp range
+// over the cleared padded tail under ZeRO-1 — the fp16 source buffer is
+// recycled, and the reduced fp32 shard (nil on non-owner ranks under
 // PartitionBroadcast) becomes, or is accumulated into, ps's gradient shard
 // (micro-batch accumulation).
 //
 //zinf:hotpath
 func (e *ShardedEngine) foldGradShard(ps *pstate, gs []float32, gh []tensor.Half) {
+	if e.cfg.Stage < Stage2 {
+		lo := 0
+		if e.cfg.Stage == Stage1 {
+			lo, _ = comm.ShardRange(ps.p.Len(), e.c.Rank(), e.c.Size())
+		}
+		e.rt.Backend().DecodeHalf(gs, gh[lo:lo+ps.shardLen])
+	}
 	e.sc.F16.Put(gh)
 	switch {
 	case gs == nil:
@@ -745,7 +752,6 @@ func (e *ShardedEngine) endStep(err *error) {
 		e.unwind()
 		*err = a.err
 	}
-	e.traceDone = true
 	e.AllocsPerStep = e.meter.End()
 }
 
@@ -835,21 +841,13 @@ func (e *ShardedEngine) LoadParams(values map[string][]float32) error {
 func (e *ShardedEngine) FullParams() map[string][]float32 {
 	out := make(map[string][]float32, len(e.params))
 	for _, p := range e.params {
-		ps := e.states[p]
 		v := make([]float32, p.Len())
-		switch {
-		case p.Materialized():
+		if p.Materialized() {
 			copy(v, p.Data())
-		case ps.bcastRoot >= 0:
-			fullH := e.bcastFullH(ps)
-			e.c.BroadcastHalf(fullH, ps.bcastRoot)
-			tensor.DecodeHalf(v, fullH[:p.Len()])
-			e.sc.F16.Put(fullH)
-		default:
-			full := e.sc.F32.Get(ps.shardLen * e.c.Size())
-			shard := e.shard(ps)
-			e.c.AllGatherHalfDecode(full, shard)
-			e.tier.Done(shard)
+		} else {
+			ps := e.states[p]
+			e.issueGather(ps)
+			full := e.awaitGather(ps)
 			copy(v, full)
 			e.sc.F32.Put(full)
 		}
@@ -862,16 +860,6 @@ func (e *ShardedEngine) FullParams() map[string][]float32 {
 // simultaneously materialized (gathered) parameters — the working-set
 // contribution memory-centric tiling divides by the tile factor.
 func (e *ShardedEngine) MaxLiveParamBytes() int64 { return e.peakLive }
-
-// GatherTrace returns "module/param" for each gather of the first step, in
-// order.
-func (e *ShardedEngine) GatherTrace() []string {
-	out := make([]string, len(e.firstGathers))
-	for i, ps := range e.firstGathers {
-		out[i] = ps.owner.Name() + "/" + ps.p.Name
-	}
-	return out
-}
 
 // Stats summarizes one engine's activity for the experiment harness. The
 // engine body fills the gather, overlap, working-set, allocation and comm

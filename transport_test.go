@@ -206,6 +206,10 @@ func TestSockTransportTrainsBitIdentical(t *testing.T) {
 		accum int // micro-batches per step
 	}{
 		{"ddp", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.StageDDP }, 1},
+		{"ddp-overlap-accum2", func(c *zeroinf.EngineConfig) {
+			c.Stage = zeroinf.StageDDP
+			c.Overlap = true
+		}, 2},
 		{"zero1", func(c *zeroinf.EngineConfig) { c.Stage = zeroinf.Stage1 }, 1},
 		{"zero2-overlap", func(c *zeroinf.EngineConfig) {
 			c.Stage = zeroinf.Stage2

@@ -6,7 +6,8 @@
 // offload, and memory-centric tiling — plus the paper's analytic and
 // simulated evaluation harness.
 //
-// Ranks are goroutines, collectives are channels, NVMe is a real
+// Ranks are goroutines (or OS processes over loopback TCP), collectives are
+// issued tickets over an in-memory or socket transport, NVMe is a real
 // asynchronous file-backed I/O engine; every engine trains bit-identically
 // to plain data parallelism (see the equiv experiment).
 //
@@ -61,9 +62,9 @@ type (
 	// bit-identical, differing only in speed.
 	ComputeBackend = tensor.Backend
 	// Topology groups ranks into nodes with distinct intra-/inter-node
-	// link bandwidth and latency: a cost model under which the fabric
-	// accounts each collective's bytes per link class and its achieved
-	// aggregate bandwidth. It never changes what a collective delivers.
+	// link bandwidths: a cost model under which the fabric accounts each
+	// collective's bytes per link class and its achieved aggregate
+	// bandwidth. It never changes what a collective delivers.
 	Topology = comm.Topology
 	// Partitioning selects the Fig. 6c parameter-partitioning strategy for
 	// stage-3/Infinity engines: 1/dp slicing or owner-rank broadcast.
@@ -168,12 +169,12 @@ type EngineConfig struct {
 	// during the current operator's compute. Used by both the ZeRO-3 and
 	// ZeRO-Infinity engines; 0 disables prefetch.
 	PrefetchDepth int
-	// Overlap launches gradient reduce-scatters (ZeRO-2/3, Infinity)
+	// Overlap launches every engine's gradient reductions — the DDP and
+	// ZeRO-1 all-reduces, the ZeRO-2/3 and Infinity reduce-scatters —
 	// asynchronously from the backward hooks (a few in flight at a time,
 	// the rest drained before the overflow check) and, together with
-	// PrefetchDepth, enables asynchronous parameter allgathers. DDP and
-	// ZeRO-1 all-reduce synchronously either way. Results are bit-identical
-	// to the synchronous engines; only wall-clock changes.
+	// PrefetchDepth, enables asynchronous parameter allgathers. Results are
+	// bit-identical to the synchronous engines; only wall-clock changes.
 	Overlap     bool
 	NVMeDir     string // file-backed NVMe store directory ("" = in-memory)
 	GPUMemory   int64  // optional GPU working-set budget in bytes
