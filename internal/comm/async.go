@@ -7,7 +7,7 @@ import (
 )
 
 // Ticket tracks one issued collective. Wait blocks until every rank has
-// entered the matching call and the data movement has completed; it must
+// entered the matching call and this rank's destination is complete; it must
 // eventually be called, from the issuing rank's goroutine (extra Wait calls
 // are no-ops).
 //
@@ -18,20 +18,25 @@ import (
 // amount of compute (or further collectives) between issuing and waiting.
 // Buffers handed to a collective must stay untouched until Wait returns.
 //
-// Ticket is a small value type (engines embed it in pooled in-flight
-// records); the zero Ticket is a completed ticket. It carries a branch per
-// transport rather than an interface so issuing never boxes.
+// Ticket is a small value type (engines embed it in pooled records); the
+// zero Ticket is a completed ticket.
 type Ticket struct {
-	// In-memory transport: the in-flight op this rank still has to leave.
-	mt *memTransport
-	op *op
-	// Socket transport: completion means advancing the ordered pending
-	// queue through seq.
-	st  *sockTransport
+	c   *Comm
 	seq uint64
 }
 
-// Wait blocks until the collective has completed on all ranks.
+// pendingOp is one issued, not yet completed collective of a rank: what the
+// rank passed and, on the in-memory transport, the shared descriptor its
+// peers published into (nil on the mesh).
+type pendingOp struct {
+	seq  uint64
+	kind opKind
+	root int
+	pl   payload
+	o    *op
+}
+
+// Wait blocks until the collective has completed on this rank.
 //
 //zinf:hotpath
 func (t *Ticket) Wait() { t.wait() }
@@ -41,20 +46,9 @@ func (t *Ticket) Wait() { t.wait() }
 //
 //zinf:hotpath
 func (t *Ticket) wait() (res float64) {
-	switch {
-	case t.op != nil:
-		mt := t.mt
-		mt.mu.Lock()
-		for !t.op.computed {
-			t.op.done.Wait()
-		}
-		res = t.op.result
-		mt.leaveLocked(t.seq, t.op)
-		mt.mu.Unlock()
-		t.op, t.mt = nil, nil
-	case t.st != nil:
-		res = t.st.advance(t.seq)
-		t.st = nil
+	if t.c != nil {
+		res = t.c.advance(t.seq)
+		t.c = nil
 	}
 	return res
 }
@@ -66,7 +60,31 @@ func (t *Ticket) wait() (res float64) {
 func (c *Comm) issue(kind opKind, root int, pl payload) Ticket {
 	seq := c.seq
 	c.seq++
-	return c.world.t.issue(c.rank, seq, kind, root, pl)
+	o := c.world.t.issue(c.rank, seq, kind, root, pl)
+	c.pending = append(c.pending, pendingOp{seq: seq, kind: kind, root: root, pl: pl, o: o})
+	return Ticket{c: c, seq: seq}
+}
+
+// advance completes this rank's pending collectives in sequence order
+// through target and returns the last one's scalar result (a synchronous
+// scalar collective waits at once, so that is its own; 0 when target had
+// already completed). Every rank completes in the same order whatever order
+// it waits its tickets in: completing only the awaited one could leave two
+// ranks each blocked on a collective the other has not reached.
+//
+//zinf:hotpath
+func (c *Comm) advance(target uint64) (res float64) {
+	for c.phead < len(c.pending) && c.pending[c.phead].seq <= target {
+		p := c.pending[c.phead]
+		c.pending[c.phead] = pendingOp{}
+		c.phead++
+		if c.phead == len(c.pending) {
+			c.pending = c.pending[:0]
+			c.phead = 0
+		}
+		res = c.world.t.complete(c.rank, p)
+	}
+	return res
 }
 
 // BroadcastHalfAsync starts a BroadcastHalf; buf must not be touched until

@@ -15,14 +15,17 @@
 // accumulate in rank order with float32 arithmetic, making results
 // deterministic and enabling bit-exact engine-equivalence tests.
 //
-// Two transports implement the data plane (see transport.go): the reference
-// in-memory rendezvous (ranks are goroutines in one process) and a TCP
-// socket transport (each rank is its own OS process, launched by
-// cmd/zinf-launch). Both compute every destination with the same
-// per-destination kernels over a shared collCtx — the in-memory transport's
-// last arriver for every rank, a socket rank for itself — so the fp32
-// rank-order accumulation, and therefore the training trajectory, is
-// bit-identical across transports.
+// Two transports move the bytes (see transport.go): the reference in-memory
+// rendezvous (ranks are goroutines in one process) and a TCP socket mesh
+// (each rank is its own OS process, launched by cmd/zinf-launch). Everything
+// else is one data plane, owner-computes as in the paper's bandwidth-centric
+// partitioning: every rank computes only its own destination, from the parts
+// of its peers' contributions that destination reads (collCtx.part), with
+// the same per-destination kernels (collCtx.destination), completing its
+// collectives in sequence order (Comm.advance). The in-memory transport
+// reads the parts in place in the peers' buffers; the mesh receives them as
+// frames. So the fp32 rank-order accumulation, and therefore the training
+// trajectory, is bit-identical across transports.
 //
 // The substrate is allocation-free in steady state: in-flight op descriptors
 // are pooled and reused, per-rank contributions are flat payload structs
@@ -40,8 +43,6 @@ package comm
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/mem"
 	"repro/internal/tensor"
@@ -86,32 +87,20 @@ type payload struct {
 	v          float64
 }
 
-// computeFns dispatches the data movement for each kind. The functions are
-// package-level so issuing a collective never builds a closure.
-var computeFns = [opKindCount]func(w *collCtx, o *op){
-	opBroadcastHalf:           computeBroadcastHalf,
-	opAllReduceHalf:           computeAllReduceHalf,
-	opAllGatherEncodeHalf:     computeAllGatherEncodeHalf,
-	opAllGatherHalfDecode:     computeAllGatherHalfDecode,
-	opReduceScatterHalfDecode: computeReduceScatterHalfDecode,
-	opReduceHalfDecode:        computeReduceHalfDecode,
-	opAllReduceScalar:         computeAllReduceScalar,
-	opAllReduceMax:            computeAllReduceMax,
-}
-
-// collCtx is the transport-neutral collective execution context: the state
-// the compute kernels need, factored out of the transports so every fabric
-// runs the exact same data movement and fp32 rank-order accumulation.
-// Synchronization is the embedding transport's job (the in-memory transport
-// serializes compute under its world mutex; a socket transport computes on
-// its one rank's goroutine). New fixes codec and topo through configure
-// before any rank runs; nothing writes them afterwards.
+// collCtx is the transport-neutral data plane: who reads what (part), the
+// one step a contribution takes at issue (prepare), and the per-destination
+// kernels (destination), factored out of the transports so every fabric runs
+// the exact same data movement and fp32 rank-order accumulation. Each rank
+// computes its own destination on its own goroutine; a transport supplies
+// only the parts and, for the all-reduce, the sharing of reduced spans. New
+// fixes codec and topo through configure before any rank runs; nothing
+// writes them afterwards.
 type collCtx struct {
 	size int
 
 	// fscratch/hscratch serve the reductions' accumulator/decode/encode
-	// buffers. The arenas carry their own locks, so transport-side reader
-	// goroutines may share them with compute.
+	// buffers. The arenas carry their own locks, so concurrent destinations
+	// and transport-side reader goroutines share them.
 	fscratch *mem.Arena[float32]
 	hscratch *mem.Arena[tensor.Half]
 
@@ -148,38 +137,116 @@ func (w *collCtx) configure(codec tensor.Backend, topo *Topology) error {
 // topology returns the installed (normalized) topology, nil when flat.
 func (w *collCtx) topology() *Topology { return w.topo }
 
-// computeMeasured runs o's data movement plus modeled accounting and folds
-// in the measured counters: wall-clock compute time, and — on this shared-
-// memory path, where the "wire" is the copies the kernel itself performs —
-// measured bytes equal to the modeled bytes the op added. The socket
-// transport accounts its measured side separately from real frame sizes.
+// ownedSpan returns the slice [lo,hi) of an n-element buffer that rank r
+// owns in a reduction: ceil(n/size)-sized chunks in rank order, the tail
+// ranks' possibly short or empty. For n = size*m it is [r*m,(r+1)*m) — the
+// reduce-scatter's shard.
 //
 //zinf:hotpath
-func (w *collCtx) computeMeasured(o *op) {
-	st := &w.traffic[o.kind]
-	preIntra, preInter := st.IntraBytes, st.InterBytes
-	start := time.Now()
-	computeFns[o.kind](w, o)
-	w.account(o.kind, o.contrib[0])
-	st.MeasSeconds += time.Since(start).Seconds()
-	st.MeasIntraBytes += st.IntraBytes - preIntra
-	st.MeasInterBytes += st.InterBytes - preInter
+func (w *collCtx) ownedSpan(n, r int) (lo, hi int) {
+	chunk := (n + w.size - 1) / w.size
+	return min(r*chunk, n), min((r+1)*chunk, n)
 }
 
-// op is one in-flight collective. On the in-memory transport the last rank
-// to arrive performs the data movement for every destination and the last
-// rank to leave returns the descriptor to the free pool. A socket rank fills
-// its one descriptor with the part of each contribution its own destination
-// needs (its slice of a reduce-scatter, every shard of an allgather) and
-// runs the per-destination kernels below over it.
-type op struct {
-	kind          opKind
-	root          int
-	arrived, left int
-	computed      bool
-	done          *sync.Cond // in-memory transport: shares the world mutex
-	contrib       []payload  // per-rank argument, indexed by rank
-	result        float64    // scalar collectives' result
+// part returns the part of rank src's contribution pl that rank dst's
+// destination reads, and whether it reads any. It is the data plane's whole
+// routing table; the mesh ships by it and the in-memory transport reads by
+// it:
+//
+//	scalar allreduce/max        every rank → every rank: no elements (the
+//	                            value itself is pl.v)
+//	broadcasthalf               root → every other rank: its buffer
+//	allgatherhalfdecode         every rank → every rank: its fp16 shard,
+//	                            decoded at each destination
+//	allgatherencodehalf         every rank → every rank: its own slot of dst,
+//	                            encoded once by prepare
+//	reducehalfdecode            every rank → root: its source
+//	reducescatterhalfdecode     every rank → owner r: slice r of its source
+//	allreducehalf               every rank → owner r: span r of its buffer
+//	                            (ownedSpan); each owner then shares its
+//	                            reduced span with every rank
+//
+// Every part is binary16: fp16 is what crosses a link, whatever type the
+// collective delivers into. Shapes are equal on every rank, so a rank's own
+// payload also gives the length of every peer's part.
+//
+//zinf:hotpath
+func (w *collCtx) part(kind opKind, root, src, dst int, pl payload) ([]tensor.Half, bool) {
+	switch kind {
+	case opBroadcastHalf:
+		return pl.hdst, src == root && dst != root
+	case opAllGatherHalfDecode:
+		return pl.hsrc, true
+	case opAllGatherEncodeHalf:
+		n := len(pl.fsrc)
+		return pl.hdst[src*n : (src+1)*n], true
+	case opReduceHalfDecode:
+		return pl.hsrc, dst == root
+	case opReduceScatterHalfDecode:
+		lo, hi := w.ownedSpan(len(pl.hsrc), dst)
+		return pl.hsrc[lo:hi], true
+	case opAllReduceHalf:
+		lo, hi := w.ownedSpan(len(pl.hdst), dst)
+		return pl.hdst[lo:hi], true
+	}
+	return nil, true // the scalar kinds
+}
+
+// prepare is the one step a contribution takes when rank issues it, before
+// any rank reads it: an all-gather+encode rounds the rank's shard, once,
+// into its own slot of dst — the part every destination reads.
+//
+//zinf:hotpath
+func (w *collCtx) prepare(rank int, kind opKind, pl payload) {
+	if kind == opAllGatherEncodeHalf {
+		n := len(pl.fsrc)
+		w.codec.EncodeHalf(pl.hdst[rank*n:(rank+1)*n], pl.fsrc)
+	}
+}
+
+// destination computes rank me's destination of collective p and returns
+// its scalar result (0 for a data collective). d[src] holds what me reads of
+// rank src's contribution: part(…, src, me, …) in hsrc, src's scalar in v.
+// For an all-reduce it computes only me's owned span; the transport then
+// shares the spans.
+//
+//zinf:hotpath
+func (w *collCtx) destination(d []payload, me int, p pendingOp) float64 {
+	pl := p.pl
+	switch p.kind {
+	case opAllReduceScalar:
+		var s float64
+		for i := range d {
+			s += d[i].v
+		}
+		return s
+	case opAllReduceMax:
+		m := d[0].v
+		for _, cb := range d[1:] {
+			if cb.v > m {
+				m = cb.v
+			}
+		}
+		return m
+	case opBroadcastHalf:
+		if me != p.root {
+			copy(pl.hdst, d[p.root].hsrc)
+		}
+	case opAllGatherEncodeHalf:
+		gatherHalfInto(d, me, pl.hdst)
+	case opAllGatherHalfDecode:
+		w.gatherHalfDecodeInto(d, pl.fdst)
+	case opReduceHalfDecode:
+		if me == p.root {
+			w.reduceHalfDecodeInto(d, pl.fdst)
+		}
+	case opReduceScatterHalfDecode:
+		w.reduceHalfDecodeInto(d, pl.fdst)
+	case opAllReduceHalf:
+		lo, hi := w.ownedSpan(len(pl.hdst), me)
+		w.reduceHalfInto(d, pl.hdst[lo:hi])
+	}
+	return 0
 }
 
 // BroadcastHalf copies root's binary16 buf into every rank's buf (all equal
@@ -192,23 +259,12 @@ func (c *Comm) BroadcastHalf(buf []tensor.Half, root int) {
 	t.Wait()
 }
 
-//zinf:hotpath
-func computeBroadcastHalf(w *collCtx, o *op) {
-	src := o.contrib[o.root].hdst
-	for r := range o.contrib {
-		if r == o.root {
-			continue
-		}
-		copy(o.contrib[r].hdst, src)
-	}
-}
-
 // AllGatherHalfDecode gathers binary16 shards and delivers them decoded:
-// every rank contributes a binary16 shard (all equal length), each shard is
-// decoded to float32 exactly once, and the decoded shards are concatenated
-// into every rank's dst in rank order. What crosses a link is fp16; the
-// caller never holds a full-size fp16 buffer. The engines' parameter gathers
-// under 1/dp slicing run on this. len(dst) must be Size()*len(src).
+// every rank contributes a binary16 shard (all equal length), and the
+// decoded shards are concatenated into every rank's dst in rank order. What
+// crosses a link is fp16; the caller never holds a full-size fp16 buffer.
+// The engines' parameter gathers under 1/dp slicing run on this. len(dst)
+// must be Size()*len(src).
 //
 //zinf:hotpath
 func (c *Comm) AllGatherHalfDecode(dst []float32, src []tensor.Half) {
@@ -216,30 +272,14 @@ func (c *Comm) AllGatherHalfDecode(dst []float32, src []tensor.Half) {
 	t.Wait()
 }
 
-//zinf:hotpath
-func computeAllGatherHalfDecode(w *collCtx, o *op) {
-	n := len(o.contrib[0].hsrc)
-	dec := w.fscratch.Get(n)
-	for r := range o.contrib {
-		w.codec.DecodeHalf(dec, o.contrib[r].hsrc)
-		for i := range o.contrib {
-			copy(o.contrib[i].fdst[r*n:(r+1)*n], dec)
-		}
-	}
-	w.fscratch.Put(dec)
-}
-
-// gatherHalfDecodeInto is one destination of the allgather+decode where
-// shards arrive still encoded (the socket transport: fp16 is what crosses
-// the link). computeAllGatherHalfDecode decodes each shard once for all
-// destinations instead; the LUT decode is exact, so both deliver the same
-// bytes.
+// gatherHalfDecodeInto is one destination of the allgather+decode: every
+// shard decoded straight into its rank-order slot of dst.
 //
 //zinf:hotpath
-func (w *collCtx) gatherHalfDecodeInto(o *op, dst []float32) {
-	n := len(o.contrib[0].hsrc)
-	for r := range o.contrib {
-		w.codec.DecodeHalf(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
+func (w *collCtx) gatherHalfDecodeInto(d []payload, dst []float32) {
+	n := len(d[0].hsrc)
+	for r := range d {
+		w.codec.DecodeHalf(dst[r*n:(r+1)*n], d[r].hsrc)
 	}
 }
 
@@ -259,28 +299,17 @@ func (c *Comm) AllGatherEncodeHalf(dst []tensor.Half, src []float32) {
 	t.Wait()
 }
 
-//zinf:hotpath
-func computeAllGatherEncodeHalf(w *collCtx, o *op) {
-	n := len(o.contrib[0].fsrc)
-	enc := w.hscratch.Get(n)
-	for r := range o.contrib {
-		w.codec.EncodeHalf(enc, o.contrib[r].fsrc)
-		for i := range o.contrib {
-			copy(o.contrib[i].hdst[r*n:(r+1)*n], enc)
-		}
-	}
-	w.hscratch.Put(enc)
-}
-
-// gatherHalfInto concatenates every contribution's hsrc into dst in rank
-// order: one destination of an allgather whose shards arrive already
-// encoded (the socket transport's AllGatherEncodeHalf).
+// gatherHalfInto is rank me's destination of the allgather+encode: every
+// peer's encoded shard copied into its rank-order slot of dst. Me's own slot
+// already holds its shard (prepare) and is skipped: peers are reading it.
 //
 //zinf:hotpath
-func gatherHalfInto(o *op, dst []tensor.Half) {
-	n := len(o.contrib[0].hsrc)
-	for r := range o.contrib {
-		copy(dst[r*n:(r+1)*n], o.contrib[r].hsrc)
+func gatherHalfInto(d []payload, me int, dst []tensor.Half) {
+	n := len(d[0].hsrc)
+	for r := range d {
+		if r != me {
+			copy(dst[r*n:(r+1)*n], d[r].hsrc)
+		}
 	}
 }
 
@@ -297,38 +326,29 @@ func (c *Comm) ReduceScatterHalfDecode(dst []float32, src []tensor.Half) {
 	t.Wait()
 }
 
-//zinf:hotpath
-func computeReduceScatterHalfDecode(w *collCtx, o *op) {
-	n := len(o.contrib[0].fdst)
-	for r := range o.contrib {
-		w.reduceHalfDecodeInto(o, o.contrib[r].fdst, r*n)
-	}
-}
-
-// reduceHalfShard computes the fp32 rank-order sum of every contribution's
-// hsrc[at:at+len(acc)] into acc (the shared accumulation kernel of the half
-// reductions).
+// reduceHalfShard computes the fp32 rank-order sum of every part into acc
+// (the shared accumulation kernel of the half reductions), decoding each
+// through tmp.
 //
 //zinf:hotpath
-func (w *collCtx) reduceHalfShard(o *op, at int, acc, tmp []float32) {
-	n := len(acc)
+func (w *collCtx) reduceHalfShard(d []payload, acc, tmp []float32) {
 	clear(acc)
-	for _, cb := range o.contrib {
-		w.codec.DecodeHalf(tmp, cb.hsrc[at:at+n])
+	for _, cb := range d {
+		w.codec.DecodeHalf(tmp, cb.hsrc)
 		tensor.Axpy(1, tmp, acc)
 	}
 }
 
 // reduceHalfInto computes one destination of a half reduction: the
-// rank-order fp32 sum of every contribution's hsrc[at:at+len(dst)], rounded
-// to binary16 into dst. dst may be one contribution's own slice (the
-// in-place all-reduce): every addend is read before dst is written.
+// rank-order fp32 sum of every part, rounded to binary16 into dst. dst may
+// be one part itself (the in-place all-reduce): every addend is read before
+// dst is written.
 //
 //zinf:hotpath
-func (w *collCtx) reduceHalfInto(o *op, dst []tensor.Half, at int) {
+func (w *collCtx) reduceHalfInto(d []payload, dst []tensor.Half) {
 	acc := w.fscratch.Get(len(dst))
 	tmp := w.fscratch.Get(len(dst))
-	w.reduceHalfShard(o, at, acc, tmp)
+	w.reduceHalfShard(d, acc, tmp)
 	w.codec.EncodeHalf(dst, acc)
 	w.fscratch.Put(acc)
 	w.fscratch.Put(tmp)
@@ -336,12 +356,16 @@ func (w *collCtx) reduceHalfInto(o *op, dst []tensor.Half, at int) {
 
 // reduceHalfDecodeInto is reduceHalfInto with the rounded sum delivered as
 // float32: one destination of the reduce-scatter, or the root's of the
-// rooted reduce.
+// rooted reduce. It accumulates in dst itself, which no other rank reads,
+// and then rounds dst through binary16 in place.
 //
 //zinf:hotpath
-func (w *collCtx) reduceHalfDecodeInto(o *op, dst []float32, at int) {
+func (w *collCtx) reduceHalfDecodeInto(d []payload, dst []float32) {
+	tmp := w.fscratch.Get(len(dst))
+	w.reduceHalfShard(d, dst, tmp)
+	w.fscratch.Put(tmp)
 	enc := w.hscratch.Get(len(dst))
-	w.reduceHalfInto(o, enc, at)
+	w.codec.EncodeHalf(enc, dst)
 	w.codec.DecodeHalf(dst, enc)
 	w.hscratch.Put(enc)
 }
@@ -362,17 +386,6 @@ func (c *Comm) ReduceHalfDecode(dst []float32, src []tensor.Half, root int) {
 	t.Wait()
 }
 
-//zinf:hotpath
-func computeReduceHalfDecode(w *collCtx, o *op) {
-	n := len(o.contrib[0].hsrc)
-	for _, cb := range o.contrib {
-		if len(cb.hsrc) != n {
-			panic("comm: reducehalfdecode length mismatch")
-		}
-	}
-	w.reduceHalfDecodeInto(o, o.contrib[o.root].fdst, 0)
-}
-
 // AllReduceHalf sums binary16 buffers elementwise across ranks with float32
 // accumulation (rank order) and re-encodes the total to binary16 into every
 // rank's buf. Element for element it is ReduceScatterHalfDecode's sum and
@@ -382,28 +395,6 @@ func computeReduceHalfDecode(w *collCtx, o *op) {
 func (c *Comm) AllReduceHalf(buf []tensor.Half) {
 	t := c.AllReduceHalfAsync(buf)
 	t.Wait()
-}
-
-//zinf:hotpath
-func computeAllReduceHalf(w *collCtx, o *op) {
-	n := len(o.contrib[0].hdst)
-	acc := w.fscratch.GetZeroed(n)
-	tmp := w.fscratch.Get(n)
-	for _, cb := range o.contrib {
-		if len(cb.hdst) != n {
-			panic("comm: allreducehalf length mismatch")
-		}
-		w.codec.DecodeHalf(tmp, cb.hdst)
-		tensor.Axpy(1, tmp, acc)
-	}
-	enc := w.hscratch.Get(n)
-	w.codec.EncodeHalf(enc, acc)
-	for i := range o.contrib {
-		copy(o.contrib[i].hdst, enc)
-	}
-	w.fscratch.Put(acc)
-	w.fscratch.Put(tmp)
-	w.hscratch.Put(enc)
 }
 
 // AllReduceScalar sums one float64 across ranks and returns the total on
@@ -416,30 +407,10 @@ func (c *Comm) AllReduceScalar(v float64) float64 {
 	return t.wait()
 }
 
-//zinf:hotpath
-func computeAllReduceScalar(w *collCtx, o *op) {
-	var s float64
-	for i := range o.contrib {
-		s += o.contrib[i].v
-	}
-	o.result = s
-}
-
 // AllReduceMax returns the maximum of v across ranks on every rank.
 //
 //zinf:hotpath
 func (c *Comm) AllReduceMax(v float64) float64 {
 	t := c.issue(opAllReduceMax, 0, payload{v: v})
 	return t.wait()
-}
-
-//zinf:hotpath
-func computeAllReduceMax(w *collCtx, o *op) {
-	m := o.contrib[0].v
-	for _, cb := range o.contrib[1:] {
-		if cb.v > m {
-			m = cb.v
-		}
-	}
-	o.result = m
 }

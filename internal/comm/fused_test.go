@@ -149,3 +149,33 @@ func TestFusedSingleRank(t *testing.T) {
 		}
 	})
 }
+
+// A reduce-scatter destination accumulates in its own float32 dst, which no
+// other rank reads: it draws one float32 buffer (the decode scratch) from
+// the comm arena, not an accumulator as well, so concurrent destinations do
+// not double the arena's high-water mark. It still delivers the oracle's
+// rounded sum.
+func TestReduceScatterDestinationTakesOneFloatBuffer(t *testing.T) {
+	const ranks, n, me = 4, 24, 2
+	w := newCollCtx(ranks)
+	if err := w.configure(tensor.DefaultBackend(nil), nil); err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([][]tensor.Half, ranks)
+	d := make([]payload, ranks)
+	for r := range d {
+		srcs[r] = randHalves(uint64(70+r), ranks*n)
+		d[r].hsrc, _ = w.part(opReduceScatterHalfDecode, 0, r, me, payload{hsrc: srcs[r]})
+	}
+	dst := make([]float32, n)
+	before, _, _ := w.fscratch.Stats()
+	w.destination(d, me, pendingOp{kind: opReduceScatterHalfDecode, pl: payload{fdst: dst, hsrc: srcs[me]}})
+	if gets, _, _ := w.fscratch.Stats(); gets-before != 1 {
+		t.Errorf("the destination took %d float32 buffers from the arena, want 1", gets-before)
+	}
+	for i, h := range reduceOracle(srcs, me*n, n) {
+		if dst[i] != h.Float32() {
+			t.Fatalf("elem %d: %v != oracle %v", i, dst[i], h.Float32())
+		}
+	}
+}

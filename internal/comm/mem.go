@@ -3,20 +3,39 @@ package comm
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // memTransport is the reference Transport: every rank is a goroutine in this
-// process and collectives rendezvous through shared memory. The last rank to
-// arrive at an op performs the data movement in place ("last arriver
-// computes"), reading every rank's buffers directly — no bytes are copied
-// through an intermediary, which is what makes it the latency floor the
-// socket transport is measured against.
+// process and collectives rendezvous through shared memory. Issuing only
+// publishes a rank's buffers in the op's descriptor; each rank then computes
+// its own destination outside the world lock, reading its peers' parts
+// (collCtx.part) in place in their buffers — no bytes are copied through an
+// intermediary, which is what makes it the latency floor the socket
+// transport is measured against.
 type memTransport struct {
 	collCtx
 
 	mu      sync.Mutex
-	ops     []opSlot // in-flight collectives, keyed by sequence number
-	freeOps []*op    // recycled op descriptors
+	ops     []opSlot    // in-flight collectives, keyed by sequence number
+	freeOps []*op       // recycled op descriptors
+	views   [][]payload // by rank: the parts its destination reads (see complete)
+}
+
+// op is one in-flight collective on the in-memory transport: every rank's
+// published contribution and the barriers each rank passes to complete it.
+// A rank computes its destination once every rank has arrived; an
+// all-reduce's owners share their reduced spans once every rank has
+// reduced; and a rank leaves only once every rank has finished reading its
+// buffers, the last one out recycling the descriptor.
+type op struct {
+	kind    opKind
+	root    int
+	contrib []payload // per-rank argument, indexed by rank
+
+	// Barrier counts, guarded by the world mutex, which cond shares.
+	arrived, reduced, finished, left int
+	cond                             *sync.Cond
 }
 
 // opSlot is one in-flight collective's registry entry. In-flight ops are a
@@ -31,7 +50,11 @@ type opSlot struct {
 }
 
 func newMemTransport(size int) *memTransport {
-	return &memTransport{collCtx: newCollCtx(size)}
+	t := &memTransport{collCtx: newCollCtx(size), views: make([][]payload, size)}
+	for r := range t.views {
+		t.views[r] = make([]payload, size)
+	}
+	return t
 }
 
 // Size returns the number of ranks in the world.
@@ -64,33 +87,41 @@ func (t *memTransport) getOpLocked(kind opKind, root int) *op {
 		t.freeOps[n-1] = nil
 		t.freeOps = t.freeOps[:n-1]
 	} else {
-		//zinf:allow hotpathalloc op-pool miss grows the free list once per concurrency high-water mark; putOpLocked retains it
+		//zinf:allow hotpathalloc op-pool miss grows the free list once per concurrency high-water mark; retireLocked retains it
 		o = &op{contrib: make([]payload, t.size)}
-		o.done = sync.NewCond(&t.mu)
+		o.cond = sync.NewCond(&t.mu)
 	}
 	o.kind, o.root = kind, root
 	return o
 }
 
-// putOpLocked clears and recycles an op descriptor. Caller holds mu.
+// retireLocked drops the op at seq from the registry and recycles its
+// descriptor: every rank has left it. Caller holds mu.
 //
 //zinf:hotpath
-func (t *memTransport) putOpLocked(o *op) {
-	for i := range o.contrib {
-		o.contrib[i] = payload{}
+func (t *memTransport) retireLocked(seq uint64, o *op) {
+	for i := range t.ops {
+		if t.ops[i].seq == seq {
+			last := len(t.ops) - 1
+			t.ops[i] = t.ops[last]
+			t.ops[last] = opSlot{}
+			t.ops = t.ops[:last]
+			break
+		}
 	}
-	o.arrived, o.left, o.computed, o.result = 0, 0, false, 0
+	clear(o.contrib)
+	o.arrived, o.reduced, o.finished, o.left = 0, 0, 0, 0
 	t.freeOps = append(t.freeOps, o)
 }
 
-// issue registers rank's arrival at its seq-th collective and returns
-// immediately; the last rank to arrive performs the data movement and wakes
-// everyone, and each rank's Ticket.Wait is its departure. A size-1 world
-// takes the same path: its one rank is the last arriver, so the data has
-// moved when issue returns.
+// issue publishes rank's contribution to its seq-th collective and returns
+// at once. The last rank to arrive records the collective's modeled traffic
+// (on this transport the measured bytes are the modeled ones: the
+// destinations' copies are the wire) and wakes the ranks already waiting.
 //
 //zinf:hotpath
-func (t *memTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket {
+func (t *memTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) *op {
+	t.prepare(rank, kind, pl)
 	t.mu.Lock()
 	var o *op
 	for i := range t.ops {
@@ -112,32 +143,77 @@ func (t *memTransport) issue(rank int, seq uint64, kind opKind, root int, pl pay
 			seq, rank, kind, root, o.kind, o.root))
 	}
 	o.contrib[rank] = pl
-	o.arrived++
-	if o.arrived == t.size {
-		t.computeMeasured(o)
-		o.computed = true
-		o.done.Broadcast()
+	if o.arrived++; o.arrived == t.size {
+		t.account(kind, pl)
+		st := &t.traffic[kind]
+		st.MeasIntraBytes, st.MeasInterBytes = st.IntraBytes, st.InterBytes
+		o.cond.Broadcast()
 	}
 	t.mu.Unlock()
-	return Ticket{mt: t, seq: seq, op: o}
+	return o
 }
 
-// leaveLocked records one rank's departure; the last rank out recycles the
-// op. Caller holds mu.
+// passLocked counts one rank through the barrier count *n and blocks until
+// every rank has passed it. Caller holds mu.
 //
 //zinf:hotpath
-func (t *memTransport) leaveLocked(seq uint64, o *op) {
-	o.left++
-	if o.left == t.size {
-		for i := range t.ops {
-			if t.ops[i].seq == seq {
-				last := len(t.ops) - 1
-				t.ops[i] = t.ops[last]
-				t.ops[last] = opSlot{}
-				t.ops = t.ops[:last]
-				break
+func (t *memTransport) passLocked(o *op, n *int) {
+	if *n++; *n == t.size {
+		o.cond.Broadcast()
+	}
+	for *n < t.size {
+		o.cond.Wait()
+	}
+}
+
+// complete is rank's side of collective p once issued: when every rank has
+// arrived it computes its own destination outside the world lock, reading
+// each peer's part in place, and it leaves once every rank has finished
+// reading its buffers. Its compute time is added to the kind's MeasSeconds.
+//
+//zinf:hotpath
+func (t *memTransport) complete(rank int, p pendingOp) float64 {
+	o := p.o
+	t.mu.Lock()
+	for o.arrived < t.size {
+		o.cond.Wait()
+	}
+	t.mu.Unlock()
+
+	start := time.Now()
+	view := t.views[rank]
+	for src := range view {
+		hs, ok := t.part(p.kind, p.root, src, rank, o.contrib[src])
+		if want, _ := t.part(p.kind, p.root, src, rank, p.pl); ok && len(hs) != len(want) {
+			panic(fmt.Sprintf("comm: %s length mismatch at seq %d: rank %d passed %d elements, rank %d expected %d",
+				p.kind, p.seq, src, len(hs), rank, len(want)))
+		}
+		view[src] = payload{hsrc: hs, v: o.contrib[src].v}
+	}
+	res := t.destination(view, rank, p)
+	clear(view)
+	if p.kind == opAllReduceHalf {
+		// Only an owner writes its span of its own buffer; every peer copies
+		// that span only once every owner's is final.
+		t.mu.Lock()
+		t.passLocked(o, &o.reduced)
+		t.mu.Unlock()
+		buf := p.pl.hdst
+		for r := range o.contrib {
+			if r != rank {
+				lo, hi := t.ownedSpan(len(buf), r)
+				copy(buf[lo:hi], o.contrib[r].hdst[lo:hi])
 			}
 		}
-		t.putOpLocked(o)
 	}
+	elapsed := time.Since(start).Seconds()
+
+	t.mu.Lock()
+	t.traffic[p.kind].MeasSeconds += elapsed
+	t.passLocked(o, &o.finished)
+	if o.left++; o.left == t.size {
+		t.retireLocked(p.seq, o)
+	}
+	t.mu.Unlock()
+	return res
 }

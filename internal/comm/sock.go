@@ -13,46 +13,26 @@ import (
 )
 
 // sockTransport is the multi-process Transport: one rank per OS process, a
-// full mesh of TCP connections (one per pair of ranks), and an
+// full mesh of TCP connections (one per pair of ranks), and the shared
 // owner-computes data plane — every rank computes exactly its own
 // destination from the parts of its peers' contributions that destination
 // needs, so no byte crosses a link it does not have to and no rank relays
 // for another (the paper's bandwidth-centric argument, Sec. 6.1, applied to
-// our own fabric). Who sends what, as frameContrib frames shipped the moment
-// a collective is issued:
-//
-//	scalar allreduce/max        every rank → every peer: header only
-//	broadcasthalf               root → every peer: its buffer
-//	allgatherhalfdecode         every rank → every peer: its fp16 shard,
-//	                            decoded at each receiver
-//	allgatherencodehalf         every rank → every peer: its shard, encoded
-//	                            once at the sender
-//	reducehalfdecode            every non-root → root: its source
-//	reducescatterhalfdecode     every rank → owner r: slice r of its source;
-//	                            nothing comes back
-//	allreducehalf               as the reduce-scatter over ownedSpan slices;
-//	                            then every owner → every peer: its reduced
-//	                            slice, as a frameReduced frame
-//
-// Every payload is binary16: fp16 is what crosses a link, whatever type the
-// collective delivers into.
+// our own fabric). A rank ships each part by collCtx.part as a frameContrib
+// frame the moment the collective is issued; an all-reduce's owners then
+// share their reduced spans as frameReduced frames.
 //
 // Bit-identity with the in-memory transport is structural: a rank fills its
-// op descriptor with views of those parts — its own in its rank position —
-// and runs the same per-destination kernels the in-memory transport's last
-// arriver runs for every rank (reduceHalfInto, reduceHalfDecodeInto,
-// gatherHalfInto, gatherHalfDecodeInto): same leaf kernels, same rank order,
-// same codec. The all-reduce is the reduce-scatter kernel over each owner's
-// slice followed by a copy, which is elementwise what computeAllReduceHalf
-// does over the whole buffer.
+// view with the received parts — its own in its rank position — and runs
+// collCtx.destination over it, as every in-memory rank does over the parts
+// it reads in place: same table, same leaf kernels, same rank order, same
+// codec.
 //
 // Deadlock freedom: every connection has a reader goroutine that does
 // nothing but drain frames into an unbounded per-peer mailbox, so a write
 // never waits on the receiving rank's progress, only on its reader. A rank
 // ships its frameContrib frames at issue, before it waits for anything, and
-// completes collectives strictly in sequence order (issue appends to a
-// pending FIFO; Wait advances it head-first through the awaited sequence
-// number, which also makes out-of-order Wait calls safe). By
+// completes collectives strictly in sequence order (Comm.advance). By
 // induction over sequence numbers every frame a rank waits for has been, or
 // will unconditionally be, written: contrib frames at the sender's issue,
 // reduced frames once the sender holds the contrib frames its peers already
@@ -69,23 +49,11 @@ type sockTransport struct {
 	peers   []*peer // by rank; nil at this rank's own index
 	readers sync.WaitGroup
 
-	pending    []sockOp
-	phead      int
-	lastResult float64
-
-	o       *op    // the one reusable descriptor (see op)
-	swapBuf []byte // big-endian hosts only: byte-swapped copy of an outgoing payload
+	view    []payload // the parts this rank's destination reads (see collect)
+	swapBuf []byte    // big-endian hosts only: byte-swapped copy of an outgoing payload
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// sockOp is one issued-but-not-completed collective on this rank.
-type sockOp struct {
-	seq  uint64
-	kind opKind
-	root int
-	pl   payload
 }
 
 // peer is this rank's end of the connection to one other rank: the write
@@ -212,7 +180,7 @@ func NewSockTransport(cfg SockConfig) (Transport, error) {
 		collCtx: newCollCtx(cfg.Size),
 		rank:    cfg.Rank,
 		peers:   make([]*peer, cfg.Size),
-		o:       &op{contrib: make([]payload, cfg.Size)},
+		view:    make([]payload, cfg.Size),
 	}
 	if cfg.Size == 1 {
 		return t, nil // solo world: no network at all
@@ -431,17 +399,6 @@ func (t *sockTransport) snapshotTraffic(f func(k opKind, st TrafficStats)) {
 	}
 }
 
-// ownedSpan returns the slice [lo,hi) of an n-element buffer that rank r
-// owns in a reduction: ceil(n/size)-sized chunks in rank order, the tail
-// ranks' possibly short or empty. For n = size*m it is [r*m,(r+1)*m) — the
-// reduce-scatter's shard.
-//
-//zinf:hotpath
-func (t *sockTransport) ownedSpan(n, r int) (lo, hi int) {
-	chunk := (n + t.size - 1) / t.size
-	return min(r*chunk, n), min((r+1)*chunk, n)
-}
-
 // send writes one frame to p — header and payload in one vectored write, the
 // payload straight from the caller's memory — and accounts its wire bytes. A
 // write failure panics: a rank that cannot reach a peer cannot make
@@ -483,47 +440,16 @@ func (t *sockTransport) sendAll(h frameHdr, hs []tensor.Half) {
 	}
 }
 
-// sendSlices sends every peer r the slice of hs it owns.
+// ship sends this rank's contribution to its seq-th collective: to each
+// peer, the part its destination reads, if any.
 //
 //zinf:hotpath
-func (t *sockTransport) sendSlices(h frameHdr, hs []tensor.Half) {
-	for r, p := range t.peers {
-		if p != nil {
-			lo, hi := t.ownedSpan(len(hs), r)
-			t.send(p, h, hs[lo:hi])
+func (t *sockTransport) ship(seq uint64, kind opKind, root int, pl payload) {
+	h := frameHdr{ftype: frameContrib, kind: kind, root: root, seq: seq, bits: math.Float64bits(pl.v)}
+	for dst, p := range t.peers {
+		if hs, ok := t.part(kind, root, t.rank, dst, pl); ok && p != nil {
+			t.send(p, h, hs)
 		}
-	}
-}
-
-// ship sends this rank's contribution to its seq-th collective to the peers
-// whose destinations need it (the table in the type comment).
-//
-//zinf:hotpath
-func (t *sockTransport) ship(so sockOp) {
-	pl := so.pl
-	h := frameHdr{ftype: frameContrib, kind: so.kind, root: so.root, seq: so.seq, bits: math.Float64bits(pl.v)}
-	switch so.kind {
-	case opAllReduceScalar, opAllReduceMax:
-		t.sendAll(h, nil)
-	case opBroadcastHalf:
-		if t.rank == so.root {
-			t.sendAll(h, pl.hdst)
-		}
-	case opAllGatherHalfDecode:
-		t.sendAll(h, pl.hsrc)
-	case opAllGatherEncodeHalf:
-		// Round once, into this rank's own slot of dst, and ship the slot.
-		own := pl.hdst[t.rank*len(pl.fsrc) : (t.rank+1)*len(pl.fsrc)]
-		t.codec.EncodeHalf(own, pl.fsrc)
-		t.sendAll(h, own)
-	case opReduceHalfDecode:
-		if t.rank != so.root {
-			t.send(t.peers[so.root], h, pl.hsrc)
-		}
-	case opReduceScatterHalfDecode:
-		t.sendSlices(h, pl.hsrc)
-	case opAllReduceHalf:
-		t.sendSlices(h, pl.hdst)
 	}
 }
 
@@ -533,150 +459,95 @@ func (t *sockTransport) ship(so sockOp) {
 // collective mismatch; a different shape is a length mismatch.
 //
 //zinf:hotpath
-func (t *sockTransport) take(p *peer, ftype byte, so sockOp, nh int) inFrame {
+func (t *sockTransport) take(p *peer, ftype byte, want pendingOp, nh int) inFrame {
 	f := p.pop(ftype)
-	if f.seq != so.seq || f.kind != so.kind || f.root != so.root {
+	if f.seq != want.seq || f.kind != want.kind || f.root != want.root {
 		panic(fmt.Sprintf("comm: collective mismatch at seq %d: rank %d sent %s(root %d) seq %d, rank %d called %s(root %d)",
-			so.seq, p.rank, f.kind, f.root, f.seq, t.rank, so.kind, so.root))
+			want.seq, p.rank, f.kind, f.root, f.seq, t.rank, want.kind, want.root))
 	}
 	if len(f.h) != nh {
 		panic(fmt.Sprintf("comm: %s length mismatch at seq %d: rank %d sent %d elements, rank %d expected %d",
-			so.kind, so.seq, p.rank, len(f.h), t.rank, nh))
+			want.kind, want.seq, p.rank, len(f.h), t.rank, nh))
 	}
 	return f
 }
 
-// collect fills the descriptor with one contrib frame from every peer, each
-// carrying nh binary16 elements, as that rank's source.
+// collect fills the view with every part this rank's destination reads:
+// its own in place, each peer's from that peer's next contrib frame, checked
+// against the length of the matching part of its own payload.
 //
 //zinf:hotpath
-func (t *sockTransport) collect(so sockOp, nh int) {
-	for r, p := range t.peers {
-		if p != nil {
-			f := t.take(p, frameContrib, so, nh)
-			t.o.contrib[r] = payload{hsrc: f.h, v: math.Float64frombits(f.bits)}
+func (t *sockTransport) collect(p pendingOp) {
+	for src, pr := range t.peers {
+		hs, ok := t.part(p.kind, p.root, src, t.rank, p.pl)
+		if !ok {
+			continue
 		}
+		v := p.pl.v
+		if pr != nil {
+			f := t.take(pr, frameContrib, p, len(hs))
+			hs, v = f.h, math.Float64frombits(f.bits)
+		}
+		t.view[src] = payload{hsrc: hs, v: v}
 	}
 }
 
-// release returns the peers' staged contributions to the arena and clears
-// the descriptor.
+// release returns the peers' staged parts to the arena and clears the view.
 //
 //zinf:hotpath
 func (t *sockTransport) release() {
-	for r := range t.o.contrib {
+	for r := range t.view {
 		if r != t.rank {
-			t.hscratch.Put(t.o.contrib[r].hsrc)
+			t.hscratch.Put(t.view[r].hsrc)
 		}
-		t.o.contrib[r] = payload{}
+		t.view[r] = payload{}
 	}
 }
 
-// shareReduced is the all-reduce's second phase: this rank ships the slice
+// shareReduced is the all-reduce's second phase: this rank ships the span
 // of buf it reduced to every peer and copies every other owner's reduced
-// slice into place.
+// span into place.
 //
 //zinf:hotpath
-func (t *sockTransport) shareReduced(so sockOp, buf []tensor.Half) {
+func (t *sockTransport) shareReduced(p pendingOp) {
+	buf := p.pl.hdst
 	lo, hi := t.ownedSpan(len(buf), t.rank)
-	t.sendAll(frameHdr{ftype: frameReduced, kind: so.kind, root: so.root, seq: so.seq}, buf[lo:hi])
-	for r, p := range t.peers {
-		if p != nil {
+	t.sendAll(frameHdr{ftype: frameReduced, kind: p.kind, root: p.root, seq: p.seq}, buf[lo:hi])
+	for r, pr := range t.peers {
+		if pr != nil {
 			rlo, rhi := t.ownedSpan(len(buf), r)
-			f := t.take(p, frameReduced, so, rhi-rlo)
+			f := t.take(pr, frameReduced, p, rhi-rlo)
 			copy(buf[rlo:rhi], f.h)
 			t.hscratch.Put(f.h)
 		}
 	}
 }
 
-// complete finishes one collective on this rank: gather the parts of the
-// peers' contributions this rank's destination needs, put this rank's own
-// part in its rank position, and run the shared per-destination kernel.
-// Returns the scalar result (0 for data collectives).
+// complete is this rank's side of collective p once issued: collect the
+// parts, compute its destination, and for an all-reduce share the spans.
 //
 //zinf:hotpath
-func (t *sockTransport) complete(so sockOp) float64 {
-	w, o, me, pl := &t.collCtx, t.o, t.rank, so.pl
-	own := &o.contrib[me]
-	switch so.kind {
-	case opAllReduceScalar, opAllReduceMax:
-		t.collect(so, 0)
-		own.v = pl.v
-		computeFns[so.kind](w, o)
-	case opBroadcastHalf:
-		if me != so.root {
-			f := t.take(t.peers[so.root], frameContrib, so, len(pl.hdst))
-			copy(pl.hdst, f.h)
-			t.hscratch.Put(f.h)
-		}
-	case opAllGatherEncodeHalf:
-		n := len(pl.fsrc)
-		t.collect(so, n)
-		own.hsrc = pl.hdst[me*n : (me+1)*n] // encoded in place by ship
-		gatherHalfInto(o, pl.hdst)
-	case opAllGatherHalfDecode:
-		t.collect(so, len(pl.hsrc))
-		own.hsrc = pl.hsrc
-		w.gatherHalfDecodeInto(o, pl.fdst)
-	case opReduceHalfDecode:
-		if me == so.root {
-			t.collect(so, len(pl.hsrc))
-			own.hsrc = pl.hsrc
-			w.reduceHalfDecodeInto(o, pl.fdst, 0)
-		}
-	case opReduceScatterHalfDecode:
-		n := len(pl.fdst)
-		t.collect(so, n)
-		own.hsrc = pl.hsrc[me*n : (me+1)*n]
-		w.reduceHalfDecodeInto(o, pl.fdst, 0)
-	case opAllReduceHalf:
-		lo, hi := t.ownedSpan(len(pl.hdst), me)
-		t.collect(so, hi-lo)
-		own.hsrc = pl.hdst[lo:hi]
-		w.reduceHalfInto(o, pl.hdst[lo:hi], 0)
-		t.shareReduced(so, pl.hdst)
+func (t *sockTransport) complete(_ int, p pendingOp) float64 {
+	start := time.Now()
+	t.collect(p)
+	res := t.destination(t.view, t.rank, p)
+	if p.kind == opAllReduceHalf {
+		t.shareReduced(p)
 	}
-	res := o.result
-	o.result = 0
 	t.release()
-	t.account(so.kind, pl)
+	t.account(p.kind, p.pl)
+	t.traffic[p.kind].MeasSeconds += time.Since(start).Seconds()
 	return res
 }
 
-// issue registers this rank's seq-th collective: its contribution ships
-// immediately (so peers can complete — and it can overlap compute — without
-// waiting for this rank to Wait), and the op joins the pending FIFO that
-// Ticket.Wait advances.
+// issue ships this rank's seq-th collective at once, so peers can complete
+// it — and this rank can overlap compute — before this rank waits.
 //
 //zinf:hotpath
-func (t *sockTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket {
+func (t *sockTransport) issue(rank int, seq uint64, kind opKind, root int, pl payload) *op {
 	start := time.Now()
-	so := sockOp{seq: seq, kind: kind, root: root, pl: pl}
-	t.ship(so)
-	t.pending = append(t.pending, so)
+	t.prepare(rank, kind, pl)
+	t.ship(seq, kind, root, pl)
 	t.traffic[kind].MeasSeconds += time.Since(start).Seconds()
-	return Ticket{st: t, seq: seq}
-}
-
-// advance completes pending collectives in sequence order through target
-// and returns the last one's scalar result (a synchronous scalar collective
-// waits at once, so that is its own). Already-completed targets are no-ops,
-// which is what makes out-of-order Wait calls safe.
-//
-//zinf:hotpath
-func (t *sockTransport) advance(target uint64) float64 {
-	for t.phead < len(t.pending) && t.pending[t.phead].seq <= target {
-		so := t.pending[t.phead]
-		t.pending[t.phead] = sockOp{}
-		t.phead++
-		if t.phead == len(t.pending) {
-			t.pending = t.pending[:0]
-			t.phead = 0
-		}
-		start := time.Now()
-		t.lastResult = t.complete(so)
-		t.traffic[so.kind].MeasSeconds += time.Since(start).Seconds()
-	}
-	return t.lastResult
+	return nil
 }

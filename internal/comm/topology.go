@@ -195,8 +195,6 @@ func (c *Comm) CheckTopology(want *Topology) error {
 func (c *Comm) Topology() *Topology { return c.world.t.topology() }
 
 // nodes returns the node count of the installed topology (1 when flat).
-// The embedding transport serializes access (the in-memory transport's
-// mutex; a socket transport's one rank goroutine).
 //
 //zinf:hotpath
 func (w *collCtx) nodes() int {
@@ -244,11 +242,14 @@ type TrafficStats struct {
 	// wire volume is the sum over its ranks.
 	MeasIntraBytes, MeasInterBytes int64
 	// MeasSeconds is the measured wall-clock time spent on this kind's
-	// collectives: kernel compute time on the in-memory transport; on the
-	// socket transport the reporting rank's own time inside the transport —
-	// shipping its contributions at issue plus completing, which includes
-	// waiting for straggler peers. It is collective wall time, not pure
-	// wire time.
+	// collectives. On the in-memory transport it is the sum over ranks of
+	// each rank's destination compute time (for an all-reduce, the wait for
+	// every owner's reduced span and the copy of the peers' spans as well);
+	// concurrent ranks overlap, so it can exceed the wall time. On the
+	// socket transport it is the reporting rank's own time inside the
+	// transport — shipping its contributions at issue plus completing,
+	// which includes waiting for straggler peers. It is collective time,
+	// not pure wire time.
 	MeasSeconds float64
 }
 
@@ -322,8 +323,9 @@ func (c *Comm) TrafficTotal() TrafficStats {
 }
 
 // ---------------------------------------------------------------------------
-// Cost model. All helpers run inside the transport's compute serialization
-// and perform no allocation.
+// Cost model. All helpers run where the transport records a collective —
+// under the in-memory transport's mutex, by the last rank to arrive; on a
+// socket rank's own goroutine — and perform no allocation.
 
 // phase charges one collective phase: perIntra/perInter are the busiest
 // intra/inter link's bytes, totIntra/totInter the bytes crossing each class
@@ -440,7 +442,8 @@ func (w *collCtx) accountScalar(st *TrafficStats) {
 
 // account records one completed collective's modeled traffic and simulated
 // cost from any one rank's payload pl (the lengths it reads are equal on
-// every rank). Runs inside the transport's compute serialization.
+// every rank). Runs where the transport records the collective (see the
+// cost model above).
 //
 //zinf:hotpath
 func (w *collCtx) account(kind opKind, pl payload) {

@@ -18,10 +18,10 @@ import (
 //     built with NewSockTransport and launched by cmd/zinf-launch.
 //
 // The interface is sealed (its execution methods are unexported): every
-// transport must execute the collectives through the shared compute kernels
-// (collCtx), because cross-transport bit-identity — the same fp32 rank-order
-// accumulation on every fabric — is contractual and verified by the
-// cross-transport trajectory tests.
+// transport must route parts through collCtx.part and compute destinations
+// through collCtx.destination, because cross-transport bit-identity — the
+// same fp32 rank-order accumulation on every fabric — is contractual and
+// verified by the cross-transport trajectory tests.
 type Transport interface {
 	// Size returns the number of ranks in the world this transport connects.
 	Size() int
@@ -33,9 +33,16 @@ type Transport interface {
 	// true for every rank on the in-memory transport, true only for the
 	// process's own rank on the socket transport.
 	hosts(rank int) bool
-	// issue registers rank's seq-th collective; the returned ticket's Wait
-	// completes it. Buffers in pl stay untouched until Wait.
-	issue(rank int, seq uint64, kind opKind, root int, pl payload) Ticket
+	// issue publishes rank's contribution to its seq-th collective — the
+	// mesh ships its parts, the in-memory transport registers its buffers —
+	// and returns the in-memory transport's op descriptor (nil on the mesh).
+	// The buffers in pl are the collective's until complete returns for
+	// rank, and no peer reads them after that.
+	issue(rank int, seq uint64, kind opKind, root int, pl payload) *op
+	// complete computes rank's destination of p once the parts it reads
+	// are there, and returns its scalar result (0 for data collectives).
+	// Comm.advance calls it in sequence order.
+	complete(rank int, p pendingOp) float64
 	// configure fixes the collective execution context's codec backend and
 	// topology. New calls it once, before any rank can issue a collective.
 	configure(codec tensor.Backend, topo *Topology) error
@@ -150,6 +157,11 @@ type Comm struct {
 	world *World
 	rank  int
 	seq   uint64
+
+	// pending[phead:] are the issued, not yet completed collectives in
+	// sequence order (see advance).
+	pending []pendingOp
+	phead   int
 }
 
 // Rank returns this communicator's rank.
