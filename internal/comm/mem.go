@@ -169,7 +169,8 @@ func (t *memTransport) passLocked(o *op, n *int) {
 // complete is rank's side of collective p once issued: when every rank has
 // arrived it computes its own destination outside the world lock, reading
 // each peer's part in place, and it leaves once every rank has finished
-// reading its buffers. Its compute time is added to the kind's MeasSeconds.
+// reading its buffers (a scalar's parts are descriptor values, so it leaves
+// at once). Its compute time is added to the kind's MeasSeconds.
 //
 //zinf:hotpath
 func (t *memTransport) complete(rank int, p pendingOp) float64 {
@@ -210,7 +211,12 @@ func (t *memTransport) complete(rank int, p pendingOp) float64 {
 
 	t.mu.Lock()
 	t.traffic[p.kind].MeasSeconds += elapsed
-	t.passLocked(o, &o.finished)
+	if p.kind != opAllReduceScalar && p.kind != opAllReduceMax {
+		// A scalar's values sit in the descriptor, not in rank buffers, so
+		// no rank need wait for the others to finish reading: the last one
+		// out retires the descriptor.
+		t.passLocked(o, &o.finished)
+	}
 	if o.left++; o.left == t.size {
 		t.retireLocked(p.seq, o)
 	}

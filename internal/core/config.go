@@ -5,8 +5,10 @@
 // Config onto zero.NewShardedEngine and supplies what only Infinity has:
 //
 //   - the NVMe tier (tier.go): the infinity offload engine — shard regions on
-//     a per-rank store, reusable pinned staging buffers, shard read-ahead
-//     along the traced operator sequence, and the streamed optimizer step;
+//     a per-rank store and one fixed ring of pinned staging buffers through
+//     which every transfer runs: shard read-ahead along the traced operator
+//     sequence, the streamed optimizer step and its write-backs, placement
+//     and the rank-state streams;
 //   - a budgeted (optionally pre-fragmented) GPU allocator accounting the
 //     gathered working set, whose exhaustion fails the step with an error;
 //   - CPU offload of activation checkpoints (ckptstore.go);
@@ -81,11 +83,10 @@ type Config struct {
 	// per-parameter 1/dp slicing (default) or owner-rank broadcast. Both
 	// train bit-identically; they differ in which links the gathers and
 	// gradient reductions keep busy and therefore in achieved aggregate
-	// bandwidth (Stats.CommTraffic). With PartitionBroadcast and
-	// Params==OnNVMe the comm (allgather) prefetcher is disabled — its
-	// issue decisions would depend on owner-only NVMe state and desynchronize
-	// the SPMD collective sequence — while the owner-local NVMe read
-	// prefetcher keeps working.
+	// bandwidth (Stats.CommTraffic). Both prefetch stages work under
+	// either: with PartitionBroadcast and Params==OnNVMe only the owner
+	// reads a shard, but every rank keeps the same read-ahead entries, so
+	// the speculative broadcasts stay matched rank to rank.
 	Partition zero.Partitioning
 }
 

@@ -186,7 +186,7 @@ func TestInfinityPlacementsBitIdenticalToDDP(t *testing.T) {
 
 // Regression test: a prefetch depth at or above the pinned-buffer count
 // must not starve synchronous fetches (the speculative reads are budgeted
-// below the pool size). This deadlocked before the outstanding-counter fix.
+// below the ring size). This deadlocked before the outstanding-counter fix.
 func TestPrefetchDepthExceedingPoolDoesNotDeadlock(t *testing.T) {
 	mcfg := model.Config{Vocab: 16, Hidden: 16, Heads: 2, Seq: 6, Layers: 3, CheckpointActivations: true}
 	tokens, targets := makeBatches(mcfg, 3, 2, testBatch)
@@ -215,7 +215,7 @@ func TestPrefetchDepthExceedingPoolDoesNotDeadlock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: prefetcher starved the pinned pool")
+		t.Fatal("deadlock: prefetcher starved the staging ring")
 	}
 }
 
@@ -233,7 +233,7 @@ func TestPrefetcherIssuesAndHits(t *testing.T) {
 	}
 }
 
-// The pinned memory management layer: a fixed small pool — four buffers,
+// The pinned memory management layer: a fixed small ring — four buffers,
 // each one rank's largest [master|m|v] record — streams the entire
 // offloaded state, so pinned bytes stay constant while NVMe traffic is far
 // larger (paper Sec. 6.3).
@@ -325,7 +325,7 @@ func TestGPUBudgetEnforced(t *testing.T) {
 							t.Errorf("attempt %d: %d B working set, %d B offloaded checkpoints still accounted", attempt, ws, ck)
 						}
 						if e.nvme != nil {
-							assertPinnedPoolFull(t, e)
+							assertRingIdle(t, e)
 						}
 					}
 				})
@@ -368,19 +368,17 @@ func TestGPUBudgetAbortDropsOffloadedCheckpoints(t *testing.T) {
 	})
 }
 
-// assertPinnedPoolFull checks every pinned staging buffer is back in the
-// pool by acquiring them all.
-func assertPinnedPoolFull(t *testing.T, e *InfinityEngine) {
+// assertRingIdle checks the NVMe tier's staging ring is idle: no entry holds
+// a request and every ticket has been waited.
+func assertRingIdle(t *testing.T, e *InfinityEngine) {
 	t.Helper()
-	pool := e.nvme.pinned
-	n := int(pool.TotalBytes()) / pool.BufSize()
-	for i := 0; i < n; i++ {
-		buf, ok := pool.TryAcquire()
-		if !ok {
-			t.Errorf("pinned buffer %d/%d leaked", i+1, n)
-			return
+	if n := e.nvme.n; n != 0 {
+		t.Errorf("%d staging entries still counted in use", n)
+	}
+	for k := range e.nvme.ring {
+		if en := &e.nvme.ring[k]; en.busy || en.pending {
+			t.Errorf("staging entry %d: busy %v, request never waited %v", k, en.busy, en.pending)
 		}
-		defer pool.Release(buf)
 	}
 }
 

@@ -73,7 +73,7 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 			return nil, err
 		}
 		e.nvme, at.Tier = t, t
-		e.cpuT.Add(mem.CatPinnedStage, t.pinned.TotalBytes())
+		e.cpuT.Add(mem.CatPinnedStage, t.pinnedBytes())
 	}
 	if cfg.GPUMemory > 0 {
 		e.gpu = mem.NewAllocator(cfg.GPUMemory)

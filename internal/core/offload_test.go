@@ -64,8 +64,8 @@ func (s *failingStore) WriteAt(p []byte, off int64) (int, error) {
 // parameters (writes in flight), a failed current read and an issued read
 // of the next parameter outstanding at once; a failed write surfaces when
 // its write-back is reaped. The step must return the injected error with
-// every pinned buffer back in the pool, nothing still in flight, and no
-// goroutine left behind.
+// the staging ring idle, nothing still in flight, and no goroutine left
+// behind.
 func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 	mcfg := testModelCfg(false)
 	tokens, targets := makeBatches(mcfg, 2, 1, testBatch)
@@ -108,7 +108,7 @@ func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 					if !errors.Is(serr, want) {
 						t.Errorf("step returned %v, want the injected %v", serr, want)
 					}
-					assertPinnedPoolFull(t, e)
+					assertRingIdle(t, e)
 					if after != before {
 						t.Errorf("%d goroutines after the failed step, %d before", after, before)
 					}
@@ -121,7 +121,7 @@ func TestOptimizerStepNVMeErrorReleasesPrefetchSlot(t *testing.T) {
 // A failed NVMe shard read — synchronous, or a read-ahead consumed later —
 // is fatal rather than a step error: it is local to this rank, whose peers
 // are already committed to the gather the shard feeds. The panic carries the
-// I/O error and names the shard, and the staging buffer is back in the pool.
+// I/O error and names the shard, and the staging ring is left idle.
 func TestShardReadFailureIsFatal(t *testing.T) {
 	mcfg := testModelCfg(false)
 	tokens, targets := makeBatches(mcfg, 1, 1, testBatch)
@@ -143,7 +143,7 @@ func TestShardReadFailureIsFatal(t *testing.T) {
 						t.Errorf("step panicked with %v, want the injected shard-read failure", err)
 					}
 					e.nvme.DrainReads()
-					assertPinnedPoolFull(t, e)
+					assertRingIdle(t, e)
 				}()
 				_, serr := e.Step(tokens[0][0], targets[0][0], testBatch)
 				t.Errorf("step with failing shard reads returned (err %v)", serr)

@@ -69,7 +69,7 @@ func TestOverlapStagesComposeOnNVMe(t *testing.T) {
 	}
 }
 
-// Overlap with a speculation depth far beyond the four-buffer pinned pool
+// Overlap with a speculation depth far beyond the four-entry staging ring
 // must not deadlock (the same budget invariant as the NVMe-only prefetcher).
 func TestOverlapRespectsPinnedBudget(t *testing.T) {
 	mcfg := testModelCfg(false)

@@ -1,9 +1,10 @@
 // Package mem models device memory for the ZeRO-Infinity reproduction:
 // a contiguous block allocator with explicit fragmentation (paper Sec. 3
 // "MSWM ... can result in running out of memory ... due to lack of enough
-// contiguous memory", and the Fig. 6b pre-fragmentation protocol), a
-// pinned-buffer pool (Sec. 6.3 "pinned memory management layer"), and a
-// usage tracker that attributes bytes to model-state categories.
+// contiguous memory", and the Fig. 6b pre-fragmentation protocol), the
+// recycling arenas behind the zero-allocation step, and a usage tracker that
+// attributes bytes to model-state categories. The pinned memory management
+// layer (Sec. 6.3) is the NVMe tier's staging ring (internal/core).
 package mem
 
 import (

@@ -6,19 +6,19 @@ import (
 )
 
 // Arena is a size-classed free list for hot-path scratch slices: the
-// allocation-reuse analogue of PinnedPool for ordinary (non-pinned) buffers.
-// Training engines and the collective substrate allocate the same handful of
-// buffer shapes every step (padded fp16 gradient buffers, gathered parameter
-// views, reduction accumulators); routing those through an arena makes the
-// steady-state step allocation-free after the first iteration warms the free
-// lists.
+// allocation-reuse analogue, for ordinary (non-pinned) buffers, of the NVMe
+// tier's pinned staging ring. Training engines and the collective substrate
+// allocate the same handful of buffer shapes every step (padded fp16
+// gradient buffers, gathered parameter views, reduction accumulators);
+// routing those through an arena makes the steady-state step
+// allocation-free after the first iteration warms the free lists.
 //
 // Get returns a slice of length n whose contents are UNDEFINED (stale data
 // from a previous user); callers that need zeroed memory must clear it.
 // Capacities are rounded up to the next power of two, so a Put slice serves
-// any future Get within its size class. Back-pressure is PinnedPool-style
-// bounded retention: each class keeps at most maxFreePerClass buffers and
-// drops the rest for the GC, so a transient burst cannot pin memory forever.
+// any future Get within its size class. Back-pressure is bounded retention:
+// each class keeps at most maxFreePerClass buffers and drops the rest for
+// the GC, so a transient burst cannot pin memory forever.
 //
 // An Arena is safe for concurrent use; engines typically own one per rank
 // while a comm.World owns one shared by its collective computes.

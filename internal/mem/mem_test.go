@@ -188,70 +188,6 @@ func TestAllocatorQuickCoalesce(t *testing.T) {
 	}
 }
 
-func TestPinnedPoolReuseBound(t *testing.T) {
-	p := NewPinnedPool(4, 1024)
-	if p.TotalBytes() != 4*1024 {
-		t.Fatalf("TotalBytes = %d", p.TotalBytes())
-	}
-	// Stream 100 "transfers" through 4 buffers.
-	for i := 0; i < 100; i++ {
-		b := p.Acquire()
-		b[0] = byte(i)
-		p.Release(b)
-	}
-	if p.TotalBytes() != 4*1024 {
-		t.Fatalf("pool grew to %d bytes", p.TotalBytes())
-	}
-	if p.Acquires() != 100 {
-		t.Fatalf("acquires = %d", p.Acquires())
-	}
-}
-
-func TestPinnedPoolBlocksWhenEmpty(t *testing.T) {
-	p := NewPinnedPool(1, 8)
-	b := p.Acquire()
-	if _, ok := p.TryAcquire(); ok {
-		t.Fatal("TryAcquire succeeded on empty pool")
-	}
-	done := make(chan struct{})
-	go func() {
-		b2 := p.Acquire() // blocks until release
-		p.Release(b2)
-		close(done)
-	}()
-	p.Release(b)
-	<-done
-}
-
-func TestPinnedPoolConcurrentStreaming(t *testing.T) {
-	p := NewPinnedPool(3, 64)
-	var wg sync.WaitGroup
-	for g := 0; g < 10; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				b := p.Acquire()
-				p.Release(b)
-			}
-		}()
-	}
-	wg.Wait()
-	if p.TotalBytes() != 3*64 {
-		t.Fatalf("pool size changed: %d", p.TotalBytes())
-	}
-}
-
-func TestPinnedPoolBadRelease(t *testing.T) {
-	p := NewPinnedPool(1, 8)
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong-size release did not panic")
-		}
-	}()
-	p.Release(make([]byte, 4))
-}
-
 func TestTracker(t *testing.T) {
 	tr := NewTracker("gpu0")
 	tr.Add(CatParamsFP16, 100)

@@ -13,7 +13,7 @@ import (
 // reclaimed in O(live) at the next BeginStep. After the first step warms the
 // size-class free lists, a steady-state step performs zero heap allocations
 // in the model layer — the full-step extension of the engine-side invariant
-// (Arena/PinnedPool) that TestFullStepZeroAllocs and the stepalloc bench
+// (Arena) that TestFullStepZeroAllocs and the stepalloc bench
 // record gate.
 //
 // Three acquisition modes:
@@ -41,7 +41,7 @@ import (
 // overwrites the buffer or uses NewMatrix, so arena-backed runs stay
 // bit-identical to heap-backed runs.
 //
-// Retention is bounded like Arena/PinnedPool: at most maxFreeStepClass idle
+// Retention is bounded like Arena: at most maxFreeStepClass idle
 // buffers per size class and maxFreeHeaders idle tensor headers are kept;
 // the rest are dropped for the GC, so a transient burst (one oversized batch)
 // cannot pin memory forever.

@@ -43,6 +43,8 @@ type Ticket struct {
 }
 
 // Wait blocks for completion and returns the first error encountered.
+//
+//zinf:hotpath
 func (t *Ticket) Wait() error {
 	t.wg.Wait()
 	if e := t.err.Load(); e != nil {
@@ -51,6 +53,9 @@ func (t *Ticket) Wait() error {
 	return nil
 }
 
+// setErr keeps a request's first failure; a success records nothing.
+//
+//zinf:hotpath
 func (t *Ticket) setErr(err error) {
 	if err != nil {
 		// Taking the address of a branch-local copy, not of the parameter,
@@ -224,6 +229,8 @@ func (e *Engine) perform(r subReq) error {
 // reporting completion on the caller-owned ticket t (see Ticket for reuse).
 // buf must stay untouched until t completes. A request that races or
 // follows Close is not enqueued; t reports ErrClosed.
+//
+//zinf:hotpath
 func (e *Engine) Issue(t *Ticket, op Op, buf []byte, off int64) {
 	t.err.Store(nil)
 	e.mu.RLock()

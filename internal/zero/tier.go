@@ -43,18 +43,25 @@ type Tier interface {
 	Place(i int, half []tensor.Half, master []float32) error
 	// Shard returns parameter i's fp16 shard as the source of a gather,
 	// fetching it from its device if need be; Done takes it back once the
-	// collective has completed.
-	Shard(i int) ([]tensor.Half, error)
+	// collective has completed. The engine asks on every rank, so a tier
+	// sees the same sequence of Shard calls everywhere. A tier that cannot
+	// produce the shard panics: the failure is local to this rank while its
+	// peers are already committed to the collective the shard feeds, so no
+	// step error could be returned without leaving them waiting.
+	Shard(i int) []tensor.Half
 	Done(shard []tensor.Half)
 	// Ready reports whether Shard(i) can be had without stalling, so that a
 	// gather may be issued speculatively. The answer must be the same on
 	// every rank: a pure function of the gather sequence (gathers is the
-	// engine's running gather count), never of I/O completion timing.
+	// engine's running gather count), never of I/O completion timing nor of
+	// which rank holds the shard — a broadcast is speculated on every rank
+	// or on none.
 	Ready(i, gathers int) bool
 	// ReadAhead starts fetching parameter i's shard ahead of its gather and
 	// reports whether the engine should keep offering upcoming parameters
-	// (false: the read-ahead budget is spent). DrainReads abandons the
-	// fetches the step never consumed.
+	// (false: the read-ahead budget is spent). It is offered the same
+	// parameters on every rank. DrainReads abandons the fetches the step
+	// never consumed.
 	ReadAhead(i, gathers int) bool
 	DrainReads()
 	// Update applies Adam step number step to the listed parameters'
@@ -116,7 +123,7 @@ func (t *Resident) PlaceOpt(i int, master []float32) {
 // Shard implements Tier: the shard is its own authoritative storage.
 //
 //zinf:hotpath
-func (t *Resident) Shard(i int) ([]tensor.Half, error) { return t.Half[i], nil }
+func (t *Resident) Shard(i int) []tensor.Half { return t.Half[i] }
 
 // Done implements Tier.
 //

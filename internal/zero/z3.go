@@ -309,20 +309,6 @@ func (e *ShardedEngine) Runtime() *module.Runtime { return e.rt }
 // LossScale returns the current loss scale.
 func (e *ShardedEngine) LossScale() float64 { return e.scaler.Scale }
 
-// shard fetches ps's fp16 shard from the tier. A tier that cannot produce it
-// is fatal: the failure is local to this rank while its peers are already
-// committed to the collective the shard feeds, so no step error could be
-// returned without leaving them waiting.
-//
-//zinf:hotpath
-func (e *ShardedEngine) shard(ps *pstate) []tensor.Half {
-	s, err := e.tier.Shard(ps.idx)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // gather materializes p's full fp16-rounded values: a fused
 // allgather+decode of the 1/dp slices under PartitionSlice (the collective
 // delivers float32 directly, skipping the full-size intermediate fp16 pass),
@@ -378,17 +364,14 @@ func (e *ShardedEngine) gather(p *module.Param) {
 //
 //zinf:hotpath
 func (e *ShardedEngine) issueGather(ps *pstate) {
+	shard := e.tier.Shard(ps.idx)
 	if ps.bcastRoot >= 0 {
 		fullH := e.sc.F16.Get(ps.p.Len())
-		if e.c.Rank() == ps.bcastRoot {
-			shard := e.shard(ps)
-			copy(fullH, shard)
-			e.tier.Done(shard)
-		}
+		copy(fullH, shard) // the owner's whole shard; empty elsewhere
+		e.tier.Done(shard)
 		ps.spec = inflightGather{ticket: e.c.BroadcastHalfAsync(fullH, ps.bcastRoot), fullH: fullH}
 		return
 	}
-	shard := e.shard(ps)
 	full := e.sc.F32.Get(ps.shardLen * e.c.Size())
 	ps.spec = inflightGather{ticket: e.c.AllGatherHalfDecodeAsync(full, shard), full: full, shard: shard}
 }
@@ -880,10 +863,13 @@ type Stats struct {
 	// MaxLiveParamBytes is the peak fp16 footprint of simultaneously
 	// materialized (gathered) parameters.
 	MaxLiveParamBytes int64
-	PinnedBytes       int64
-	PinnedAcquires    int64
-	CkptBytesOffload  int64
-	GPUPeakBytes      int64
+	// PinnedBytes is the NVMe tier's staging ring: its buffer count times
+	// the largest optimizer record. PinnedAcquires counts the transfers
+	// staged through it — reads, read-aheads and write-backs alike.
+	PinnedBytes      int64
+	PinnedAcquires   int64
+	CkptBytesOffload int64
+	GPUPeakBytes     int64
 	// AllocsPerStep is the number of heap allocations performed during the
 	// last step (/gc/heap/allocs:objects runtime-metrics delta). The counter
 	// is process-global, so with several rank goroutines stepping in
