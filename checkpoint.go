@@ -147,23 +147,3 @@ func ReadCheckpoint(r io.Reader) (map[string][]float32, error) {
 	}
 	return out, nil
 }
-
-// ParamLoader is implemented by every engine in this package: it replaces
-// the model weights and resets optimizer state.
-type ParamLoader interface {
-	LoadParams(values map[string][]float32) error
-}
-
-// LoadCheckpoint reads a checkpoint from r and installs it into the engine.
-// Every rank must call it (with its own engine handle) on the same data.
-func LoadCheckpoint(r io.Reader, e Engine) error {
-	params, err := ReadCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	loader, ok := e.(ParamLoader)
-	if !ok {
-		return fmt.Errorf("zeroinf: engine %T does not support LoadParams", e)
-	}
-	return loader.LoadParams(params)
-}

@@ -103,7 +103,7 @@ func TestCheckpointTransfersAcrossEngines(t *testing.T) {
 				return
 			}
 			defer e.Close()
-			if err := zeroinf.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), e); err != nil {
+			if err := loadWeights(ckpt.Bytes(), e); err != nil {
 				t.Error(err)
 				return
 			}
@@ -216,7 +216,7 @@ func TestCheckpointRoundTripTiledModel(t *testing.T) {
 				return
 			}
 			defer e.Close()
-			if err := zeroinf.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), e); err != nil {
+			if err := loadWeights(ckpt.Bytes(), e); err != nil {
 				t.Error(err)
 				return
 			}
@@ -360,7 +360,7 @@ func TestCheckpointRoundTripOverlapEngines(t *testing.T) {
 				return
 			}
 			defer e.Close()
-			if err := zeroinf.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), e); err != nil {
+			if err := loadWeights(ckpt.Bytes(), e); err != nil {
 				t.Error(err)
 				return
 			}
@@ -393,4 +393,16 @@ func TestCheckpointRoundTripOverlapEngines(t *testing.T) {
 				i, ddp[i], z3o[i], info[i])
 		}
 	}
+}
+
+// loadWeights installs a weights.zinf image into e: ReadCheckpoint, then
+// the engine's LoadParams.
+func loadWeights(image []byte, e zeroinf.Engine) error {
+	params, err := zeroinf.ReadCheckpoint(bytes.NewReader(image))
+	if err != nil {
+		return err
+	}
+	return e.(interface {
+		LoadParams(map[string][]float32) error
+	}).LoadParams(params)
 }

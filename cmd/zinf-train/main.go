@@ -123,7 +123,7 @@ func printStats(engine string, ecfg zeroinf.EngineConfig, mcfg zeroinf.ModelConf
 	}
 	if engine == "infinity" {
 		s := res.Stats
-		fmt.Printf("NVMe prefetch %d issued / %d hits; traffic: %s read, %s written; pinned pool %s (%d acquires)\n",
+		fmt.Printf("NVMe prefetch %d issued / %d hits; traffic: %s read, %s written; staging ring %s (%d staged transfers)\n",
 			s.PrefetchIssued, s.PrefetchHits,
 			mem.FormatBytes(s.NVMeBytesRead), mem.FormatBytes(s.NVMeBytesWritten),
 			mem.FormatBytes(s.PinnedBytes), s.PinnedAcquires)

@@ -12,7 +12,7 @@ import (
 //
 // Flagged inside hotpath functions:
 //   - make / new / pointer-taking composite literals (&T{...}) — draw the
-//     buffer from a mem.Arena / mem.PinnedPool instead;
+//     buffer from a mem.Arena instead;
 //   - append that grows a fresh slice (x = append(y, ...) with x != y); the
 //     self-append idioms x = append(x, ...) and x = append(x[:k], ...) are
 //     amortized allocation-free against a retained backing array and are

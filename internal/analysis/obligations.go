@@ -23,20 +23,18 @@ import (
 // that is exactly the shape of the historical leaks.
 //
 // Control flow is interpreted over the structured AST: branches fork the
-// abstract state and merge at join points, `x, ok :=` results and nil
-// checks act as guards (the failure arm of TryAcquire holds nothing), loop
-// bodies are interpreted once, and panic paths are exempt (the process is
-// crashing; buffers are not coming back to the pool anyway).
+// abstract state and merge at join points, nil checks act as guards (the
+// arm in which the resource is nil holds nothing), loop bodies are
+// interpreted once, and panic paths are exempt (the process is crashing;
+// buffers are not coming back to the pool anyway).
 
 // obligationSpec configures one analyzer instance of the engine.
 type obligationSpec struct {
 	// what the resource is called in diagnostics, e.g. "pinned/arena buffer".
 	noun string
 	// acquire classifies a call as creating an obligation; desc names the
-	// resource in the diagnostic (e.g. "mem.PinnedPool.Acquire buffer").
-	// guarded reports that the call's second result is an ok-bool guarding
-	// the obligation (TryAcquire-style).
-	acquire func(info *types.Info, call *ast.CallExpr) (desc string, guarded, ok bool)
+	// resource in the diagnostic (e.g. "arena buffer from Arena.Get").
+	acquire func(info *types.Info, call *ast.CallExpr) (desc string, ok bool)
 	// release classifies a call as discharging the obligation passed as its
 	// argument (Release/Put); the engine matches the argument (possibly
 	// sliced) against tracked variables.
@@ -58,7 +56,6 @@ type obligation struct {
 	v        *types.Var
 	pos      token.Pos
 	desc     string
-	guard    *types.Var // ok-bool from `x, ok :=` acquires, nil otherwise
 	reported bool
 }
 
@@ -166,7 +163,7 @@ func (w *obWalker) stmt(s ast.Stmt, st *obState) bool {
 		// A bare acquiring call discards its result — the obligation can
 		// never be discharged.
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if desc, _, isAcq := w.spec.acquire(w.info(), call); isAcq {
+			if desc, isAcq := w.spec.acquire(w.info(), call); isAcq {
 				w.pass.Reportf(call.Pos(), "%s is discarded; it must be %s", desc, w.spec.dischargeVerb())
 			}
 		}
@@ -322,7 +319,7 @@ func (w *obWalker) valueSpec(vs *ast.ValueSpec, st *obState) {
 	for i, val := range vs.Values {
 		w.scanExpr(val, st)
 		if call, ok := ast.Unparen(val).(*ast.CallExpr); ok && i < len(vs.Names) {
-			w.maybeAcquire(vs.Names[i], nil, call, st)
+			w.maybeAcquire(vs.Names[i], call, st)
 		}
 	}
 }
@@ -330,17 +327,13 @@ func (w *obWalker) valueSpec(vs *ast.ValueSpec, st *obState) {
 // assign handles acquires, releases-by-overwrite and escapes in one
 // assignment statement.
 func (w *obWalker) assign(s *ast.AssignStmt, st *obState) {
-	// Single call on the RHS: acquire forms `x := f()` / `x, ok := f()`.
+	// Single call on the RHS: the acquire form `x := f()`.
 	if len(s.Rhs) == 1 {
 		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
 			w.scanExpr(call, st)
-			var okIdent *ast.Ident
-			if len(s.Lhs) == 2 {
-				okIdent, _ = s.Lhs[1].(*ast.Ident)
-			}
 			if len(s.Lhs) >= 1 {
 				if id, okL := s.Lhs[0].(*ast.Ident); okL {
-					w.maybeAcquire(id, okIdent, call, st)
+					w.maybeAcquire(id, call, st)
 				}
 			}
 			w.lhsEscapes(s.Lhs, st)
@@ -379,8 +372,8 @@ func (w *obWalker) lhsEscapes(lhs []ast.Expr, st *obState) {
 
 // maybeAcquire records an obligation if call matches the spec's acquire
 // pattern. Overwriting a still-live obligation is itself a leak.
-func (w *obWalker) maybeAcquire(id *ast.Ident, okIdent *ast.Ident, call *ast.CallExpr, st *obState) {
-	desc, guarded, ok := w.spec.acquire(w.info(), call)
+func (w *obWalker) maybeAcquire(id *ast.Ident, call *ast.CallExpr, st *obState) {
+	desc, ok := w.spec.acquire(w.info(), call)
 	if !ok {
 		return
 	}
@@ -404,56 +397,19 @@ func (w *obWalker) maybeAcquire(id *ast.Ident, okIdent *ast.Ident, call *ast.Cal
 		w.pass.Reportf(prev.pos, "%s is overwritten at line %d before being %s",
 			prev.desc, w.pass.Fset.Position(call.Pos()).Line, w.spec.dischargeVerb())
 	}
-	ob := &obligation{v: v, pos: call.Pos(), desc: desc}
-	if guarded && okIdent != nil {
-		if g, _ := w.info().Defs[okIdent].(*types.Var); g != nil {
-			ob.guard = g
-		} else if g, _ := w.info().Uses[okIdent].(*types.Var); g != nil {
-			ob.guard = g
-		}
-	}
-	st.live[v] = ob
+	st.live[v] = &obligation{v: v, pos: call.Pos(), desc: desc}
 }
 
-// applyGuard interprets `if ok`, `if !ok`, `if x == nil`, `if x != nil`
-// conditions against guarded/tracked obligations: the arm in which the
-// resource was never acquired (or is nil) holds no obligation.
+// applyGuard interprets `if x == nil` and `if x != nil` conditions against
+// tracked obligations: the arm in which the resource is nil holds no
+// obligation.
 func (w *obWalker) applyGuard(cond ast.Expr, thenSt, elseSt *obState) {
-	cond = ast.Unparen(cond)
-	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		w.applyGuardIdent(u.X, elseSt, thenSt)
-		return
-	}
-	if b, ok := cond.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+	if b, ok := ast.Unparen(cond).(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
 		x, y := ast.Unparen(b.X), ast.Unparen(b.Y)
 		if isNilIdent(w.info(), y) {
 			w.applyNilGuard(x, b.Op, thenSt, elseSt)
 		} else if isNilIdent(w.info(), x) {
 			w.applyNilGuard(y, b.Op, thenSt, elseSt)
-		}
-		return
-	}
-	w.applyGuardIdent(cond, thenSt, elseSt)
-}
-
-// applyGuardIdent: cond is truthy in liveSt, falsy in deadSt.
-func (w *obWalker) applyGuardIdent(cond ast.Expr, liveSt, deadSt *obState) {
-	id, ok := ast.Unparen(cond).(*ast.Ident)
-	if !ok {
-		return
-	}
-	g, _ := w.info().Uses[id].(*types.Var)
-	if g == nil {
-		return
-	}
-	for v, ob := range deadSt.live {
-		if ob.guard == g {
-			delete(deadSt.live, v) // guard false ⇒ nothing was acquired
-		}
-	}
-	for _, ob := range liveSt.live {
-		if ob.guard == g {
-			ob.guard = nil // guard consumed; obligation unconditionally live
 		}
 	}
 }

@@ -3,34 +3,6 @@
 // so only the signatures matter.
 package mem
 
-// PinnedPool mirrors mem.PinnedPool.
-type PinnedPool struct{ ch chan []byte }
-
-// NewPinnedPool returns a pool with n buffers of the given size.
-func NewPinnedPool(n, size int) *PinnedPool {
-	p := &PinnedPool{ch: make(chan []byte, n)}
-	for i := 0; i < n; i++ {
-		p.ch <- make([]byte, size)
-	}
-	return p
-}
-
-// Acquire blocks until a buffer is free.
-func (p *PinnedPool) Acquire() []byte { return <-p.ch }
-
-// TryAcquire returns a buffer or false without blocking.
-func (p *PinnedPool) TryAcquire() ([]byte, bool) {
-	select {
-	case b := <-p.ch:
-		return b, true
-	default:
-		return nil, false
-	}
-}
-
-// Release returns a buffer to the pool.
-func (p *PinnedPool) Release(b []byte) { p.ch <- b }
-
 // Arena mirrors mem.Arena.
 type Arena[T any] struct{ free [][]T }
 

@@ -1,6 +1,6 @@
 // Package pinned exercises the pinnedleak analyzer against the stub mem
-// package: the PR 2 error-return leak shape fires, the engine idioms
-// (defer, ok-guard, escape into an in-flight record) stay quiet.
+// package: the error-return leak shape fires, the engine idioms (defer, nil
+// guard, escape into an in-flight record) stay quiet.
 package pinned
 
 import (
@@ -11,19 +11,9 @@ import (
 
 var errBoom = errors.New("boom")
 
-// LeakOnError is the historical bug shape: an error return between Acquire
-// and Release leaks the buffer.
-func LeakOnError(p *mem.PinnedPool, fail bool) error {
-	buf := p.Acquire() // want `pinned buffer from PinnedPool.Acquire is not released or handed off`
-	if fail {
-		return errBoom
-	}
-	p.Release(buf)
-	return nil
-}
-
-// ArenaLeak is the same shape through a size-classed arena.
-func ArenaLeak(a *mem.Arena[float32], fail bool) error {
+// LeakOnError is the historical bug shape: an error return between Get
+// and Put leaks the buffer.
+func LeakOnError(a *mem.Arena[float32], fail bool) error {
 	s := a.Get(64) // want `arena buffer from Arena.Get is not released or handed off`
 	if fail {
 		return errBoom
@@ -33,57 +23,58 @@ func ArenaLeak(a *mem.Arena[float32], fail bool) error {
 }
 
 // Overwritten drops the first buffer by reusing its variable.
-func Overwritten(p *mem.PinnedPool) {
-	buf := p.Acquire() // want `is overwritten at line \d+ before being released or handed off`
-	buf = p.Acquire()
-	p.Release(buf)
+func Overwritten(a *mem.Arena[float32]) {
+	buf := a.GetZeroed(8) // want `is overwritten at line \d+ before being released or handed off`
+	buf = a.Get(8)
+	a.Put(buf)
 }
 
 // Balanced releases on every path via defer.
-func Balanced(p *mem.PinnedPool, fail bool) error {
-	buf := p.Acquire()
-	defer p.Release(buf)
+func Balanced(a *mem.Arena[float32], fail bool) error {
+	buf := a.Get(8)
+	defer a.Put(buf)
 	if fail {
 		return errBoom
 	}
 	return nil
 }
 
-// Guarded holds nothing on the failed-TryAcquire arm.
-func Guarded(p *mem.PinnedPool) {
-	buf, ok := p.TryAcquire()
-	if !ok {
-		return
+// NilGuarded holds nothing on the arm where the buffer is nil.
+func NilGuarded(a *mem.Arena[float32], n int) error {
+	buf := a.Get(n)
+	if buf == nil {
+		return errBoom
 	}
-	p.Release(buf)
+	a.Put(buf)
+	return nil
 }
 
-type inflight struct{ buf []byte }
+type inflight struct{ buf []float32 }
 
 // Escapes hands the buffer off into an in-flight record; ownership moves
 // with it.
-func Escapes(p *mem.PinnedPool, dst *inflight) {
-	buf := p.Acquire()
+func Escapes(a *mem.Arena[float32], dst *inflight) {
+	buf := a.Get(8)
 	*dst = inflight{buf: buf}
 }
 
 // Returned transfers ownership to the caller.
-func Returned(p *mem.PinnedPool) []byte {
-	buf := p.Acquire()
+func Returned(a *mem.Arena[float32]) []float32 {
+	buf := a.Get(8)
 	return buf
 }
 
 // SlicedRelease releases through a reslice of the tracked buffer.
-func SlicedRelease(p *mem.PinnedPool, n int) {
-	buf := p.Acquire()
-	p.Release(buf[:n])
+func SlicedRelease(a *mem.Arena[float32], n int) {
+	buf := a.Get(8)
+	a.Put(buf[:n])
 }
 
 // CrashPath may keep the buffer: the process is going down.
-func CrashPath(p *mem.PinnedPool, fail bool) {
-	buf := p.Acquire()
+func CrashPath(a *mem.Arena[float32], fail bool) {
+	buf := a.Get(8)
 	if fail {
 		panic("fatal")
 	}
-	p.Release(buf)
+	a.Put(buf)
 }

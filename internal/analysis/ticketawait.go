@@ -24,17 +24,17 @@ var TicketAwait = &Analyzer{
 
 var ticketSpec = &obligationSpec{
 	noun: "async ticket",
-	acquire: func(info *types.Info, call *ast.CallExpr) (string, bool, bool) {
+	acquire: func(info *types.Info, call *ast.CallExpr) (string, bool) {
 		t := info.TypeOf(call)
 		if t == nil {
-			return "", false, false
+			return "", false
 		}
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
 		named, ok := t.(*types.Named)
 		if !ok || named.Obj().Name() != "Ticket" || named.Obj().Pkg() == nil {
-			return "", false, false
+			return "", false
 		}
 		switch named.Obj().Pkg().Name() {
 		case "comm", "nvme", "ckpt":
@@ -42,9 +42,9 @@ var ticketSpec = &obligationSpec{
 			if fn := calledMethod(info, call); fn != nil {
 				name = "ticket from " + fn.Name()
 			}
-			return name, false, true
+			return name, true
 		}
-		return "", false, false
+		return "", false
 	},
 	wait: func(info *types.Info, sel *ast.SelectorExpr) bool {
 		return sel.Sel.Name == "Wait"

@@ -63,67 +63,3 @@ func BenchmarkAblatePlacement(b *testing.B) {
 		})
 	}
 }
-
-// Gradient accumulation under every placement stays bit-identical to DDP.
-func TestAccumulationMatchesDDPAcrossPlacements(t *testing.T) {
-	mcfg := testModelCfg(false)
-	const micros, steps = 2, 2
-	run := func(infinity bool, cfg Config) []float64 {
-		tokens, targets := makeBatches(mcfg, steps*micros, testRanks, testBatch)
-		var losses []float64
-		comm.Run(testRanks, func(c *comm.Comm) {
-			g := model.MustGPT(mcfg)
-			var step func(mt, mg [][]int) (zero.StepResult, error)
-			if infinity {
-				e, err := NewInfinityEngine(cfg, c, g)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer e.Close()
-				step = func(mt, mg [][]int) (zero.StepResult, error) { return e.StepAccum(mt, mg, testBatch) }
-			} else {
-				e, err := zero.NewDPEngine(zero.Config{LossScale: 128, Seed: 42}, c, g)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				step = func(mt, mg [][]int) (zero.StepResult, error) { return e.StepAccum(mt, mg, testBatch) }
-			}
-			var local []float64
-			for s := 0; s < steps; s++ {
-				mt := make([][]int, micros)
-				mg := make([][]int, micros)
-				for m := 0; m < micros; m++ {
-					mt[m] = tokens[s*micros+m][c.Rank()]
-					mg[m] = targets[s*micros+m][c.Rank()]
-				}
-				res, err := step(mt, mg)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				local = append(local, res.Loss)
-			}
-			if c.Rank() == 0 {
-				losses = local
-			}
-		})
-		return losses
-	}
-	ddp := run(false, Config{})
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"cpu", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU, LossScale: 128, Seed: 42}},
-		{"nvme", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 2, LossScale: 128, Seed: 42}},
-	} {
-		got := run(true, tc.cfg)
-		for i := range ddp {
-			if ddp[i] != got[i] {
-				t.Fatalf("%s accum diverged at step %d: %.17g vs %.17g", tc.name, i, ddp[i], got[i])
-			}
-		}
-	}
-}

@@ -141,49 +141,6 @@ func assertSame(t *testing.T, name string, a, b trajectory) {
 	}
 }
 
-// The headline correctness result: ZeRO-Infinity with any placement —
-// including both states on NVMe with prefetch and activation offload —
-// trains bit-identically to plain data parallelism.
-func TestInfinityPlacementsBitIdenticalToDDP(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		ckpt bool
-	}{
-		{"gpu-gpu", Config{Params: zero.OnGPU, Optimizer: zero.OnGPU}, false},
-		{"cpu-cpu", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU}, false},
-		{"cpu-nvme", Config{Params: zero.OnCPU, Optimizer: zero.OnNVMe}, false},
-		{"nvme-nvme", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe}, false},
-		{"nvme-nvme+prefetch", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 3}, false},
-		{"nvme-nvme+ckpt-offload", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, OffloadActivations: true}, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			mcfg := testModelCfg(tc.ckpt)
-			ddp := runDDP(t, mcfg)
-			got := runInfinity(t, mcfg, tc.cfg)
-			assertSame(t, tc.name, ddp, got)
-		})
-	}
-	// Infinity with both states on GPU *is* ZeRO-3: not only the same
-	// values, but the same gathers, speculation and reductions.
-	t.Run("gpu-gpu≡zero3", func(t *testing.T) {
-		mcfg := testModelCfg(false)
-		z3 := runZero(t, mcfg, zero.Config{Stage: zero.Stage3, PrefetchDepth: 2, Overlap: true})
-		inf := runInfinity(t, mcfg, Config{Params: zero.OnGPU, Optimizer: zero.OnGPU, PrefetchDepth: 2, Overlap: true})
-		assertSame(t, "gpu-gpu≡zero3", z3, inf)
-		a, b := z3.stats, inf.stats
-		if a.Gathers == 0 || a.CommPrefetchHits == 0 || a.AsyncReduces == 0 {
-			t.Fatalf("zero3 counters idle: %+v", a)
-		}
-		if a.Gathers != b.Gathers || a.OnDemandGathers != b.OnDemandGathers || a.AsyncReduces != b.AsyncReduces ||
-			a.CommPrefetchIssued != b.CommPrefetchIssued || a.CommPrefetchHits != b.CommPrefetchHits ||
-			a.MaxLiveParamBytes != b.MaxLiveParamBytes {
-			t.Fatalf("infinity gpu/gpu did different work than zero3:\nzero3    %+v\ninfinity %+v", a, b)
-		}
-	})
-}
-
 // Regression test: a prefetch depth at or above the pinned-buffer count
 // must not starve synchronous fetches (the speculative reads are budgeted
 // below the ring size). This deadlocked before the outstanding-counter fix.
@@ -237,7 +194,7 @@ func TestPrefetcherIssuesAndHits(t *testing.T) {
 // each one rank's largest [master|m|v] record — streams the entire
 // offloaded state, so pinned bytes stay constant while NVMe traffic is far
 // larger (paper Sec. 6.3).
-func TestPinnedPoolBoundedWhileStreaming(t *testing.T) {
+func TestStagingRingBoundedWhileStreaming(t *testing.T) {
 	mcfg := testModelCfg(false)
 	got := runInfinity(t, mcfg, Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe})
 	largest := 0

@@ -6,37 +6,6 @@ import (
 	"repro/internal/zero"
 )
 
-// The overlap acceptance claim for the infinity engine: async allgathers,
-// the comm prefetcher and async reduce-scatters — composed with the NVMe
-// read prefetcher behind the shared PrefetchDepth budget — leave the
-// training trajectory bit-identical to plain DDP for every placement.
-func TestInfinityOverlapBitIdenticalToDDP(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		ckpt bool
-	}{
-		{"cpu-cpu+overlap", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU,
-			PrefetchDepth: 2, Overlap: true}, false},
-		{"gpu-gpu+overlap", Config{Params: zero.OnGPU, Optimizer: zero.OnGPU,
-			PrefetchDepth: 3, Overlap: true}, false},
-		{"nvme-nvme+overlap", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-			PrefetchDepth: 3, Overlap: true}, false},
-		{"nvme-nvme+overlap+ckpt-offload", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-			PrefetchDepth: 2, Overlap: true, OffloadActivations: true}, true},
-		{"async-reduce-only", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU,
-			Overlap: true}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			mcfg := testModelCfg(tc.ckpt)
-			ddp := runDDP(t, mcfg)
-			got := runInfinity(t, mcfg, tc.cfg)
-			assertSame(t, tc.name, ddp, got)
-		})
-	}
-}
-
 // With both stages on NVMe and overlap on, the two prefetch stages chain:
 // speculative NVMe reads are consumed by speculative allgathers, which are
 // consumed by gathers. Once the first step has learned the gather trace,

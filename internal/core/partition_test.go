@@ -9,42 +9,6 @@ import (
 	"repro/internal/zero"
 )
 
-// Fig. 6c correctness on the infinity engine: the owner-rank broadcast
-// strategy — across placements, with overlap+prefetch and a multi-node
-// topology — trains bit-identically to DDP, exactly like 1/dp slicing. With
-// overlap, speculative gathers serve gathers on every placement, parameters
-// on NVMe included: the tier's read-ahead ring is the same on every rank.
-func TestPartitionBroadcastBitIdenticalToDDP(t *testing.T) {
-	topo := &comm.Topology{NodeSize: 2, IntraGBps: 100, InterGBps: 10}
-	cases := []struct {
-		name string
-		cfg  Config
-		topo *comm.Topology
-	}{
-		{"gpu-gpu", Config{Partition: zero.PartitionBroadcast}, nil},
-		{"cpu-cpu+overlap", Config{Partition: zero.PartitionBroadcast,
-			Params: zero.OnCPU, Optimizer: zero.OnCPU, Overlap: true, PrefetchDepth: 2}, nil},
-		{"gpu-gpu+overlap+topology", Config{Partition: zero.PartitionBroadcast,
-			Overlap: true, PrefetchDepth: 2}, topo},
-		{"nvme-nvme+prefetch", Config{Partition: zero.PartitionBroadcast,
-			Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 3}, nil},
-		{"nvme-nvme+overlap", Config{Partition: zero.PartitionBroadcast,
-			Params: zero.OnNVMe, Optimizer: zero.OnNVMe, Overlap: true, PrefetchDepth: 2}, nil},
-		{"slice+topology", Config{Overlap: true, PrefetchDepth: 2}, topo},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			mcfg := testModelCfg(false)
-			ddp := runDDP(t, mcfg)
-			got := runInfinityOn(t, mcfg, tc.cfg, tc.topo)
-			assertSame(t, tc.name, ddp, got)
-			if tc.cfg.Overlap && got.stats.CommPrefetchHits == 0 {
-				t.Fatalf("%s: no gather served by a speculative one (%d issued)", tc.name, got.stats.CommPrefetchIssued)
-			}
-		})
-	}
-}
-
 // Stats must surface the fabric's modeled traffic: with a topology
 // installed, the gather collective reports bytes, simulated seconds and a
 // positive achieved aggregate bandwidth — and the slicing strategy's gather

@@ -11,78 +11,6 @@ import (
 	"repro/internal/zero"
 )
 
-// runZero trains a zero-package engine (any stage) on the shared batches
-// and returns rank 0's observations.
-func runZero(t *testing.T, mcfg model.Config, zcfg zero.Config) trajectory {
-	t.Helper()
-	zcfg.LossScale = 256
-	zcfg.Seed = 42
-	tokens, targets := makeBatches(mcfg, testSteps, testRanks, testBatch)
-	var out trajectory
-	var mu sync.Mutex
-	comm.Run(testRanks, func(c *comm.Comm) {
-		e, err := zero.NewShardedEngine(zcfg, c, model.MustGPT(mcfg), zero.Attachments{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var losses []float64
-		for s := 0; s < testSteps; s++ {
-			res, err := e.Step(tokens[s][c.Rank()], targets[s][c.Rank()], testBatch)
-			if err != nil {
-				t.Error(err)
-			}
-			losses = append(losses, res.Loss)
-		}
-		p := e.FullParams()
-		if c.Rank() == 0 {
-			mu.Lock()
-			out = trajectory{losses: losses, params: p, stats: e.Stats()}
-			mu.Unlock()
-		}
-	})
-	return out
-}
-
-// The acceptance claim for model-wide tiling: for a fixed tiling factor,
-// every engine — DDP, ZeRO-1/2/3, ZeRO-Infinity on CPU and NVMe (with
-// prefetch and overlap) — trains the tiled model bit-identically. Tiling is
-// model structure, not an engine feature, so no engine special-cases it.
-func TestTiledModelBitIdenticalAcrossEngines(t *testing.T) {
-	mcfg := testModelCfg(false)
-	mcfg.Tiling = 4
-	ddp := runZero(t, mcfg, zero.Config{Stage: zero.StageDDP})
-	if len(ddp.losses) != testSteps {
-		t.Fatalf("ddp ran %d steps", len(ddp.losses))
-	}
-
-	for _, tc := range []struct {
-		name string
-		cfg  zero.Config
-	}{
-		{"zero1", zero.Config{Stage: zero.Stage1}},
-		{"zero2", zero.Config{Stage: zero.Stage2}},
-		{"zero-offload", zero.Config{Stage: zero.Stage2, OffloadOptimizer: true}},
-		{"zero3", zero.Config{Stage: zero.Stage3}},
-		{"zero3-overlap", zero.Config{Stage: zero.Stage3, PrefetchDepth: 2, Overlap: true}},
-	} {
-		got := runZero(t, mcfg, tc.cfg)
-		assertSame(t, tc.name, ddp, got)
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"infinity-cpu", Config{Params: zero.OnCPU, Optimizer: zero.OnCPU}},
-		{"infinity-nvme", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe, PrefetchDepth: 2}},
-		{"infinity-nvme-overlap", Config{Params: zero.OnNVMe, Optimizer: zero.OnNVMe,
-			PrefetchDepth: 2, Overlap: true}},
-	} {
-		got := runInfinity(t, mcfg, tc.cfg)
-		assertSame(t, tc.name, ddp, got)
-	}
-}
-
 // Tiling divides the Infinity engine's max live parameter bytes by ~the
 // tile factor: the largest leaf (fc1: W+B) dominates the dense working set,
 // and each of its tiles is a quarter of it.

@@ -7,62 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
 )
-
-// runAccum trains with StepAccum over the given micro-batch count.
-func runAccum(t *testing.T, ecfg Config, micros, steps int) runOutput {
-	t.Helper()
-	mcfg := testCfg()
-	var out runOutput
-	var mu sync.Mutex
-	comm.Run(testRanks, func(c *comm.Comm) {
-		e, err := NewShardedEngine(ecfg, c, model.MustGPT(mcfg), Attachments{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var losses []float64
-		for s := 0; s < steps; s++ {
-			mt := make([][]int, micros)
-			mg := make([][]int, micros)
-			for m := 0; m < micros; m++ {
-				rng := tensor.NewRNG(uint64(5000 + s*1000 + m*100 + c.Rank()))
-				mt[m], mg[m] = model.SyntheticBatch(rng, mcfg, testBatch)
-			}
-			losses = append(losses, mustStep(t)(e.StepAccum(mt, mg, testBatch)).Loss)
-		}
-		params := e.FullParams()
-		if c.Rank() == 0 {
-			mu.Lock()
-			out = runOutput{losses: losses, params: params}
-			mu.Unlock()
-		}
-	})
-	return out
-}
-
-// Gradient accumulation keeps every engine bit-identical to DDP. The
-// +overlap rows fold each micro-batch's asynchronous reductions partly
-// inside backward (the model has more parameters than reduceWindow) and
-// the rest at the micro-batch boundary.
-func TestAccumulationBitIdenticalAcrossEngines(t *testing.T) {
-	const micros, steps = 3, 3
-	ddp := runAccum(t, Config{Stage: StageDDP, LossScale: 128, Seed: 21}, micros, steps)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"zero1", Config{Stage: Stage1, LossScale: 128, Seed: 21}},
-		{"zero2", Config{Stage: Stage2, LossScale: 128, Seed: 21}},
-		{"zero2+overlap", Config{Stage: Stage2, LossScale: 128, Seed: 21, Overlap: true}},
-		{"zero3", Config{Stage: Stage3, LossScale: 128, Seed: 21}},
-		{"zero3+overlap", Config{Stage: Stage3, LossScale: 128, Seed: 21, Overlap: true, PrefetchDepth: 2}},
-	} {
-		got := runAccum(t, tc.cfg, micros, steps)
-		assertSameTrajectory(t, tc.name+"+accum", ddp, got)
-	}
-}
 
 // Accumulating the same micro-batch twice equals one step with doubled
 // gradients — i.e. the same step as a single micro (gradients are averaged
@@ -101,36 +46,6 @@ func TestAccumulationAveragesMicroGradients(t *testing.T) {
 		if single[i] != double[i] {
 			t.Fatalf("duplicated-micro step diverged at %d: %g vs %g", i, single[i], double[i])
 		}
-	}
-}
-
-// Clipping: bit-identical across engines, and the post-clip norm is bounded.
-func TestClippingBitIdenticalAndBounded(t *testing.T) {
-	const clip = 0.05 // small enough to always engage
-	ddp := runEngine(t, testCfg(), Config{Stage: StageDDP, LossScale: 128, Seed: 42, ClipNorm: clip}, false)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"zero1+clip", Config{Stage: Stage1, LossScale: 128, Seed: 42, ClipNorm: clip}},
-		{"zero2+clip", Config{Stage: Stage2, LossScale: 128, Seed: 42, ClipNorm: clip}},
-		{"zero3+clip", Config{Stage: Stage3, LossScale: 128, Seed: 42, ClipNorm: clip}},
-	} {
-		got := runEngine(t, testCfg(), tc.cfg, false)
-		assertSameTrajectory(t, tc.name, ddp, got)
-	}
-	// Clipping changes the trajectory vs unclipped.
-	unclipped := runEngine(t, testCfg(), Config{Stage: StageDDP, LossScale: 128, Seed: 42}, false)
-	same := true
-	for name, av := range ddp.params {
-		for i := range av {
-			if av[i] != unclipped.params[name][i] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("clip=0.05 did not change the trajectory — clipping inert?")
 	}
 }
 

@@ -2,40 +2,13 @@ package zero
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/model"
 )
 
-// The overlap acceptance claim for stage 3: async collectives and the
-// gather prefetcher change wall-clock behaviour only. Trajectories and
-// final parameters must match the synchronous engine bit for bit.
-func TestZ3OverlapBitIdenticalToSync(t *testing.T) {
-	mcfg := testCfg()
-	syncOut := runEngine(t, mcfg, Config{Stage: Stage3, LossScale: 256, Seed: 42}, false)
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		// PrefetchDepth without Overlap is inert (async collectives are
-		// gated on Overlap, matching internal/core and the public config).
-		{"prefetch-without-overlap", Config{Stage: Stage3, LossScale: 256, Seed: 42, PrefetchDepth: 2}},
-		{"async-reduce", Config{Stage: Stage3, LossScale: 256, Seed: 42, Overlap: true}},
-		{"prefetch+async-reduce", Config{Stage: Stage3, LossScale: 256, Seed: 42, PrefetchDepth: 3, Overlap: true}},
-		{"deep-prefetch", Config{Stage: Stage3, LossScale: 256, Seed: 42, PrefetchDepth: 64, Overlap: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runEngine(t, mcfg, tc.cfg, false)
-			assertSameTrajectory(t, tc.name, syncOut, got)
-		})
-	}
-}
-
 func TestZ3OverlapPrefetcherIssuesAndHits(t *testing.T) {
-	out := runEngine(t, testCfg(), Config{Stage: Stage3, LossScale: 256, Seed: 42, PrefetchDepth: 2, Overlap: true}, false)
+	out := runEngine(t, Config{Stage: Stage3, LossScale: 256, Seed: 42, PrefetchDepth: 2, Overlap: true})
 	z3 := out.eng
 	if z3.PrefetchIssued == 0 {
 		t.Fatal("gather prefetcher issued nothing")
@@ -49,85 +22,6 @@ func TestZ3OverlapPrefetcherIssuesAndHits(t *testing.T) {
 	if z3.AsyncReduces == 0 {
 		t.Fatal("no reduce-scatter launched asynchronously")
 	}
-}
-
-// Gradient accumulation drains asynchronous reduce-scatters across
-// micro-batches in issue order; the accumulated shards must match the
-// synchronous engine exactly.
-func TestZ3OverlapGradAccumBitIdentical(t *testing.T) {
-	mcfg := testCfg()
-	run := func(cfg Config) (losses []float64, params map[string][]float32) {
-		tokens, targets := makeBatches(mcfg, testSteps, testRanks, testBatch)
-		var mu sync.Mutex
-		comm.Run(testRanks, func(c *comm.Comm) {
-			g := model.MustGPT(mcfg)
-			e, err := NewZ3Engine(cfg, c, g)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			var local []float64
-			for s := 0; s < testSteps; s++ {
-				// Split the shared batch into two identical micro-batches.
-				tok, tgt := tokens[s][c.Rank()], targets[s][c.Rank()]
-				res := mustStep(t)(e.StepAccum([][]int{tok, tok}, [][]int{tgt, tgt}, testBatch))
-				local = append(local, res.Loss)
-			}
-			p := e.FullParams()
-			if c.Rank() == 0 {
-				mu.Lock()
-				losses, params = local, p
-				mu.Unlock()
-			}
-		})
-		return
-	}
-	sl, sp := run(Config{Stage: Stage3, LossScale: 128, Seed: 9, ClipNorm: 1})
-	ol, op := run(Config{Stage: Stage3, LossScale: 128, Seed: 9, ClipNorm: 1, PrefetchDepth: 2, Overlap: true})
-	for i := range sl {
-		if sl[i] != ol[i] {
-			t.Fatalf("accum loss diverged at step %d: %.17g vs %.17g", i, sl[i], ol[i])
-		}
-	}
-	for name, sv := range sp {
-		for i := range sv {
-			if op[name][i] != sv[i] {
-				t.Fatalf("accum param %s[%d] diverged", name, i)
-			}
-		}
-	}
-}
-
-// The drain barrier must land before the overflow check: an overflowing
-// step under overlap is skipped without touching the weights, exactly like
-// the synchronous engine.
-func TestZ3OverlapOverflowSkipIdentical(t *testing.T) {
-	mcfg := testCfg()
-	tokens, targets := makeBatches(mcfg, 1, testRanks, testBatch)
-	comm.Run(testRanks, func(c *comm.Comm) {
-		g := model.MustGPT(mcfg)
-		e, err := NewZ3Engine(Config{LossScale: 1e30, DynamicLossScale: true, Seed: 5,
-			PrefetchDepth: 2, Overlap: true}, c, g)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		before := e.FullParams()
-		res := e.Step(tokens[0][c.Rank()], targets[0][c.Rank()], testBatch)
-		if !res.Skipped {
-			t.Error("overflow step was not skipped under overlap")
-		}
-		after := e.FullParams()
-		if c.Rank() == 0 {
-			for name, b := range before {
-				for i := range b {
-					if after[name][i] != b[i] {
-						t.Fatalf("skipped overlap step modified %s[%d]", name, i)
-					}
-				}
-			}
-		}
-	})
 }
 
 // The asynchronous gradient reductions are bounded to reduceWindow in

@@ -7,35 +7,6 @@ import (
 	"repro/internal/model"
 )
 
-// The Fig. 6c correctness half: both partitioning strategies — 1/dp slicing
-// and owner-rank broadcast — are memory/bandwidth layouts, not algorithm
-// changes. Every combination of strategy, overlap+prefetch and multi-node
-// topology must reproduce the DDP trajectory bit for bit.
-func TestPartitionStrategiesBitIdenticalToDDP(t *testing.T) {
-	mcfg := testCfg()
-	topo := &comm.Topology{NodeSize: 2, IntraGBps: 100, InterGBps: 10}
-
-	ddp := runEngine(t, mcfg, Config{Stage: StageDDP, LossScale: 256, Seed: 42}, false)
-	cases := []struct {
-		name string
-		cfg  Config
-		topo *comm.Topology
-	}{
-		{"broadcast/sync", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Partition: PartitionBroadcast}, nil},
-		{"broadcast/overlap", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Partition: PartitionBroadcast, Overlap: true, PrefetchDepth: 2}, nil},
-		{"slice/overlap+topology", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Overlap: true, PrefetchDepth: 2}, topo},
-		{"broadcast/overlap+topology", Config{Stage: Stage3, LossScale: 256, Seed: 42,
-			Partition: PartitionBroadcast, Overlap: true, PrefetchDepth: 2}, topo},
-	}
-	for _, tc := range cases {
-		got := runEngineOn(t, mcfg, tc.cfg, false, tc.topo)
-		assertSameTrajectory(t, tc.name, ddp, got)
-	}
-}
-
 // Overflow steps under the broadcast strategy must skip cleanly: the
 // owner-held gradient shards are dropped, no parameter moves, and the scale
 // halves — same semantics as slicing.
@@ -133,12 +104,12 @@ func TestFullParamsGatherScratchPooled(t *testing.T) {
 // strategy after identical training (the consolidation path is
 // strategy-independent).
 func TestFullParamsAgreeAcrossStrategies(t *testing.T) {
-	mcfg := testCfg()
-	slice := runEngine(t, mcfg, Config{Stage: Stage3, LossScale: 256, Seed: 42}, false)
-	bcast := runEngine(t, mcfg, Config{Stage: Stage3, LossScale: 256, Seed: 42,
-		Partition: PartitionBroadcast}, false)
-	assertSameTrajectory(t, "fullparams-strategies", slice, bcast)
-	if len(slice.params) == 0 {
-		t.Fatal("no params captured")
+	slice := runEngine(t, Config{Stage: Stage3, LossScale: 256, Seed: 42})
+	bcast := runEngine(t, Config{Stage: Stage3, LossScale: 256, Seed: 42, Partition: PartitionBroadcast})
+	if len(slice.params) == 0 || len(bcast.params) != len(slice.params) {
+		t.Fatalf("captured %d and %d params", len(slice.params), len(bcast.params))
+	}
+	if name, ok := sameParams(slice.params, bcast.params); !ok {
+		t.Fatalf("parameter %s differs between the strategies", name)
 	}
 }
